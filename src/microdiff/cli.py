@@ -129,22 +129,6 @@ def _ring_level(args) -> RingLevel:
     return RingLevel(tag)
 
 
-def _norm_exponent(value: Fraction, prime: int) -> Fraction:
-    if value == 0:
-        raise ValueError("zero norm has no exponent")
-    e = 0
-    v = Fraction(value)
-    while v > 1:
-        v /= prime
-        e += 1
-    while v < 1:
-        v *= prime
-        e -= 1
-    if v != 1:
-        raise ValueError(f"{value} is not a power of {prime}")
-    return Fraction(e)
-
-
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -153,33 +137,26 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _norm_report(args, exponent: Fraction) -> str:
+def _power_report(args, name: str, exponent) -> str:
+    """``name = p^e`` for an exponent e; None stands for the value 0."""
+    if exponent is None:
+        return jsonio.dumps({"zero": True}) if args.format == "json" else f"{name} = 0\n"
     if args.format == "json":
         return jsonio.dumps({"prime": args.prime,
                              "exponent": jsonio.fraction_to_json(exponent)})
-    return f"norm = p^{exponent}\n"
+    return f"{name} = p^{exponent}\n"
 
 
 def _cmd_norm(args, ctx) -> int:
     P = _eval_operator(args.expr, ctx)
     if args.mu is not None:
         e = diffop.norm_mu(P, Fraction(args.mu))
-        _emit(args, _norm_report(args, e))
-        return 0
-    level = _ring_level(args)
-    if level.tag == "fkr":
-        value = microop.norm_Fkr(P, level.k, level.r)
-    elif level.tag == "ek":
-        value = microop.norm_Ek(P, level.k)
-    elif level.tag == "dkq":
-        value = diffop.norm_k(P, level.k)
     else:
-        raise UsageError("norm needs --level dkq, ek or fkr (or --mu)")
-    if value == 0:
-        _emit(args, jsonio.dumps({"zero": True}) if args.format == "json"
-              else "norm = 0\n")
-        return 0
-    _emit(args, _norm_report(args, _norm_exponent(value, args.prime)))
+        level = _ring_level(args)
+        if level.k is None:
+            raise UsageError("norm needs --level dkq, ek or fkr (or --mu)")
+        e = level.norm_exponent(P)
+    _emit(args, _power_report(args, "norm", e))
     return 0
 
 
@@ -276,13 +253,7 @@ def _cmd_defect(args, ctx) -> int:
         raise UsageError("defect needs --k")
     P = _eval_operator(args.exprP, ctx)
     Q = _eval_operator(args.exprQ, ctx)
-    value = diffop.quasi_abelian_defect(P, Q, args.k)
-    if value == 0:
-        _emit(args, jsonio.dumps({"zero": True}) if args.format == "json"
-              else "defect = 0\n")
-        return 0
-    _emit(args, _norm_report(args, _norm_exponent(value, args.prime))
-          .replace("norm =", "defect ="))
+    _emit(args, _power_report(args, "defect", diffop._defect_exponent(P, Q, args.k)))
     return 0
 
 

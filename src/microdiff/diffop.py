@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (DivisionByZero, InsufficientTruncation, WindowOverflow,
@@ -70,13 +71,6 @@ class TailCertificate:
         return self.t0 + self.t1 * n
 
 
-def _sup_affine(slope: Fraction, offset: Fraction, n0: int) -> Fraction | None:
-    """sup over integers n >= n0 of slope*n + offset; None means +infinity."""
-    if slope > 0:
-        return None
-    return slope * n0 + offset
-
-
 @dataclass(frozen=True)
 class MicroOp:
     """Sparse Laurent differential operator with optional tail certificates.
@@ -118,8 +112,8 @@ class MicroOp:
         f = value if isinstance(value, TateSeries) else TateSeries.constant(
             value, dim, prime, degree_cap)
         if f.is_zero:
-            return cls.zero(dim, prime)
-        return cls(dim, f.prime, {(0,) * dim: f})
+            return cls.zero(f.dim, f.prime)
+        return cls(f.dim, f.prime, {(0,) * f.dim: f})
 
     @classmethod
     def monomial(cls, alpha: Iterable[int], coeff, dim: int | None = None,
@@ -165,6 +159,16 @@ class MicroOp:
             return tuple((0, 0) for _ in range(self.dim))
         return tuple((min(a[i] for a in self.terms), max(a[i] for a in self.terms))
                      for i in range(self.dim))
+
+    @cached_property
+    def term_table(self) -> tuple[tuple[Exponent, int, int, int], ...]:
+        """(alpha, |alpha|, fl(alpha), v(c_alpha)) per stored term, in storage order.
+
+        Every norm, order, polygon and unit query reads these rows, so the
+        valuations are computed once per operator.
+        """
+        return tuple((a, length(a), floor_sum(a), c.spectral_valuation())
+                     for a, c in self.terms.items())
 
     def max_length(self) -> int:
         return max((length(a) for a in self.terms), default=0)
@@ -249,14 +253,16 @@ def _min_tail(a: TailCertificate | None,
     Beyond the smaller start one operand may still store terms while the
     other only certifies a bound there, so the sum's coefficients in that
     range are not exactly known; :func:`_fold_beyond` subsequently drops the
-    stored terms of that range into the certificate.
+    stored terms of that range into the certificate.  Infinite support
+    survives only against an operand without a tail in the sector: two
+    infinite tails can cancel.
     """
     if a is None and b is None:
         return None
     if a is None or b is None:
         return a if b is None else b
     return TailCertificate(min(a.start, b.start), min(a.t0, b.t0),
-                           min(a.t1, b.t1), a.infinite or b.infinite)
+                           min(a.t1, b.t1))
 
 
 def _fold_beyond(terms: dict, cert: TailCertificate | None,
@@ -361,15 +367,20 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
     and a right-tail term of length n lands at length >= n.  Stored product
     terms beyond the start are only partial coefficients and are folded by
     the caller.
+
+    Infinite support survives only multiplication by an exact nonzero
+    constant; any other factor may be a unit whose inverse cancels it.
     """
     ta, tb = P.tail, Q.tail
     if ta is None and tb is None:
         return None
 
     def stored_floor(op: MicroOp, slope: Fraction) -> Fraction:
-        vals = [Fraction(c.spectral_valuation()) - slope * length(a)
-                for a, c in op.terms.items()]
-        return min(vals) if vals else Fraction(0)
+        return min((v - slope * n for _, n, _, v in op.term_table), default=Fraction(0))
+
+    def is_constant(op: MicroOp) -> bool:
+        c = op.terms.get((0,) * op.dim)
+        return op.is_exact and len(op.terms) == 1 and c is not None and c.degree() == 0
 
     def max_coeff_degree(op: MicroOp) -> int:
         return max((c.degree() for c in op.terms.values()), default=0)
@@ -387,12 +398,12 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
         offsets.append(ta.t0 + stored_floor(Q, ta.t1))
         slopes.append(ta.t1)
         reach.append(ta.start + 1 + min_length(Q) - max_coeff_degree(Q))
-        infinite = infinite or (ta.infinite and not Q.is_zero)
+        infinite = infinite or (ta.infinite and is_constant(Q))
     if tb is not None:
         offsets.append(tb.t0 + stored_floor(P, tb.t1))
         slopes.append(tb.t1)
         reach.append(tb.start + 1)
-        infinite = infinite or (tb.infinite and not P.is_zero)
+        infinite = infinite or (tb.infinite and is_constant(P))
     start = max(0, min(reach) - 1)
     return TailCertificate(start, min(offsets), min(slopes), infinite)
 
@@ -416,42 +427,90 @@ def _require_positive(P: MicroOp, what: str):
         raise ValueError(f"{what} is defined for positive operators")
 
 
-def _stored_mu_data(P: MicroOp, mu: Fraction) -> tuple[Fraction, list[int]]:
-    """Max stored exponent mu*|alpha| - v(c_alpha) and the lengths reaching it."""
-    best: Fraction | None = None
-    arg: list[int] = []
-    for a, c in P.terms.items():
-        e = mu * length(a) - c.spectral_valuation()
-        if best is None or e > best:
-            best, arg = e, [length(a)]
-        elif e == best:
-            arg.append(length(a))
-    if best is None:
-        raise ZeroOperator("zero operator has no order")
-    return best, sorted(set(arg))
+def _graded_weight(m: int, k, r=None):
+    """Weight of the grading m = fl(alpha): k*m for m >= 0, r*m below.
+
+    ``r=None`` charges k on both sectors.  Every ring level weights its terms
+    this way; only (k, r) change with the level.
+    """
+    return k * m if m >= 0 or r is None else r * m
 
 
-def _pos_tail_sup(P: MicroOp, mu: Fraction) -> Fraction | None:
-    """Certified sup of tail exponents at weight mu; None when no tail."""
-    if P.tail is None:
-        return None
-    t = P.tail
-    sup = _sup_affine(mu - t.t1, -t.t0, t.start + 1)
-    if sup is None:
+def _require_terms(P: MicroOp):
+    """The exact zero operator has no maximum, polygon or order; an operator
+    storing nothing but a tail has none the data can pin, and is refused."""
+    if not P.terms:
+        if P.is_exact:
+            raise ZeroOperator("zero operator")
         raise InsufficientTruncation(
-            f"tail slope {t.t1} does not dominate the weight {mu}")
-    return sup
+            "no stored terms: the tail alone pins nothing; increase the truncation")
 
 
-def _mu_data(P: MicroOp, mu: Fraction) -> tuple[Fraction, list[int]]:
-    """Certified (max exponent, argmax lengths) at weight mu, tails included."""
-    best, arg = _stored_mu_data(P, mu)
-    sup = _pos_tail_sup(P, mu)
+def _stored_max(P: MicroOp, weight, sup=None) -> tuple:
+    """Max of weight(fl(alpha)) - v(c_alpha) over the stored terms.
+
+    Returns the max and the term-table rows reaching it.  With ``sup``, a
+    certified sup of the same exponent over the discarded terms, the max
+    must lie strictly above it or the query is refused.
+    """
+    _require_terms(P)
+    best = None
+    top: list = []
+    for row in P.term_table:
+        e = weight(row[2]) - row[3]
+        if best is None or e > best:
+            best, top = e, [row]
+        elif e == best:
+            top.append(row)
     if sup is not None and sup >= best:
         raise InsufficientTruncation(
             f"tail bound p^{sup} reaches the stored max p^{best}; "
             "increase the truncation")
-    return best, arg
+    return best, top
+
+
+def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
+    """Certified sup over discarded terms of weight(fl(alpha) - beta) - v(c_alpha).
+
+    The weight is :func:`_graded_weight` at (k, r); ``beta`` is the grading
+    of the exponent a unit test recentres at.  At length n a sector's top
+    grading is n (fl >= 0), -n (fl < 0 and d = 1) or at most -1 (fl < 0 and
+    d >= 2).  Against the linear certificate the exponent is then convex in
+    n, so its sup over n > start is the value at start + 1 when its last
+    slope is <= 0 and +infinity otherwise, which raises.  None when the
+    operator is exact.
+    """
+    sups = []
+    for cert, positive_sector in ((P.tail, True), (P.neg_tail, False)):
+        if cert is None:
+            continue
+        n = cert.start + 1
+        if positive_sector:
+            top, rise = n, k
+        elif P.dim == 1:
+            top, rise = -n, -(k if r is None else r)
+        else:
+            top, rise = -1, 0
+        if rise > cert.t1:
+            raise InsufficientTruncation(
+                f"tail slope {cert.t1} does not dominate the weight slope {rise}")
+        sups.append(_graded_weight(top - beta, k, r) - cert.bound_at(n))
+    return max(sups) if sups else None
+
+
+def _level_max(P: MicroOp, k, r=None) -> tuple:
+    """Certified (max, rows reaching it) of the (k, r)-weighted exponents."""
+    return _stored_max(P, lambda m: _graded_weight(m, k, r), tail_sup_exponent(P, k, r))
+
+
+def _level_exponent(P: MicroOp, k, r=None):
+    """Certified exponent e of the (k, r)-weighted max norm p**e; None for 0."""
+    return None if P.is_zero else _level_max(P, k, r)[0]
+
+
+def _power(P: MicroOp, e) -> Fraction:
+    """The norm value p**e for an exponent from :func:`_level_exponent`."""
+    return Fraction(0) if e is None else Fraction(P.prime) ** e
 
 
 def norm_k(P: MicroOp, k: int) -> Fraction:
@@ -463,24 +522,17 @@ def norm_k(P: MicroOp, k: int) -> Fraction:
     _require_positive(P, "norm_k")
     if k < 0:
         raise ValueError("level must be >= 0")
-    if not P.terms:
-        return Fraction(0)
-    e, _ = _mu_data(P, Fraction(k))
-    return Fraction(P.prime) ** e
+    return _power(P, _level_exponent(P, k))
 
 
 def order_Nk(P: MicroOp, k: int) -> int:
     """Largest |alpha| whose coefficient achieves the level-k norm."""
-    _require_positive(P, "order_Nk")
-    _, arg = _mu_data(P, Fraction(k))
-    return arg[-1]
+    return order_Nmu(P, k)
 
 
 def order_nk(P: MicroOp, k: int) -> int:
     """Smallest |alpha| whose coefficient achieves the level-k norm."""
-    _require_positive(P, "order_nk")
-    _, arg = _mu_data(P, Fraction(k))
-    return arg[0]
+    return order_nmu(P, k)
 
 
 def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
@@ -493,31 +545,35 @@ def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
     mu = Fraction(mu)
     if mu < 0:
         raise ValueError("weight must be >= 0")
-    e, _ = _mu_data(P, mu)
-    return e
+    return _level_max(P, mu)[0]
 
 
 def order_Nmu(P: MicroOp, mu: Fraction | int) -> int:
     _require_positive(P, "order_Nmu")
-    _, arg = _mu_data(P, Fraction(mu))
-    return arg[-1]
+    return max(n for _, n, _, _ in _level_max(P, mu)[1])
 
 
 def order_nmu(P: MicroOp, mu: Fraction | int) -> int:
     _require_positive(P, "order_nmu")
-    _, arg = _mu_data(P, Fraction(mu))
-    return arg[0]
+    return min(n for _, n, _, _ in _level_max(P, mu)[1])
+
+
+def _defect_exponent(P: MicroOp, Q: MicroOp, k: int):
+    """Exponent of :func:`quasi_abelian_defect`; None when P and Q commute."""
+    if k < 1:
+        raise ValueError("the quasi-abelian bound needs k >= 1")
+    _require_positive(P, "quasi_abelian_defect")
+    _require_positive(Q, "quasi_abelian_defect")
+    ep, eq = _level_exponent(P, k), _level_exponent(Q, k)
+    if ep is None or eq is None:
+        raise DivisionByZero("defect against the zero operator")
+    e = _level_exponent(compose(P, Q) - compose(Q, P), k)
+    return None if e is None else e - ep - eq
 
 
 def quasi_abelian_defect(P: MicroOp, Q: MicroOp, k: int) -> Fraction:
     """|PQ - QP|_k / (|P|_k |Q|_k); always <= p**-k for k >= 1."""
-    if k < 1:
-        raise ValueError("the quasi-abelian bound needs k >= 1")
-    np_, nq = norm_k(P, k), norm_k(Q, k)
-    if np_ == 0 or nq == 0:
-        raise DivisionByZero("defect against the zero operator")
-    bracket = compose(P, Q) - compose(Q, P)
-    return norm_k(bracket, k) / (np_ * nq)
+    return _power(P, _defect_exponent(P, Q, k))
 
 
 def is_finite(P: MicroOp) -> bool:

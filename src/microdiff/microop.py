@@ -23,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, TailCertificate,
-                     _fold_beyond, _product_terms, _sup_affine,
-                     _window_cap_check, compose, floor_sum, length)
-from .errors import InsufficientTruncation, ZeroOperator
+# _stored_max and tail_sup_exponent are the certified core every norm, order
+# and unit verdict shares; they are re-exported here beside the Laurent norms
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate,
+                     _fold_beyond, _graded_weight, _level_exponent, _level_max,
+                     _power, _product_terms, _stored_max, _window_cap_check,
+                     compose, floor_sum, length, tail_sup_exponent)
+from .errors import InsufficientTruncation
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,7 @@ class LevelParams:
 def weight(alpha, k: int, r: int) -> int:
     """Mixed weight: k*fl(alpha) on the sector fl >= 0, r*fl(alpha) below."""
     LevelParams(k, r)
-    fl = floor_sum(tuple(alpha))
-    return k * fl if fl >= 0 else r * fl
+    return _graded_weight(floor_sum(tuple(alpha)), k, r)
 
 
 # -- multiplication -----------------------------------------------------------
@@ -115,94 +117,27 @@ def sector_split(S: MicroOp) -> tuple[MicroOp, MicroOp]:
 # -- norms --------------------------------------------------------------------
 
 
-def _stored_max(S: MicroOp, exponent) -> tuple[Fraction, list[Exponent]]:
-    best: Fraction | None = None
-    arg: list[Exponent] = []
-    for a, c in S.terms.items():
-        e = Fraction(exponent(a) - c.spectral_valuation())
-        if best is None or e > best:
-            best, arg = e, [a]
-        elif e == best:
-            arg.append(a)
-    if best is None:
-        raise ZeroOperator("zero operator")
-    return best, arg
-
-
-def _neg_sector_weight_top(dim: int, level: int, n: int) -> int:
-    """Max of level*fl(alpha) over |alpha| = n, fl(alpha) < 0."""
-    return -level * n if dim == 1 else -level
-
-
-def tail_sup_exponent(S: MicroOp, k: int, r: int | None) -> Fraction | None:
-    """Certified sup of discarded-term exponents under the (k, r) weights.
-
-    ``r=None`` selects the single-level weight (k on both sectors).  Returns
-    None when the operator is exact; raises when a certificate is too weak
-    for the sup to be finite.
-    """
-    sups: list[Fraction] = []
-    if S.tail is not None:
-        t = S.tail
-        # positive sector: max weight at length n is k*n
-        s = _sup_affine(Fraction(k) - t.t1, -t.t0, t.start + 1)
-        if s is None:
-            raise InsufficientTruncation(
-                f"positive tail slope {t.t1} does not dominate level {k}")
-        sups.append(s)
-    if S.neg_tail is not None:
-        t = S.neg_tail
-        lvl = k if r is None else r
-        if S.dim == 1:
-            s = _sup_affine(Fraction(-lvl) - t.t1, -t.t0, t.start + 1)
-        else:
-            s = _sup_affine(-t.t1, Fraction(-lvl) - t.t0, t.start + 1)
-        if s is None:
-            raise InsufficientTruncation(
-                f"negative tail slope {t.t1} cannot certify the weight {lvl}")
-        sups.append(s)
-    return max(sups) if sups else None
-
-
-def _certified_max(S: MicroOp, exponent, k: int, r: int | None
-                   ) -> tuple[Fraction, list[Exponent]]:
-    best, arg = _stored_max(S, exponent)
-    sup = tail_sup_exponent(S, k, r)
-    if sup is not None and sup >= best:
-        raise InsufficientTruncation(
-            f"tail bound p^{sup} reaches the stored max p^{best}")
-    return best, arg
-
-
 def norm_Ek(S: MicroOp, k: int) -> Fraction:
     """Multiplicative single-level norm, as an exact power of p."""
     if k < 1:
         raise ValueError("microlocal levels need k >= 1")
-    if not S.terms:
-        return Fraction(0)
-    e, _ = _certified_max(S, lambda a: k * floor_sum(a), k, None)
-    return Fraction(S.prime) ** e
+    return _power(S, _level_exponent(S, k))
 
 
 def order_Ek(S: MicroOp, k: int) -> int:
     """Largest grading fl(alpha) among coefficients achieving the norm."""
     if k < 1:
         raise ValueError("microlocal levels need k >= 1")
-    _, arg = _certified_max(S, lambda a: k * floor_sum(a), k, None)
-    return max(floor_sum(a) for a in arg)
+    return max(fl for _, _, fl, _ in _level_max(S, k)[1])
 
 
 def norm_Fkr(S: MicroOp, k: int, r: int) -> Fraction:
     """Sub-multiplicative two-level norm, as an exact power of p."""
     LevelParams(k, r)
-    if not S.terms:
-        return Fraction(0)
-    e, _ = _certified_max(S, lambda a: weight(a, k, r), k, r)
-    return Fraction(S.prime) ** e
+    return _power(S, _level_exponent(S, k, r))
 
 
 def sector_norms(S: MicroOp, k: int, r: int) -> tuple[Fraction, Fraction]:
     """Norms of the two sector parts; their max is the full norm."""
     pos, neg = sector_split(S)
-    return (norm_Fkr(pos, k, r) if pos.terms or pos.tail else Fraction(0),
-            norm_Fkr(neg, k, r) if neg.terms or neg.neg_tail else Fraction(0))
+    return norm_Fkr(pos, k, r), norm_Fkr(neg, k, r)

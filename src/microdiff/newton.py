@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import MicroOp, length
-from .errors import InsufficientTruncation, ZeroOperator
+from .diffop import MicroOp, _require_terms
+from .errors import InsufficientTruncation
 
 Point = tuple[int, Fraction]
 
@@ -59,15 +59,12 @@ class NewtonPolygon:
 def polygon(P: MicroOp) -> NewtonPolygon:
     if not P.positive:
         raise ValueError("Newton polygons are defined for positive operators")
-    if not P.terms:
-        raise ZeroOperator("zero operator has no Newton polygon")
-    minima: dict[int, Fraction] = {}
-    for a, c in P.terms.items():
-        n = length(a)
-        v = Fraction(c.spectral_valuation())
+    _require_terms(P)
+    minima: dict[int, int] = {}
+    for _, n, _, v in P.term_table:
         if n not in minima or v < minima[n]:
             minima[n] = v
-    points = sorted(minima.items())
+    points = [(n, Fraction(v)) for n, v in sorted(minima.items())]
     vertices = _lower_hull(points)
     slopes = tuple(Fraction(v2 - v1, n2 - n1)
                    for (n1, v1), (n2, v2) in zip(vertices, vertices[1:]))

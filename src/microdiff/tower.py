@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, floor_sum,
-                     is_finite, length)
-from .errors import (InsufficientTruncation, NotInvertible,
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _graded_weight,
+                     _level_exponent, _require_positive, floor_sum, is_finite)
+from .errors import (InsufficientTruncation, NotCertifiable, NotInvertible,
                      UndecidableFiniteness, ZeroOperator)
-from .microop import _stored_max, mul, tail_sup_exponent, weight
-from .tate import TateSeries
+from .microop import _stored_max, mul, tail_sup_exponent
 
 _TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
 
@@ -97,6 +96,19 @@ class RingLevel:
             return f"fir(r={self.r})"
         return self.tag
 
+    def weight(self, m: int):
+        """Weight of the grading m = fl(alpha) at a finite level: k*m on
+        m >= 0, and r*m below at fkr."""
+        return _graded_weight(m, self.k, self.r)
+
+    def norm_exponent(self, P: MicroOp):
+        """Certified exponent e of P's norm p**e at a finite level; None for 0."""
+        if self.k is None:
+            raise ValueError(f"{self} has no single norm")
+        if self.tag == "dkq":
+            _require_positive(P, "norm_k")
+        return _level_exponent(P, self.k, self.r)
+
 
 @dataclass(frozen=True)
 class UnitVerdict:
@@ -116,191 +128,61 @@ class UnitVerdict:
     delegate: tuple[int, int] | None = None
 
 
-class _Unknown:
-    def __repr__(self):
-        return "<uncertified>"
-
-
-_UNCERTIFIED = _Unknown()
-
-
-def _tail_sup_or_unknown(P: MicroOp, k: int, r: int | None):
-    """Tail sup at the level weights; None = exact, _UNCERTIFIED = hopeless."""
-    if P.is_exact:
-        return None
-    try:
-        return tail_sup_exponent(P, k, r)
-    except InsufficientTruncation:
-        return _UNCERTIFIED
-
-
-def _is_unit_coeff(c: TateSeries) -> bool:
-    return c.is_unit()
-
-
 def _raise_uncertified(level: RingLevel):
     raise InsufficientTruncation(
         f"tail mass can reach the stored maximum; the {level} verdict "
         "needs a larger truncation")
 
 
-def _ek_style_verdict(P: MicroOp, level: RingLevel, k: int,
-                      want_order_zero: bool) -> UnitVerdict:
-    """Shared dkq / ek logic: unique weighted argmax with a unit coefficient.
+def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
+    """dkq / ek / fkr: a unique level-k maximum at a unit coefficient (at
+    order zero for dkq); at fkr the series recentred there must contract.
 
-    False verdicts from stored violations remain valid as long as the tail
-    cannot exceed the stored maximum (extra max-achievers only grow the
-    argmax set); true verdicts need the tail strictly below it.
+    A contracting beta is that maximum (k >= r), and it contracts exactly
+    when it alone reaches the max of the recentred exponents
+    ``weight(fl(alpha) - fl(beta)) - v(c_alpha)``, whose value there is
+    ``-v(c_beta)``; the recentred tail sup must stay strictly below it.
+    False verdicts from stored violations remain valid as long as the
+    level-k tail cannot exceed the stored maximum (extra max-achievers only
+    grow the argmax set); true dkq / ek verdicts need the tail strictly below.
     """
-    if not P.terms:
-        raise ZeroOperator("the zero operator is not a unit anywhere")
-    best, arg = _stored_max(P, lambda a: k * floor_sum(a))
-    sup = _tail_sup_or_unknown(P, k, None)
-    tail_lt = sup is None or (sup is not _UNCERTIFIED and sup < best)
-    tail_le = sup is None or (sup is not _UNCERTIFIED and sup <= best)
-    zero = (0,) * P.dim
-    if want_order_zero and any(a != zero for a in arg):
-        offender = max(arg, key=length)
-        if not tail_le:
-            _raise_uncertified(level)
-        return UnitVerdict(False, level, violated="order_positive", alpha=offender)
-    if len(arg) > 1:
-        if not tail_le:
-            _raise_uncertified(level)
-        return UnitVerdict(False, level, violated="max_coefficient_not_unique",
-                           alpha=sorted(arg)[-1])
-    beta = arg[0]
-    if not _is_unit_coeff(P.terms[beta]):
-        if not tail_le:
-            _raise_uncertified(level)
-        clause = ("constant_not_unit" if want_order_zero
-                  else "max_coefficient_not_unit")
-        return UnitVerdict(False, level, violated=clause, alpha=beta)
-    if not tail_lt:
-        _raise_uncertified(level)
-    return UnitVerdict(True, level, beta=beta)
-
-
-def _ratio_tail_sup(P: MicroOp, beta: Exponent, k: int, r: int) -> Fraction | None:
-    """Certified sup over discarded alpha of
-    ``weight(alpha - beta, k, r) - v_bound(alpha)``.
-
-    None when the operator is exact; raises when a tail slope cannot
-    dominate the weights.  The positive sector maximizes the grading at
-    fl(alpha) = n, the negative one at -1 (or -n when d = 1).
-    """
-    if P.is_exact:
-        return None
-
-    def w(m: int) -> int:
-        return k * m if m >= 0 else r * m
-
-    def sup_affine(slope: Fraction, offset: Fraction, n0: int) -> Fraction:
-        if slope > 0:
-            raise InsufficientTruncation(
-                "tail slope cannot dominate the recentred weights")
-        return slope * n0 + offset
-
-    flb = floor_sum(beta)
-    sups: list[Fraction] = []
-    if P.tail is not None:
-        t = P.tail
-        n0 = t.start + 1
-        pieces = [sup_affine(Fraction(k) - t.t1, Fraction(-k * flb) - t.t0,
-                             max(n0, flb))]
-        if n0 < flb:
-            # below the breakpoint the recentred grading is negative
-            for n in (n0, flb - 1):
-                pieces.append(Fraction(r * (n - flb)) - t.bound_at(n))
-        sups.append(max(pieces))
-    if P.neg_tail is not None:
-        t = P.neg_tail
-        n0 = t.start + 1
-        if P.dim >= 2:
-            sups.append(sup_affine(-t.t1, Fraction(w(-1 - flb)) - t.t0, n0))
-        else:
-            pieces = [sup_affine(Fraction(-r) - t.t1, Fraction(-r * flb) - t.t0,
-                                 max(n0, -flb))]
-            if n0 < -flb:
-                for n in (n0, -flb - 1):
-                    pieces.append(Fraction(k * (-n - flb)) - t.bound_at(n))
-            sups.append(max(pieces))
-    return max(sups)
-
-
-def _fkr_ratio(P: MicroOp, alpha: Exponent, beta: Exponent, k: int, r: int) -> Fraction:
-    """Exponent of the alpha-term of the series recentred at beta."""
-    diff = tuple(x - y for x, y in zip(alpha, beta))
-    return Fraction(weight(diff, k, r)
-                    - P.terms[alpha].spectral_valuation()
-                    + P.terms[beta].spectral_valuation())
-
-
-def _fkr_verdict(P: MicroOp, level: RingLevel, k: int, r: int) -> UnitVerdict:
-    if not P.terms:
-        raise ZeroOperator("the zero operator is not a unit anywhere")
-    candidates = [b for b in P.terms if _is_unit_coeff(P.terms[b])]
-    for beta in sorted(candidates):
-        if all(_fkr_ratio(P, a, beta, k, r) < 0 for a in P.terms if a != beta):
+    k = level.k
+    if level.tag == "fkr" and not all(c.exact for c in P.terms.values()):
+        raise NotCertifiable("the contraction test needs exact polynomial coefficients")
+    best, top = _stored_max(P, lambda m: k * m)
+    beta, _, fl_beta, v_beta = top[0]
+    unit = False
+    if level.tag == "dkq" and any(n > 0 for _, n, _, _ in top):
+        clause, alpha = "order_positive", max(top, key=lambda row: row[1])[0]
+    elif len(top) > 1:
+        clause, alpha = "max_coefficient_not_unique", max(a for a, _, _, _ in top)
+    elif not P.terms[beta].is_unit():
+        clause = "constant_not_unit" if level.tag == "dkq" else "max_coefficient_not_unit"
+        alpha = beta
+    elif level.tag != "fkr":
+        unit = True
+    else:
+        recentred, rtop = _stored_max(P, lambda m: level.weight(m - fl_beta))
+        if len(rtop) == 1 and rtop[0][0] == beta:
             try:
-                sup = _ratio_tail_sup(P, beta, k, r)
+                sup = tail_sup_exponent(P, k, level.r, fl_beta)
             except InsufficientTruncation:
                 _raise_uncertified(level)
-            v_beta = P.terms[beta].spectral_valuation()
-            if sup is not None and sup + v_beta >= 0:
+            if sup is not None and sup >= recentred:
                 _raise_uncertified(level)
             return UnitVerdict(True, level, beta=beta)
-    # no candidate contracts; derive the natural witness from level-k data
-    best, arg = _stored_max(P, lambda a: k * floor_sum(a))
-    sup = _tail_sup_or_unknown(P, k, None)
-    if not (sup is None or (sup is not _UNCERTIFIED and sup <= best)):
+        clause = "lower_order_too_large"
+        alpha = next(a for a, _, fl, v in sorted(P.term_table)
+                     if a != beta and level.weight(fl - fl_beta) - v + v_beta >= 0)
+    try:
+        sup = tail_sup_exponent(P, k)
+    except InsufficientTruncation:
         _raise_uncertified(level)
-    if len(arg) > 1:
-        return UnitVerdict(False, level, violated="max_coefficient_not_unique",
-                           alpha=sorted(arg)[-1])
-    beta = arg[0]
-    if not _is_unit_coeff(P.terms[beta]):
-        return UnitVerdict(False, level, violated="max_coefficient_not_unit",
-                           alpha=beta)
-    offender = next(a for a in sorted(P.terms)
-                    if a != beta and _fkr_ratio(P, a, beta, k, r) >= 0)
-    return UnitVerdict(False, level, violated="lower_order_too_large",
-                       alpha=offender)
-
-
-def _delegate_levels(P: MicroOp, beta: Exponent, r: int) -> tuple[int, int]:
-    """Smallest (k, r) with slack at which the finite-level inverse exists.
-
-    k must make beta the unique level-k maximum: above the top order the
-    support is empty, at the top order strict valuation dominance holds
-    already, and below it k > (v(c_beta) - v(c_alpha)) / (|beta| - |alpha|)
-    suffices.
-    """
-    v_beta = P.terms[beta].spectral_valuation()
-    k = max(r, 1)
-    for a, c in P.terms.items():
-        if a == beta or length(a) == length(beta):
-            continue
-        gap = Fraction(v_beta - c.spectral_valuation(), length(beta) - length(a))
-        k = max(k, int(gap) + 1)
-    return k, r
-
-
-def _fir_r_bound(P: MicroOp, beta: Exponent) -> int | None:
-    """Smallest r making the below-top inequalities strict; None if blocked."""
-    q = length(beta)
-    v_beta = P.terms[beta].spectral_valuation()
-    r = 1
-    for a, c in P.terms.items():
-        if a == beta:
-            continue
-        if length(a) == q:
-            if c.spectral_valuation() <= v_beta:
-                return None
-            continue
-        gap = Fraction(v_beta - c.spectral_valuation(), q - length(a))
-        r = max(r, int(gap) + 1)
-    return r
+    if sup is not None and (sup >= best if unit else sup > best):
+        _raise_uncertified(level)
+    if unit:
+        return UnitVerdict(True, level, beta=beta)
+    return UnitVerdict(False, level, violated=clause, alpha=alpha)
 
 
 def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
@@ -321,42 +203,36 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
                 pass
         raise UndecidableFiniteness(
             "truncated data with no exactness or infinite-support witness")
-    q = max(length(a) for a in P.terms)
-    top = [a for a in P.terms if length(a) == q]
+    rows = P.term_table
+    q = max(n for _, n, _, _ in rows)
+    top = [row for row in rows if row[1] == q]
     if level.tag == "dinf":
         zero = (0,) * P.dim
         if q > 0:
             return UnitVerdict(False, level, violated="order_positive",
-                               alpha=max(top))
-        if not _is_unit_coeff(P.terms[zero]):
+                               alpha=max(a for a, _, _, _ in top))
+        if not P.terms[zero].is_unit():
             return UnitVerdict(False, level, violated="constant_not_unit",
                                alpha=zero)
         return UnitVerdict(True, level, beta=zero, delegate=(1, 1))
     # dominant top coefficient: strictly maximal norm among the top order
-    beta = min(top, key=lambda a: (P.terms[a].spectral_valuation(), a))
-    v_beta = P.terms[beta].spectral_valuation()
-    ties = [a for a in top if a != beta
-            and P.terms[a].spectral_valuation() <= v_beta]
+    beta, _, _, v_beta = min(top, key=lambda row: (row[3], row[0]))
+    ties = [a for a, _, _, v in top if a != beta and v <= v_beta]
     if ties:
         return UnitVerdict(False, level, violated="top_order_not_dominated",
-                           alpha=sorted(ties)[-1])
-    if not _is_unit_coeff(P.terms[beta]):
+                           alpha=max(ties))
+    if not P.terms[beta].is_unit():
         return UnitVerdict(False, level, violated="dominant_not_unit", alpha=beta)
-    if level.tag == "finf":
-        r = _fir_r_bound(P, beta)
-        return UnitVerdict(True, level, beta=beta,
-                           delegate=_delegate_levels(P, beta, r))
-    # fir(r): the r-weighted inequalities below the top must already hold
-    r = level.r
-    for a in sorted(P.terms):
-        if a == beta or length(a) == q:
-            continue
-        if (P.terms[a].spectral_valuation()
-                <= v_beta - r * (q - length(a))):
-            return UnitVerdict(False, level, violated="lower_order_too_large",
-                               alpha=a)
-    return UnitVerdict(True, level, beta=beta,
-                       delegate=_delegate_levels(P, beta, r))
+    # the r-weighted inequalities v(c_alpha) > v(c_beta) - r(q - |alpha|) below
+    # the top hold exactly from r_min on; fkr(r, r) then realizes the inverse
+    r_min = max([1] + [(v_beta - v) // (q - n) + 1 for _, n, _, v in rows if n < q])
+    r = r_min if level.tag == "finf" else level.r
+    if r < r_min:
+        offender = next(a for a, n, _, v in sorted(rows)
+                        if n < q and v <= v_beta - r * (q - n))
+        return UnitVerdict(False, level, violated="lower_order_too_large",
+                           alpha=offender)
+    return UnitVerdict(True, level, beta=beta, delegate=(r, r))
 
 
 def _last_slope(P: MicroOp) -> Fraction:
@@ -368,12 +244,8 @@ def check_unit(P: MicroOp, level: RingLevel) -> UnitVerdict:
     """Decide invertibility of P at the given ring level, with witness."""
     if level.tag in ("dkq", "fir", "finf", "dinf") and not P.positive:
         raise ValueError(f"{level} applies to positive operators")
-    if level.tag == "dkq":
-        return _ek_style_verdict(P, level, level.k, want_order_zero=True)
-    if level.tag == "ek":
-        return _ek_style_verdict(P, level, level.k, want_order_zero=False)
-    if level.tag == "fkr":
-        return _fkr_verdict(P, level, level.k, level.r)
+    if level.tag in ("dkq", "ek", "fkr"):
+        return _finite_level_verdict(P, level)
     return _limit_verdict(P, level)
 
 
@@ -396,7 +268,7 @@ class Classification:
 def classify_surconvergent(P: MicroOp) -> Classification:
     """Finite(q) for exact data, Infinite with a witness, else Unknown."""
     if P.is_exact:
-        return Classification("finite", max((length(a) for a in P.terms), default=0))
+        return Classification("finite", P.max_length())
     for cert in (P.tail, P.neg_tail):
         if cert is not None and cert.infinite:
             return Classification("infinite")
@@ -404,23 +276,6 @@ def classify_surconvergent(P: MicroOp) -> Classification:
 
 
 # -- explicit inversion --------------------------------------------------------
-
-
-def _level_weight_fn(level: RingLevel):
-    if level.tag == "fkr":
-        return lambda m: weight(m, level.k, level.r)
-    k = level.k
-    return lambda m: k * floor_sum(m)
-
-
-def _level_norm(S: MicroOp, level: RingLevel) -> Fraction:
-    from . import microop
-    if level.tag == "fkr":
-        return microop.norm_Fkr(S, level.k, level.r)
-    if level.tag == "ek":
-        return microop.norm_Ek(S, level.k)
-    from . import diffop
-    return diffop.norm_k(S, level.k)
 
 
 def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
@@ -439,32 +294,21 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         k, r = verdict.delegate
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
     beta = verdict.beta
-    k = level.k
-    r = level.r if level.tag == "fkr" else None
-    wfn = _level_weight_fn(level)
     c_beta = P.terms[beta]
     c_beta_inv = c_beta.invert_unit()
-    r_terms = {}
-    ratios = []
-    for a, c in P.terms.items():
-        if a == beta:
-            continue
-        diff = tuple(x - y for x, y in zip(a, beta))
-        coeff = c * c_beta_inv
-        r_terms[diff] = coeff
-        ratios.append(Fraction(wfn(diff)) + c_beta.spectral_valuation()
-                      - c.spectral_valuation())
-    if P.tail is not None or P.neg_tail is not None:
-        sup = _ratio_tail_sup(P, beta, k, r if r is not None else k)
-        if sup is not None:
-            ratios.append(sup + Fraction(c_beta.spectral_valuation()))
+    R = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c * c_beta_inv
+                                 for a, c in P.terms.items() if a != beta})
+    # the contraction ratio: the level norm of R, and of the recentred tail
+    rho = level.norm_exponent(R)
+    sup = tail_sup_exponent(P, level.k, level.r, floor_sum(beta))
+    if sup is not None:
+        sup += c_beta.spectral_valuation()
+        rho = sup if rho is None else max(rho, sup)
     inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime)
     tail_inv = MicroOp.constant(c_beta_inv, P.dim, P.prime)
-    if not ratios:
+    if rho is None:
         # monomial with unit coefficient: the inverse is exact
         return mul(inv_mono, tail_inv, window_cap=window_cap)
-    R = MicroOp(P.dim, P.prime, r_terms)
-    rho = max(ratios)
     if rho >= 0:
         raise NotInvertible("recentred series does not contract")
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
@@ -491,15 +335,12 @@ def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel,
     # inverse itself, not this internal product
     stored = MicroOp(P.dim, P.prime, dict(P.terms))
     res = mul(stored, S, window_cap=None) - MicroOp.identity(P.dim, P.prime)
-    bound = Fraction(1, P.prime ** residual_exponent)
-    measured = _level_norm(res, level) if res.terms else Fraction(0)
-    if P.tail is not None or P.neg_tail is not None:
+    measured = level.norm_exponent(res)
+    sup = tail_sup_exponent(P, level.k, level.r)
+    if sup is not None:
         # discarded mass of P also multiplies S
-        sup = tail_sup_exponent(P, level.k,
-                                level.r if level.tag == "fkr" else None)
-        s_norm = _level_norm(S, level)
-        if sup is not None:
-            measured = max(measured, Fraction(P.prime) ** sup * s_norm)
-    if measured > bound:
+        sup += level.norm_exponent(S)
+        measured = sup if measured is None else max(measured, sup)
+    if measured is not None and measured > -residual_exponent:
         raise InsufficientTruncation(
-            f"residual p-norm {measured} exceeds the target {bound}")
+            f"residual p-norm p^{measured} exceeds the target p^{-residual_exponent}")
