@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import catalog, diffop, exprs, jsonio, microop, newton, svg, tower
 from .errors import (ExprSyntaxError, InsufficientTruncation, MicrodiffError,
@@ -36,12 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``--prime`` defaults per call in
+    :func:`run`, so ``MICRODIFF_PRIME`` is read at each run."""
     top = _Parser(prog="microdiff", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
-    common.add_argument("--prime", type=int,
-                        default=int(os.environ.get("MICRODIFF_PRIME", "2")))
+    common.add_argument("--prime", type=int, default=None)
     common.add_argument("--dim", type=int, default=1)
     common.add_argument("--prec", type=int, default=64)
     common.add_argument("--deg-cap", type=int, default=32, dest="deg_cap")
@@ -293,6 +296,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.prime is None:
+            args.prime = int(os.environ.get("MICRODIFF_PRIME", "2"))
         ctx = _context(args)
         return _COMMANDS[args.command](args, ctx)
     except UsageError as exc:

@@ -301,30 +301,44 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
     with generalized binomials; for a >= 0 the sum stops at j = a, and it
     always stops once the derivative of g vanishes (coefficients are
     polynomials).  Axes commute, so the law is applied axis by axis.
+
+    A constant g commutes with every D^alpha, so it takes a direct path.
+    Binomial factors are exact scalars of the default precision: ``s`` is
+    ``None`` while it is still the exact one, and multiplying by it is
+    skipped unless it would cap a finer precision.
     """
-    pending: list[tuple[TateSeries, PadicScalar, Exponent]] = [
-        (g, PadicScalar.one(prime, DEFAULT_PRECISION), (0,) * len(alpha))]
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        expanded = []
-        for h, s, j in pending:
-            dh = h
-            jj = 0
-            while True:
-                factor = generalized_binomial(a, jj, prime)
-                if not factor.is_zero and not dh.is_zero:
-                    expanded.append((dh, s * factor, j[:i] + (jj,) + j[i + 1:]))
-                jj += 1
-                if 0 <= a < jj:
-                    break
-                dh = dh.derive(i + 1)
-                if dh.is_zero:
-                    break
-        pending = expanded
+    zero = (0,) * len(alpha)
+    pending: list[tuple[TateSeries, PadicScalar | None, Exponent]] = [(g, None, zero)]
+    if not (len(g.coeffs) == 1 and zero in g.coeffs):
+        for i, a in enumerate(alpha):
+            if a == 0:
+                continue
+            expanded = []
+            for h, s, j in pending:
+                dh = h
+                jj = 0
+                while True:
+                    factor = generalized_binomial(a, jj, prime)
+                    if not factor.is_zero and not dh.is_zero:
+                        if jj == 0:
+                            sj = s  # C(a, 0) = 1
+                        else:
+                            sj = factor if s is None else s * factor
+                        expanded.append((dh, sj, j[:i] + (jj,) + j[i + 1:]))
+                    jj += 1
+                    if 0 <= a < jj:
+                        break
+                    dh = dh.derive(i + 1)
+                    if dh.is_zero:
+                        break
+            pending = expanded
     for h, s, j in pending:
         gamma = tuple(a + b - c for a, b, c in zip(alpha, beta, j))
-        coeff = (f * h).scale(s)
+        coeff = f * h
+        if s is not None:
+            coeff = coeff.scale(s)
+        elif any(c.precision > DEFAULT_PRECISION for c in coeff.coeffs.values()):
+            coeff = coeff.scale(PadicScalar.one(prime, DEFAULT_PRECISION))
         if not coeff.is_zero:
             yield gamma, coeff
 

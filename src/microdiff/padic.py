@@ -13,6 +13,17 @@ only the unit part is subject to precision.  Two storage modes coexist:
   precision)``.  This is the mode deserialized data lives in.  Addition that
   cancels every known digit raises :class:`PrecisionExhausted`.
 
+Valuations are extracted in O(log v) big-integer operations: for p = 2 from
+the lowest set bit, otherwise by squaring p up to the largest p**(2**i) that
+divides the integer and then dividing back down.  A reduced fraction carries
+p in its numerator or its denominator, never both.  Exact sums shift the
+unit of the larger valuation onto the smaller one and extract a valuation
+only when the two valuations are equal and the units may carry.
+
+Ring-operation results are built by an unchecked internal constructor: their
+invariants (a p-unit unit, a reduced residue, a positive precision) hold by
+construction.  The public constructor and the classmethods keep every check.
+
 Norms are powers of ``p`` and are returned as exact Fractions.
 """
 
@@ -21,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DivisionByZero, PrecisionExhausted
 
@@ -31,23 +43,38 @@ _INF = float("inf")
 
 
 def int_valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, in O(log v) divisions."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
+    # powers[i] = p**(2**i) divides n for every i; v < 2**len(powers)
+    powers = [p]
+    while True:
+        sq = powers[-1] * powers[-1]
+        if n % sq:
+            break
+        powers.append(sq)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            v += 1 << i
     return v
 
 
 def fraction_valuation(q: Fraction, p: int) -> int:
     if q == 0:
         raise ValueError("valuation of 0 is infinite")
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+    # a reduced fraction cannot carry p in both numerator and denominator
+    v = int_valuation(q.numerator, p)
+    return v if v else -int_valuation(q.denominator, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicScalar:
     """Element of Q_p with exact valuation and truncated unit digits."""
 
@@ -181,10 +208,20 @@ class PadicScalar:
             return other
         if other.is_zero:
             return self
-        if self.exact and other.exact:
-            return self.from_fraction(self.as_fraction() + other.as_fraction(),
-                                      self.prime, min(self.precision, other.precision))
         p = self.prime
+        if self.exact and other.exact:
+            n = min(self.precision, other.precision)
+            a, b = (self, other) if self.valuation <= other.valuation else (other, self)
+            va, vb = a.valuation, b.valuation
+            if va < vb:
+                # p**va * (ua + ub * p**(vb - va)); the bracket is a p-unit
+                return _make(p, va, a.unit + b.unit * p ** (vb - va), n, True)
+            u = a.unit + b.unit
+            if not u:
+                return _make(p, None, Fraction(0), n, True)
+            # units have p-unit denominators, so only the numerator carries p
+            shift = int_valuation(u.numerator, p)
+            return _make(p, va + shift, u / p**shift if shift else u, n, True)
         va, vb = self.valuation, other.valuation
         vmin = min(va, vb)
         # absolute precision of the sum is the meet of the operands'
@@ -198,42 +235,38 @@ class PadicScalar:
         digits = known - vmin - shift
         if digits < 1:
             raise PrecisionExhausted("cancellation consumed every known digit")
-        return PadicScalar(p, vmin + shift, (s // p**shift) % p**digits,
-                           digits, exact=False)
+        return _make(p, vmin + shift, (s // p**shift) % p**digits, digits, False)
 
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:
             return self
         if self.exact:
-            return PadicScalar(self.prime, self.valuation, -self.unit,
-                               self.precision, exact=True)
+            return _make(self.prime, self.valuation, -self.unit, self.precision, True)
         mod = self.prime**self.precision
-        return PadicScalar(self.prime, self.valuation, (-self.unit) % mod,
-                           self.precision, exact=False)
+        return _make(self.prime, self.valuation, (-self.unit) % mod, self.precision, False)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return self.zero(self.prime, min(self.precision, other.precision))
-        v = self.valuation + other.valuation
         n = min(self.precision, other.precision)
+        if self.is_zero or other.is_zero:
+            return _make(self.prime, None, Fraction(0), n, True)
+        v = self.valuation + other.valuation
         if self.exact and other.exact:
-            return PadicScalar(self.prime, v, self.unit * other.unit, n)
+            return _make(self.prime, v, self.unit * other.unit, n, True)
         u = self.residue(n) * other.residue(n) % self.prime**n
-        return PadicScalar(self.prime, v, u, n, exact=False)
+        return _make(self.prime, v, u, n, False)
 
     def inv(self) -> "PadicScalar":
         if self.is_zero:
             raise DivisionByZero("inverse of 0 in Q_p")
         if self.exact:
-            return PadicScalar(self.prime, -self.valuation, 1 / self.unit,
-                               self.precision)
+            return _make(self.prime, -self.valuation, 1 / self.unit, self.precision, True)
         mod = self.prime**self.precision
-        return PadicScalar(self.prime, -self.valuation, pow(self.unit, -1, mod),
-                           self.precision, exact=False)
+        return _make(self.prime, -self.valuation, pow(self.unit, -1, mod),
+                     self.precision, False)
 
     def __pow__(self, n: int) -> "PadicScalar":
         if n < 0:
@@ -254,6 +287,27 @@ class PadicScalar:
         return f"PadicScalar(p^{self.valuation}*{self.unit}{tag}; p={self.prime})"
 
 
+# slot descriptors of the frozen dataclass: setting through them bypasses
+# both the frozen __setattr__ and __post_init__
+_new = object.__new__
+_set_prime, _set_valuation, _set_unit, _set_precision, _set_exact = (
+    PadicScalar.__dict__[name].__set__
+    for name in ("prime", "valuation", "unit", "precision", "exact"))
+
+
+def _make(prime: int, valuation: int | None, unit, precision: int,
+          exact: bool) -> PadicScalar:
+    """Unchecked constructor for ring-op results, whose invariants hold by
+    construction; the public constructor validates its arguments."""
+    s = _new(PadicScalar)
+    _set_prime(s, prime)
+    _set_valuation(s, valuation)
+    _set_unit(s, unit)
+    _set_precision(s, precision)
+    _set_exact(s, exact)
+    return s
+
+
 def binomial(n: int, l: int, prime: int = DEFAULT_PRIME,
              precision: int = DEFAULT_PRECISION) -> PadicScalar:
     """Exact integer binomial coefficient embedded into Q_p."""
@@ -262,13 +316,15 @@ def binomial(n: int, l: int, prime: int = DEFAULT_PRIME,
     return PadicScalar.from_int(math.comb(n, l), prime, precision)
 
 
+@lru_cache(maxsize=4096)
 def generalized_binomial(a: int, j: int, prime: int = DEFAULT_PRIME,
                          precision: int = DEFAULT_PRECISION) -> PadicScalar:
     """Binomial C(a, j) for any integer a and j >= 0.
 
     For a < 0 this is the signed negative-binomial value
     ``(-1)**j * C(-a + j - 1, j)``; it drives the commutation of negative
-    derivation powers past a function.
+    derivation powers past a function.  Results are memoized: the keys are
+    small integers and scalars are immutable.
     """
     if j < 0:
         raise ValueError("lower index must be >= 0")

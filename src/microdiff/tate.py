@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .errors import NotCertifiable
@@ -28,7 +29,7 @@ def _zero_exp(dim: int) -> Monomial:
     return (0,) * dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TateSeries:
     """Truncated restricted power series with Gauss norm."""
 
@@ -110,8 +111,8 @@ class TateSeries:
     # -- ring operations -------------------------------------------------
 
     def _like(self, coeffs: dict, exact: bool, degree_cap: int | None = None) -> "TateSeries":
-        return TateSeries(self.dim, self.prime, coeffs,
-                          self.degree_cap if degree_cap is None else degree_cap, exact)
+        return _make(self.dim, self.prime, coeffs,
+                     self.degree_cap if degree_cap is None else degree_cap, exact)
 
     def _check_compatible(self, other: "TateSeries"):
         if self.dim != other.dim or self.prime != other.prime:
@@ -120,17 +121,19 @@ class TateSeries:
     def __add__(self, other: "TateSeries") -> "TateSeries":
         self._check_compatible(other)
         cap = min(self.degree_cap, other.degree_cap)
+        dropped = False
         out: dict[Monomial, PadicScalar] = {}
-        for m in set(self.coeffs) | set(other.coeffs):
+        fa, fb = self.coeffs, other.coeffs
+        for m in set(fa) | set(fb):
             if sum(m) > cap:
+                dropped = True
                 continue
-            a, b = self.coeffs.get(m), other.coeffs.get(m)
+            a, b = fa.get(m), fb.get(m)
             c = a + b if a is not None and b is not None else (a if b is None else b)
             if not c.is_zero:
                 out[m] = c
-        dropped = any(sum(m) > cap for m in set(self.coeffs) | set(other.coeffs))
-        return TateSeries(self.dim, self.prime, out, cap,
-                          self.exact and other.exact and not dropped)
+        return _make(self.dim, self.prime, out, cap,
+                     self.exact and other.exact and not dropped)
 
     def __neg__(self) -> "TateSeries":
         return self._like({m: -c for m, c in self.coeffs.items()}, self.exact)
@@ -145,7 +148,7 @@ class TateSeries:
         dropped = False
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 if sum(m) > cap:
                     dropped = True
                     continue
@@ -156,8 +159,8 @@ class TateSeries:
                     out.pop(m, None)
                 else:
                     out[m] = c
-        return TateSeries(self.dim, self.prime, out, cap,
-                          self.exact and other.exact and not dropped)
+        return _make(self.dim, self.prime, out, cap,
+                     self.exact and other.exact and not dropped)
 
     def scale(self, scalar: PadicScalar) -> "TateSeries":
         if scalar.is_zero:
@@ -260,3 +263,22 @@ class TateSeries:
 
     def __repr__(self):
         return f"TateSeries({self})"
+
+
+# slot descriptors of the frozen dataclass: setting through them bypasses
+# both the frozen __setattr__ and __post_init__
+_new = object.__new__
+_set_dim, _set_prime, _set_coeffs, _set_degree_cap, _set_exact = (
+    TateSeries.__dict__[name].__set__
+    for name in ("dim", "prime", "coeffs", "degree_cap", "exact"))
+
+
+def _make(dim: int, prime: int, coeffs: dict, degree_cap: int, exact: bool) -> TateSeries:
+    """Unchecked constructor for ring-op results (see :func:`padic._make`)."""
+    f = _new(TateSeries)
+    _set_dim(f, dim)
+    _set_prime(f, prime)
+    _set_coeffs(f, coeffs)
+    _set_degree_cap(f, degree_cap)
+    _set_exact(f, exact)
+    return f

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microdiff import DivisionByZero, PadicScalar, PrecisionExhausted, binomial
-from microdiff.padic import generalized_binomial
+from microdiff.padic import fraction_valuation, generalized_binomial, int_valuation
 
 
 def F(x, prime=2):
@@ -142,3 +144,140 @@ def test_json_round_trip():
     assert back.agrees_with(a)
     z = scalar_from_json(scalar_to_json(PadicScalar.zero()), 2)
     assert z.is_zero
+
+
+# -- valuations against a divide loop ---------------------------------------------
+
+
+def naive_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+VALUATIONS = sorted(set(range(70)) | {2**i + d for i in range(6, 11) for d in (-1, 0, 1)}
+                    | {5000})
+
+
+def cofactors(p):
+    units = (1, p - 1, p + 1, 3 * p**40 + 1)
+    non_units = (p, p**2 * (p + 1), 10 * p**7 + p**3)
+    return units + non_units
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_int_valuation_matches_divide_loop(p, sign):
+    for v in VALUATIONS:
+        for c in cofactors(p):
+            n = sign * p**v * c
+            assert int_valuation(n, p) == naive_valuation(n, p), (p, v, c)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_fraction_valuation_matches_divide_loop(p, sign):
+    for v in (0, 1, 2, 63, 64, 65, 1025):
+        for a in cofactors(p):
+            for b in (1, p + 1, p**3):
+                for q in (Fraction(sign * p**v * a, b), Fraction(sign * a, p**v * b)):
+                    expected = (naive_valuation(q.numerator, p)
+                                - naive_valuation(q.denominator, p))
+                    assert fraction_valuation(q, p) == expected, (p, v, a, b)
+
+
+def test_valuation_of_zero_raises():
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            int_valuation(0, p)
+        with pytest.raises(ValueError):
+            fraction_valuation(Fraction(0), p)
+
+
+# -- ring-op results against Fraction arithmetic ----------------------------------
+#
+# Ring operations build their results without validation; every result must
+# still be a scalar the public constructor accepts, and equal to it.
+
+
+def rebuilt(s: PadicScalar) -> PadicScalar:
+    return PadicScalar(s.prime, s.valuation, s.unit, s.precision, s.exact)
+
+
+@st.composite
+def exact_values(draw, p):
+    """A rational p**v * a/b, b > 0, with valuation gaps up to the thousands."""
+    if draw(st.integers(0, 15)) == 0:
+        return Fraction(0)
+    v = draw(st.one_of(st.integers(-6, 6), st.integers(-3000, 3000)))
+    a = draw(st.integers(-10**6, 10**6).filter(lambda n: n % p != 0))
+    b = draw(st.integers(1, 10**4).filter(lambda n: n % p != 0))
+    return Fraction(a, b) * Fraction(p) ** v
+
+
+@st.composite
+def scalar_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    x = draw(exact_values(p))
+    shape = draw(st.sampled_from(("free", "negated", "same_valuation")))
+    if shape == "negated":
+        y = -x
+    elif shape == "same_valuation" and x:
+        u = draw(st.integers(-10**6, 10**6).filter(lambda n: n % p != 0))
+        y = x * Fraction(u, draw(st.integers(1, 50).filter(lambda n: n % p != 0)))
+    else:
+        y = draw(exact_values(p))
+    return p, x, y
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(scalar_pairs())
+@example((2, Fraction(1), Fraction(1)))
+@example((3, Fraction(1), Fraction(2)))
+@example((2, Fraction(2**2000 * 3), Fraction(-3 * 2**2000)))
+@example((5, Fraction(1, 5**1500), Fraction(7 * 5**1800, 3)))
+def test_exact_ring_ops_match_fractions(case):
+    p, x, y = case
+    a, b = F(x, p), F(y, p)
+    results = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)]
+    if x:
+        results.append((a.inv(), 1 / x))
+    for s, expected in results:
+        assert s.exact and s.as_fraction() == expected
+        assert s.is_zero == (expected == 0)
+        # the rebuild checks the unit is a p-unit, which pins the valuation
+        assert rebuilt(s) == s
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(-40, 40), st.integers(-40, 40),
+       st.integers(1, 10**9), st.integers(1, 10**9), st.integers(1, 12), st.integers(1, 12))
+def test_digit_mode_results_rebuild(p, va, vb, ra, rb, na, nb):
+    a = PadicScalar.from_residue(va, ra * p + 1, p, na)
+    b = PadicScalar.from_residue(vb, rb * p + 1, p, nb)
+    results = [a * b, -a, a.inv()]
+    try:
+        results.append(a + b)
+    except PrecisionExhausted:
+        pass
+    for s in results:
+        assert not s.exact and rebuilt(s) == s
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        PadicScalar(2, 0, Fraction(2))
+    with pytest.raises(ValueError):
+        PadicScalar(2, 0, Fraction(3, 4))
+    with pytest.raises(TypeError):
+        PadicScalar(2, 0, 3)
+    with pytest.raises(ValueError):
+        PadicScalar(2, None, Fraction(1))
+    with pytest.raises(ValueError):
+        PadicScalar(1, 0, Fraction(1))
+    with pytest.raises(ValueError):
+        PadicScalar(3, 0, 9, precision=2, exact=False)
+    with pytest.raises(ValueError):
+        PadicScalar(2, 0, Fraction(1), precision=0)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microdiff import NotCertifiable, PadicScalar, TateSeries
 from microdiff.tate import INFINITY
@@ -130,3 +132,99 @@ def test_json_round_trip():
     assert back.dim == f.dim and set(back.coeffs) == set(f.coeffs)
     for m in f.coeffs:
         assert back.coeffs[m].agrees_with(f.coeffs[m])
+
+
+# -- ring-op results against dict-of-Fraction polynomials -------------------------
+#
+# Sums, products, scalings and derivatives build their results without
+# validation; each must equal a polynomial computed on plain Fractions and
+# rebuild through the public constructor.
+
+
+def rebuilt(f: TateSeries) -> TateSeries:
+    return TateSeries(f.dim, f.prime, dict(f.coeffs), f.degree_cap, f.exact)
+
+
+def as_poly(f: TateSeries) -> dict:
+    return {m: c.as_fraction() for m, c in f.coeffs.items()}
+
+
+def poly_add(a, b, cap):
+    """Truncated sum, and whether the truncation dropped a monomial."""
+    out = {m: a.get(m, 0) + b.get(m, 0) for m in set(a) | set(b) if sum(m) <= cap}
+    return {m: c for m, c in out.items() if c}, any(sum(m) > cap for m in set(a) | set(b))
+
+
+def poly_mul(a, b, cap):
+    out, dropped = {}, False
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= cap:
+                out[m] = out.get(m, 0) + ca * cb
+            else:
+                dropped = True
+    return {m: c for m, c in out.items() if c}, dropped
+
+
+@st.composite
+def series_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    dim = draw(st.integers(1, 2))
+
+    def series(cap):
+        monos = st.tuples(*[st.integers(0, 4)] * dim).filter(lambda m: sum(m) <= cap)
+        values = st.builds(lambda a, b, v: Fraction(a, b) * Fraction(p) ** v,
+                           st.integers(-30, 30), st.integers(1, 9), st.integers(-40, 40))
+        coeffs = draw(st.dictionaries(monos, values, max_size=5))
+        f = TateSeries.zero(dim, p, cap)
+        for m, c in coeffs.items():
+            if c:
+                f = f + TateSeries(dim, p, {m: PadicScalar.from_fraction(c, p)}, cap)
+        return f
+
+    cap_a, cap_b = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    f, g = series(cap_a), series(cap_b)
+    if draw(st.booleans()):
+        g = g - f  # cancellations, including to the zero series
+    scalar = draw(st.integers(-60, 60))
+    return f, g, scalar
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(series_pairs())
+def test_series_ring_ops_match_fractions(case):
+    f, g, scalar = case
+    cap = min(f.degree_cap, g.degree_cap)
+    a, b = as_poly(f), as_poly(g)
+    s = PadicScalar.from_int(scalar, f.prime)
+    checks = [(f + g, poly_add(a, b, cap)), (f * g, poly_mul(a, b, cap)),
+              (-f, ({m: -c for m, c in a.items()}, False)),
+              (f.scale(s), ({m: c * scalar for m, c in a.items() if scalar}, False))]
+    for axis in range(1, f.dim + 1):
+        expected = {}
+        for m, c in a.items():
+            if m[axis - 1] and c * m[axis - 1]:
+                dm = m[:axis - 1] + (m[axis - 1] - 1,) + m[axis:]
+                expected[dm] = expected.get(dm, 0) + c * m[axis - 1]
+        checks.append((f.derive(axis), (expected, False)))
+    for h, (expected, dropped) in checks:
+        assert as_poly(h) == expected
+        assert h.exact == (not dropped)  # the operands are exact polynomials
+        assert rebuilt(h) == h
+
+
+def test_public_constructor_still_validates():
+    one = PadicScalar.one()
+    with pytest.raises(ValueError):
+        TateSeries(0, 2, {})
+    with pytest.raises(ValueError):
+        TateSeries(1, 2, {(1, 0): one})
+    with pytest.raises(ValueError):
+        TateSeries(1, 2, {(-1,): one})
+    with pytest.raises(ValueError):
+        TateSeries(1, 2, {(5,): one}, degree_cap=4)
+    with pytest.raises(ValueError):
+        TateSeries(1, 2, {(0,): PadicScalar.zero()})
+    with pytest.raises(ValueError):
+        TateSeries(1, 3, {(0,): one})
