@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .errors import (DivisionByZero, InsufficientTruncation, WindowOverflow,
                      ZeroOperator)
-from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar, generalized_binomial
+from .padic import DEFAULT_PRIME, PadicScalar, generalized_binomial
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 DEFAULT_WINDOW_CAP = 64
@@ -146,7 +146,7 @@ class MicroOp:
     def is_exact(self) -> bool:
         return self.tail is None and self.neg_tail is None
 
-    @property
+    @cached_property
     def positive(self) -> bool:
         if self.neg_tail is not None:
             return False
@@ -169,6 +169,13 @@ class MicroOp:
         """
         return tuple((a, length(a), floor_sum(a), c.spectral_valuation())
                      for a, c in self.terms.items())
+
+    @cached_property
+    def _polygon(self):
+        """The Newton polygon, built once; read it through
+        :func:`microdiff.newton.polygon`, which checks the operator first."""
+        from .newton import _build
+        return _build(self)
 
     def max_length(self) -> int:
         return max((length(a) for a in self.terms), default=0)
@@ -303,13 +310,15 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
     polynomials).  Axes commute, so the law is applied axis by axis.
 
     A constant g commutes with every D^alpha, so it takes a direct path.
-    Binomial factors are exact scalars of the default precision: ``s`` is
-    ``None`` while it is still the exact one, and multiplying by it is
-    skipped unless it would cap a finer precision.
+    Binomial factors are exact scalars at the largest precision of g's
+    coefficients, which bounds every product coefficient's, so they never
+    cap it; ``s`` is ``None`` while it is still the exact one, and
+    multiplying by it is skipped.
     """
     zero = (0,) * len(alpha)
     pending: list[tuple[TateSeries, PadicScalar | None, Exponent]] = [(g, None, zero)]
     if not (len(g.coeffs) == 1 and zero in g.coeffs):
+        precision = max(c.precision for c in g.coeffs.values())
         for i, a in enumerate(alpha):
             if a == 0:
                 continue
@@ -318,7 +327,7 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
                 dh = h
                 jj = 0
                 while True:
-                    factor = generalized_binomial(a, jj, prime)
+                    factor = generalized_binomial(a, jj, prime, precision)
                     if not factor.is_zero and not dh.is_zero:
                         if jj == 0:
                             sj = s  # C(a, 0) = 1
@@ -337,8 +346,6 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
         coeff = f * h
         if s is not None:
             coeff = coeff.scale(s)
-        elif any(c.precision > DEFAULT_PRECISION for c in coeff.coeffs.values()):
-            coeff = coeff.scale(PadicScalar.one(prime, DEFAULT_PRECISION))
         if not coeff.is_zero:
             yield gamma, coeff
 
@@ -348,8 +355,9 @@ def _window_cap_check(terms: dict, cap: int | None):
         return
     for a in terms:
         if any(abs(e) > cap for e in a):
+            needed = max(abs(e) for b in terms for e in b)
             raise WindowOverflow(
-                f"product exponent {a} exceeds the window cap {cap}")
+                f"product exponent {a} exceeds the window cap {cap}", needed)
 
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
@@ -460,25 +468,28 @@ def _require_terms(P: MicroOp):
             "no stored terms: the tail alone pins nothing; increase the truncation")
 
 
-def _stored_max(P: MicroOp, weight, sup=None) -> tuple:
-    """Max of weight(fl(alpha)) - v(c_alpha) over the stored terms.
+def _stored_max(P: MicroOp, weight, sup=None, scale: int = 1) -> tuple:
+    """Max of weight(fl(alpha)) - scale * v(c_alpha) over the stored terms.
 
     Returns the max and the term-table rows reaching it.  With ``sup``, a
-    certified sup of the same exponent over the discarded terms, the max
-    must lie strictly above it or the query is refused.
+    certified sup of the exponent over the discarded terms, the stored max
+    must lie strictly above it or the query is refused.  A ``scale`` b keeps
+    a rational weight a/b in integers: ``weight`` then returns b times the
+    weight, the returned max is b times the exponent's, and ``sup`` is
+    compared with it at that scale.
     """
     _require_terms(P)
     best = None
     top: list = []
     for row in P.term_table:
-        e = weight(row[2]) - row[3]
+        e = weight(row[2]) - scale * row[3]
         if best is None or e > best:
             best, top = e, [row]
         elif e == best:
             top.append(row)
-    if sup is not None and sup >= best:
+    if sup is not None and sup * scale >= best:
         raise InsufficientTruncation(
-            f"tail bound p^{sup} reaches the stored max p^{best}; "
+            f"tail bound p^{sup} reaches the stored max p^{Fraction(best, scale)}; "
             "increase the truncation")
     return best, top
 
@@ -549,6 +560,13 @@ def order_nk(P: MicroOp, k: int) -> int:
     return order_nmu(P, k)
 
 
+def _mu_max(P: MicroOp, mu: Fraction) -> tuple:
+    """Certified (b * max, rows reaching it) of mu*n - v at mu = a/b: the
+    max of a*n - b*v over the stored terms, in integers."""
+    a, b = mu.numerator, mu.denominator
+    return _stored_max(P, lambda m: a * m, tail_sup_exponent(P, mu), b)
+
+
 def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
     """Exponent e with |P|_mu = p**e for a rational weight mu >= 0.
 
@@ -559,17 +577,17 @@ def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
     mu = Fraction(mu)
     if mu < 0:
         raise ValueError("weight must be >= 0")
-    return _level_max(P, mu)[0]
+    return Fraction(_mu_max(P, mu)[0], mu.denominator)
 
 
 def order_Nmu(P: MicroOp, mu: Fraction | int) -> int:
     _require_positive(P, "order_Nmu")
-    return max(n for _, n, _, _ in _level_max(P, mu)[1])
+    return max(n for _, n, _, _ in _mu_max(P, Fraction(mu))[1])
 
 
 def order_nmu(P: MicroOp, mu: Fraction | int) -> int:
     _require_positive(P, "order_nmu")
-    return min(n for _, n, _, _ in _level_max(P, mu)[1])
+    return min(n for _, n, _, _ in _mu_max(P, Fraction(mu))[1])
 
 
 def _defect_exponent(P: MicroOp, Q: MicroOp, k: int):

@@ -30,7 +30,18 @@ class InsufficientTruncation(MicrodiffError):
 
 
 class WindowOverflow(MicrodiffError):
-    """A product or inverse needs exponents outside the configured window."""
+    """A product or inverse needs exponents outside the configured window.
+
+    ``needed`` is the largest absolute exponent the refused product holds:
+    a lower bound on the window that lets the computation go on, since
+    later products of the same computation may reach further.
+    """
+
+    def __init__(self, message: str, needed: int):
+        super().__init__(f"{message}; it needs a window of at least {needed} (a lower "
+                         f"bound: later products may reach further): rerun with "
+                         f"--window {needed} or larger")
+        self.needed = needed
 
 
 class NotInvertible(MicrodiffError):

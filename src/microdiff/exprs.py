@@ -241,9 +241,9 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
     if name == "d":
         if ctx.dim != 1:
             raise UnknownSymbol("plain 'd' needs dim 1; use d1..dd")
-        return MicroOp.derivation(1, 1, ctx.prime)
+        return _unit_monomial((1,), ctx)
     if name == "dinv":
-        return MicroOp.monomial((-1,) + (0,) * (ctx.dim - 1), 1, ctx.dim, ctx.prime)
+        return _unit_monomial((-1,) + (0,) * (ctx.dim - 1), ctx)
     m = _AXIS_RE.match(name)
     if m:
         axis = int(m.group(2))
@@ -254,14 +254,21 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
                 TateSeries.coordinate(axis, ctx.dim, ctx.prime,
                                       ctx.degree_cap, ctx.precision),
                 ctx.dim, ctx.prime)
-        return MicroOp.derivation(axis, ctx.dim, ctx.prime)
+        return _unit_monomial(tuple(int(i == axis - 1) for i in range(ctx.dim)), ctx)
     raise UnknownSymbol(f"unknown symbol {name!r}")
+
+
+def _unit_monomial(alpha: tuple[int, ...], ctx: EvalContext) -> MicroOp:
+    """D^alpha with coefficient 1 at the working degree cap and precision."""
+    one = TateSeries.constant(1, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
+    return MicroOp.monomial(alpha, one, ctx.dim, ctx.prime)
 
 
 def _as_op(value, ctx: EvalContext) -> MicroOp:
     if isinstance(value, MicroOp):
         return value
-    return MicroOp.constant(Fraction(value), ctx.dim, ctx.prime, ctx.degree_cap)
+    return MicroOp.constant(TateSeries.constant(Fraction(value), ctx.dim, ctx.prime,
+                                                ctx.degree_cap, ctx.precision))
 
 
 def _as_int(value, what: str) -> int:
@@ -341,14 +348,14 @@ def _power(base, exponent, ctx: EvalContext):
             if len(coeff.coeffs) == 1 and coeff.is_unit():
                 inv_alpha = tuple(-x for x in alpha)
                 c = coeff.coeffs[(0,) * base.dim].inv()
-                unit = mul(MicroOp.monomial(inv_alpha, 1, base.dim, base.prime),
+                unit = mul(_unit_monomial(inv_alpha, ctx),
                            MicroOp.constant(TateSeries.constant(
                                c, base.dim, base.prime, ctx.degree_cap),
                                base.dim, base.prime),
                            window_cap=ctx.window_cap)
                 return _power(unit, Fraction(-e), ctx)
         raise ExprSyntaxError("negative powers need a monomial base", 0)
-    out = MicroOp.identity(base.dim, base.prime)
+    out = _unit_monomial((0,) * base.dim, ctx)
     for _ in range(e):
         out = mul(out, base, window_cap=ctx.window_cap)
     return out

@@ -12,6 +12,13 @@ hull edge whose extension stays below that line for every discarded abscissa
 is an edge of the true polygon, and every edge created by discarded points
 has slope at least the minimal slope from a stored vertex to the tail line.
 Queries at or above the ceiling raise instead of guessing.
+
+Valuations are integers, so the hull is computed on integer points with an
+integer cross product; only the slopes and the ceiling are fractions.  The
+polygon is computed once per operator and kept on it beside
+``MicroOp.term_table``: operators are immutable values, and mutating
+``terms`` after construction is unsupported, as it already is for the term
+table.  :func:`polygon` still checks its argument on every call.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from fractions import Fraction
 from .diffop import MicroOp, _require_terms
 from .errors import InsufficientTruncation
 
-Point = tuple[int, Fraction]
+Point = tuple[int, int]
 
 
 def _lower_hull(points: list[Point]) -> list[Point]:
@@ -40,7 +47,7 @@ def _lower_hull(points: list[Point]) -> list[Point]:
     return hull
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonPolygon:
     """Lower hull data of an operator's (length, valuation) cloud."""
 
@@ -55,28 +62,45 @@ class NewtonPolygon:
             return self.slopes
         return tuple(s for s in self.slopes if s < self.certified_below)
 
+    def has_slope_in(self, r: Fraction | int, k: Fraction | int) -> bool:
+        """True iff some slope lies in [r, k]; raises when only slopes at
+        or above the certified ceiling could."""
+        if any(r <= s <= k for s in self.certified_slopes()):
+            return True
+        if self.certified_below is not None and k >= self.certified_below:
+            raise InsufficientTruncation(
+                f"cannot rule out slopes in [{r}, {k}] beyond the certified "
+                f"ceiling {self.certified_below}")
+        return False
 
-def polygon(P: MicroOp) -> NewtonPolygon:
-    if not P.positive:
-        raise ValueError("Newton polygons are defined for positive operators")
-    _require_terms(P)
+
+def _build(P: MicroOp) -> NewtonPolygon:
+    """The polygon of a positive operator with stored terms; the cached
+    value of ``MicroOp._polygon``."""
     minima: dict[int, int] = {}
     for _, n, _, v in P.term_table:
         if n not in minima or v < minima[n]:
             minima[n] = v
-    points = [(n, Fraction(v)) for n, v in sorted(minima.items())]
+    points = sorted(minima.items())
     vertices = _lower_hull(points)
     slopes = tuple(Fraction(v2 - v1, n2 - n1)
                    for (n1, v1), (n2, v2) in zip(vertices, vertices[1:]))
     ceiling = None
     if P.tail is not None:
         t = P.tail
-        anchor = Fraction(t.bound_at(t.start + 1))
-        from_vertices = [Fraction(anchor - v, t.start + 1 - n)
+        anchor = t.bound_at(t.start + 1)
+        from_vertices = [(anchor - v) / (t.start + 1 - n)
                          for n, v in vertices if n <= t.start]
         ceiling = min([t.t1] + from_vertices)
     return NewtonPolygon(tuple(points), tuple(vertices), slopes,
                          truncated=P.tail is not None, certified_below=ceiling)
+
+
+def polygon(P: MicroOp) -> NewtonPolygon:
+    if not P.positive:
+        raise ValueError("Newton polygons are defined for positive operators")
+    _require_terms(P)
+    return P._polygon
 
 
 def is_slope(P: MicroOp, mu: Fraction | int) -> bool:
@@ -92,11 +116,4 @@ def is_slope(P: MicroOp, mu: Fraction | int) -> bool:
 def slope_in_interval(P: MicroOp, r: Fraction | int, k: Fraction | int) -> bool:
     """True iff some slope of the polygon lies in [r, k]."""
     r, k = Fraction(r), Fraction(k)
-    poly = polygon(P)
-    if any(r <= s <= k for s in poly.certified_slopes()):
-        return True
-    if poly.certified_below is not None and k >= poly.certified_below:
-        raise InsufficientTruncation(
-            f"cannot rule out slopes in [{r}, {k}] beyond the certified "
-            f"ceiling {poly.certified_below}")
-    return False
+    return polygon(P).has_slope_in(r, k)

@@ -110,7 +110,7 @@ class RingLevel:
         return _level_exponent(P, self.k, self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitVerdict:
     """Outcome of a unit test with its witness.
 
@@ -197,7 +197,9 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
             # a certified slope at or above r rules the unit out even
             # without deciding finiteness
             try:
-                if newton.slope_in_interval(P, level.r, max(level.r, _last_slope(P))):
+                poly = newton.polygon(P)
+                last = poly.slopes[-1] if poly.slopes else 0
+                if poly.has_slope_in(level.r, max(level.r, last)):
                     return UnitVerdict(False, level, violated="slope_in_interval")
             except InsufficientTruncation:
                 pass
@@ -233,11 +235,6 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
         return UnitVerdict(False, level, violated="lower_order_too_large",
                            alpha=offender)
     return UnitVerdict(True, level, beta=beta, delegate=(r, r))
-
-
-def _last_slope(P: MicroOp) -> Fraction:
-    poly = newton.polygon(P)
-    return poly.slopes[-1] if poly.slopes else Fraction(0)
 
 
 def check_unit(P: MicroOp, level: RingLevel) -> UnitVerdict:

@@ -98,6 +98,33 @@ class TestExitCodes:
     def test_success(self):
         assert run(["order", "--k", "2", "1 - p*d"])[0] == 0
 
+    def test_window_overflow_names_the_window_to_rerun_with(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["invert", "--level", "ek", "--k", "2",
+                             "--residual", "80", "1 - p*d"])
+        assert code == 2 and out == ""
+        message = err.getvalue().strip()
+        assert "exceeds the window cap 64" in message
+        assert "lower bound" in message
+        assert message.endswith("rerun with --window 65 or larger")
+
+
+class TestWorkingRing:
+    def test_product_keeps_a_precision_above_the_default(self):
+        code, out = run(["mul", "--prec", "100", "--format", "json",
+                         "3*d^2", "x^3 + 5"])
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, OPERATOR_SCHEMA)
+        precs = [c["coeff"]["prec"] for t in doc["terms"] for c in t["coeff"]["terms"]]
+        assert precs and set(precs) == {100}
+
+    def test_degree_cap_above_the_default_reaches_every_literal(self):
+        # d and the start of x^20 used to keep the default cap 32
+        code, out = run(["mul", "--deg-cap", "50", "x^20", "x^20*d"])
+        assert code == 0 and out.strip() == "x^40*d"
+
 
 class TestBehaviour:
     def test_order_output(self):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microdiff import (InsufficientTruncation, MicroOp,
                        TailCertificate, TateSeries, ZeroOperator, compose,
@@ -220,3 +222,76 @@ class TestTailArithmetic:
         prod = compose(tailed, polyop)
         # left-tail terms land at length >= start+1+minlen-maxdeg = 4+1-1
         assert prod.tail.start == 3
+
+
+# -- rational-weight maxima against a direct Fraction evaluation --------------------
+
+
+@st.composite
+def weighted_cases(draw):
+    """A positive operator (d = 1 or 2, exact or truncated) and a rational
+    weight mu = a/b >= 0.  A tail's sup of mu*n - v sits on, just above or
+    just below the stored max, and its slope may fall below mu."""
+    dim = draw(st.sampled_from((1, 2)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        alpha = tuple(draw(st.integers(0, 5)) for _ in range(dim))
+        c = TateSeries.constant(draw(st.sampled_from((1, -3, 5)))
+                                * F(2) ** draw(st.integers(-8, 8)), dim)
+        if draw(st.booleans()):
+            c = c + TateSeries.coordinate(dim, dim) * TateSeries.constant(
+                F(2) ** draw(st.integers(-8, 8)), dim)
+        terms[alpha] = c
+    mu = F(draw(st.integers(0, 30)), draw(st.integers(1, 7)))
+    tail = None
+    if draw(st.booleans()):
+        n = max(sum(a) for a in terms) + draw(st.integers(1, 3))
+        t1 = mu + F(draw(st.integers(-2, 8)), draw(st.integers(1, 3)))
+        stored = max(mu * sum(a) - c.spectral_valuation() for a, c in terms.items())
+        sup = stored + F(draw(st.integers(-4, 2)), draw(st.integers(1, 4)))
+        tail = TailCertificate(n - 1, mu * n - t1 * n - sup, t1)
+    return MicroOp(dim, 2, terms, tail), mu
+
+
+def direct_mu_answer(P: MicroOp, mu: F):
+    """(norm exponent, largest order, smallest order) from mu*n - v in
+    Fractions, or None where the tail can reach the stored max."""
+    exps = [(mu * sum(a) - c.spectral_valuation(), sum(a)) for a, c in P.terms.items()]
+    best = max(e for e, _ in exps)
+    orders = [n for e, n in exps if e == best]
+    if P.tail is not None:
+        t, n = P.tail, P.tail.start + 1
+        if mu > t.t1 or mu * n - (t.t0 + t.t1 * n) >= best:
+            return None
+    return best, max(orders), min(orders)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(weighted_cases())
+def test_rational_weight_queries_match_fraction_evaluation(case):
+    P, mu = case
+    want = direct_mu_answer(P, mu)
+    if want is None:
+        for query in (norm_mu, order_Nmu, order_nmu):
+            with pytest.raises(InsufficientTruncation):
+                query(P, mu)
+        return
+    norm = norm_mu(P, mu)
+    assert type(norm) is F and norm == want[0]
+    assert (order_Nmu(P, mu), order_nmu(P, mu)) == want[1:]
+
+
+class TestProductPrecision:
+    def test_precision_above_the_default_is_kept(self):
+        # (3 d^2)(x^3 + 5): commuting d^2 past x^3 scales by binomials
+        x = TateSeries.coordinate(1, precision=100)
+        P = MicroOp.monomial((2,), TateSeries.constant(3, precision=100))
+        Q = MicroOp.constant(x * x * x + TateSeries.constant(5, precision=100))
+        for c in compose(P, Q).terms.values():
+            assert {s.precision for s in c.coeffs.values()} == {100}
+
+    def test_default_precision_unchanged(self):
+        prod = compose(MicroOp.monomial((2,), 3), MicroOp.constant(
+            TateSeries.coordinate(1) * TateSeries.coordinate(1) + TateSeries.constant(5)))
+        for c in prod.terms.values():
+            assert {s.precision for s in c.coeffs.values()} == {64}

@@ -78,6 +78,14 @@ class TestMul:
         with pytest.raises(WindowOverflow):
             mul(big, MicroOp.monomial((10,), 1), window_cap=64)
 
+    def test_window_overflow_carries_the_largest_exponent(self):
+        # the first offending exponent is (65, 0); the largest is -72
+        S = MicroOp.monomial((60, 0), 1) + MicroOp.monomial((1, -72), 1)
+        with pytest.raises(WindowOverflow) as info:
+            mul(S, MicroOp.monomial((5, 0), 1), window_cap=64)
+        assert info.value.needed == 72
+        assert str(info.value).endswith("rerun with --window 72 or larger")
+
     def test_window_clip_folds_into_tail(self):
         prod = mul(MicroOp.monomial((3,), 1), MicroOp.monomial((2,), F(4)),
                    window=4)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from microdiff import (InsufficientTruncation, MicroOp, ZeroOperator, gauss_op,
-                       is_slope, order_Nmu, order_nmu, polygon, product_op,
-                       slope_in_interval)
+from microdiff import (InsufficientTruncation, MicroOp, TailCertificate,
+                       TateSeries, ZeroOperator, gauss_op, is_slope, order_Nmu,
+                       order_nmu, polygon, product_op, slope_in_interval)
 
 from conftest import rand_positive_op
 
@@ -113,3 +115,116 @@ class TestSlopeInInterval:
             certified = poly.certified_slopes()
             assert certified and certified[-1] > last
             last = certified[-1]
+
+
+# -- the cached integer polygon against a Fraction reference ----------------------
+
+TAIL_SLOPES = tuple(F(s) for s in ("-1", "0", "1/2", "1", "5/3", "2", "3", "7/2", "6"))
+
+
+@st.composite
+def positive_ops(draw):
+    """Exact or truncated positive operators in d = 1 and d = 2, with
+    constant or linear coefficients; a truncated one may store terms past
+    its tail start."""
+    dim = draw(st.sampled_from((1, 2)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 7))):
+        alpha = tuple(draw(st.integers(0, 6)) for _ in range(dim))
+        c = TateSeries.constant(draw(st.sampled_from((1, -1, 3, -5, 7)))
+                                * F(2) ** draw(st.integers(-6, 6)), dim)
+        if draw(st.booleans()):
+            x = TateSeries.coordinate(draw(st.integers(1, dim)), dim)
+            c = c + x * TateSeries.constant(F(2) ** draw(st.integers(-6, 6)), dim)
+        terms[alpha] = c
+    tail = None
+    if draw(st.booleans()):
+        longest = max(sum(a) for a in terms)
+        tail = TailCertificate(draw(st.integers(0, longest + 2)),
+                               F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))),
+                               draw(st.sampled_from(TAIL_SLOPES)))
+    return MicroOp(dim, 2, terms, tail)
+
+
+def slope(a, b):
+    return (b[1] - a[1]) / (b[0] - a[0])
+
+
+def fraction_polygon(P: MicroOp):
+    """Points, vertices, slopes and ceiling on Fraction valuations, the hull
+    by the slope test (a point leaves when the slope into it is not below
+    the slope out of it)."""
+    minima = {}
+    for a, c in P.terms.items():
+        n, v = sum(a), F(c.spectral_valuation())
+        minima[n] = min(v, minima.get(n, v))
+    points = sorted(minima.items())
+    hull = []
+    for pt in points:
+        while len(hull) >= 2 and slope(hull[-2], hull[-1]) >= slope(hull[-1], pt):
+            hull.pop()
+        hull.append(pt)
+    slopes = [slope(a, b) for a, b in zip(hull, hull[1:])]
+    ceiling = None
+    if P.tail is not None:
+        t = P.tail
+        anchor = t.t0 + t.t1 * (t.start + 1)
+        ceiling = min([t.t1] + [(anchor - v) / (t.start + 1 - n)
+                                for n, v in hull if n <= t.start])
+    return points, hull, slopes, ceiling
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(positive_ops())
+def test_cached_polygon_matches_fraction_hull(P):
+    poly = polygon(P)
+    points, hull, slopes, ceiling = fraction_polygon(P)
+    assert list(poly.points) == points
+    assert list(poly.vertices) == hull
+    assert list(poly.slopes) == slopes
+    assert poly.certified_below == ceiling
+    assert poly.truncated == (P.tail is not None)
+    # compact storage: integer valuations, exact fractions for the rest
+    assert all(type(n) is int and type(v) is int for n, v in poly.points)
+    assert all(type(s) is Fraction for s in poly.slopes)
+    assert ceiling is None or type(poly.certified_below) is Fraction
+    assert polygon(P) is poly
+
+
+def test_second_call_returns_the_cached_polygon():
+    P = product_op(6)
+    assert polygon(P) is polygon(P)
+    assert is_slope(P, 2) and polygon(P) is P._polygon
+
+
+def test_non_positive_operator_raises_on_every_call():
+    P = MicroOp.identity() + MicroOp.monomial((-1,), F(2))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            polygon(P)
+        with pytest.raises(ValueError):
+            is_slope(P, 1)
+        with pytest.raises(ValueError):
+            slope_in_interval(P, 1, 2)
+
+
+def test_tail_only_operator_raises_on_every_call():
+    T = MicroOp(1, 2, {}, TailCertificate(0, 0, 5))
+    for _ in range(3):
+        with pytest.raises(InsufficientTruncation):
+            polygon(T)
+        with pytest.raises(InsufficientTruncation):
+            is_slope(T, 1)
+        with pytest.raises(InsufficientTruncation):
+            slope_in_interval(T, 1, 2)
+
+
+def test_is_slope_above_the_ceiling_refuses_on_every_call():
+    P = product_op(4)  # ceiling 5/2
+    assert is_slope(P, 2)
+    for _ in range(3):
+        with pytest.raises(InsufficientTruncation):
+            is_slope(P, 3)
+        with pytest.raises(InsufficientTruncation):
+            is_slope(P, F(5, 2))
+    assert is_slope(P, 2) and not is_slope(P, F(3, 2))
