@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import catalog, diffop, exprs, jsonio, microop, newton, svg, tower
+from . import catalog, diffop, exprs, jsonio, microop, newton, padic, svg, tate, tower
 from .errors import (ExprSyntaxError, InsufficientTruncation, MicrodiffError,
                      NotCertifiable, NotInvertible, UndecidableFiniteness,
                      UnknownSymbol, WindowOverflow)
@@ -46,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--prime", type=int, default=None)
     common.add_argument("--dim", type=int, default=1)
-    common.add_argument("--prec", type=int, default=64)
-    common.add_argument("--deg-cap", type=int, default=32, dest="deg_cap")
-    common.add_argument("--window", type=int, default=64)
+    common.add_argument("--prec", type=int, default=padic.DEFAULT_PRECISION)
+    common.add_argument("--deg-cap", type=int, default=tate.DEFAULT_DEGREE_CAP, dest="deg_cap")
+    common.add_argument("--window", type=int, default=diffop.DEFAULT_WINDOW_CAP)
     common.add_argument("--format", choices=("text", "json", "svg"), default="text")
     common.add_argument("--out", type=str, default=None)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -297,7 +297,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.prime is None:
-            args.prime = int(os.environ.get("MICRODIFF_PRIME", "2"))
+            args.prime = int(os.environ.get("MICRODIFF_PRIME", padic.DEFAULT_PRIME))
         ctx = _context(args)
         return _COMMANDS[args.command](args, ctx)
     except UsageError as exc:

@@ -15,7 +15,10 @@ data: one representation serves every level.
 Truncated operators carry :class:`TailCertificate` bounds so that norm and
 order queries are certified, never heuristic: a query either proves its
 answer against the certificate or raises
-:class:`~microdiff.errors.InsufficientTruncation`.
+:class:`~microdiff.errors.InsufficientTruncation`.  One product body serves
+:func:`compose`, :func:`microdiff.microop.mul` and ``*``.  It and the sum
+refuse to form a coefficient from exact ones when the degree cap would drop
+one of its monomials: the loss would pass for an exact zero.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -28,10 +31,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import (DivisionByZero, InsufficientTruncation, WindowOverflow,
-                     ZeroOperator)
+from .errors import (DivisionByZero, InsufficientTruncation, NotCertifiable,
+                     WindowOverflow, ZeroOperator)
 from .padic import DEFAULT_PRIME, PadicScalar, generalized_binomial
-from .tate import DEFAULT_DEGREE_CAP, TateSeries
+from .tate import DEFAULT_DEGREE_CAP, TateSeries, monomial_text
 
 DEFAULT_WINDOW_CAP = 64
 
@@ -152,14 +155,6 @@ class MicroOp:
             return False
         return all(min(a) >= 0 for a in self.terms)
 
-    @property
-    def window(self) -> tuple[tuple[int, int], ...]:
-        """Per-axis bounding box of the stored support."""
-        if not self.terms:
-            return tuple((0, 0) for _ in range(self.dim))
-        return tuple((min(a[i] for a in self.terms), max(a[i] for a in self.terms))
-                     for i in range(self.dim))
-
     @cached_property
     def term_table(self) -> tuple[tuple[Exponent, int, int, int], ...]:
         """(alpha, |alpha|, fl(alpha), v(c_alpha)) per stored term, in storage order.
@@ -201,7 +196,7 @@ class MicroOp:
         self._check_compatible(other)
         out: dict[Exponent, TateSeries] = dict(self.terms)
         for a, c in other.terms.items():
-            s = out[a] + c if a in out else c
+            s = _capped_sum(out[a], c) if a in out else c
             if s.is_zero:
                 out.pop(a, None)
             else:
@@ -219,16 +214,9 @@ class MicroOp:
         return self + (-other)
 
     def __mul__(self, other: "MicroOp") -> "MicroOp":
-        from . import microop
-        return microop.mul(self, other)
+        return _product(self, other, DEFAULT_WINDOW_CAP)
 
     # -- printing -----------------------------------------------------------
-
-    def _exp_text(self, alpha: Exponent) -> str:
-        names = ["d"] if self.dim == 1 else [f"d{i + 1}" for i in range(self.dim)]
-        parts = [f"{names[i]}^{e}" if e != 1 else names[i]
-                 for i, e in enumerate(alpha) if e != 0]
-        return "*".join(parts)
 
     def __str__(self):
         if not self.terms:
@@ -239,7 +227,7 @@ class MicroOp:
             ctext = str(c)
             if "+" in ctext or (" " in ctext):
                 ctext = f"({ctext})"
-            mono = self._exp_text(a)
+            mono = monomial_text("d", a)
             if not mono:
                 parts.append(ctext)
             elif ctext == "1":
@@ -344,10 +332,26 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
     for h, s, j in pending:
         gamma = tuple(a + b - c for a, b, c in zip(alpha, beta, j))
         coeff = f * h
+        if not coeff.exact and f.exact and h.exact:
+            raise _degree_cap_refusal(f.degree() + h.degree(), coeff.degree_cap)
         if s is not None:
             coeff = coeff.scale(s)
         if not coeff.is_zero:
             yield gamma, coeff
+
+
+def _degree_cap_refusal(needed: int, cap: int) -> NotCertifiable:
+    return NotCertifiable(f"a coefficient of degree {needed} exceeds the degree cap {cap} "
+                          f"({needed} is a lower bound: later products may reach further): "
+                          f"rerun with --deg-cap {needed} or larger")
+
+
+def _capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
+    """f + g, refused where the degree cap drops a monomial of exact summands."""
+    s = f + g
+    if not s.exact and f.exact and g.exact:
+        raise _degree_cap_refusal(max(f.degree(), g.degree()), s.degree_cap)
+    return s
 
 
 def _window_cap_check(terms: dict, cap: int | None):
@@ -366,7 +370,7 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
         for beta, g in Q.terms.items():
             for gamma, coeff in _term_product(alpha, f, beta, g, P.prime):
                 prev = out.get(gamma)
-                coeff = coeff if prev is None else prev + coeff
+                coeff = coeff if prev is None else _capped_sum(prev, coeff)
                 if coeff.is_zero:
                     out.pop(gamma, None)
                 else:
@@ -430,15 +434,24 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
     return TailCertificate(start, min(offsets), min(slopes), infinite)
 
 
-def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP) -> "MicroOp":
-    """Product of two positive operators (Laurent products: microop.mul)."""
+def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
+    """The one product body behind compose, microop.mul and ``*``; mixed-sector
+    truncated products have no sound certificate combination and raise."""
     P._check_compatible(Q)
-    if not (P.positive and Q.positive):
-        raise ValueError("compose needs positive operators; use microop.mul")
+    if not (P.is_exact and Q.is_exact or P.positive and Q.positive):
+        raise InsufficientTruncation(
+            "tail certificates cannot be combined across mixed sectors")
     terms = _product_terms(P, Q)
     _window_cap_check(terms, window_cap)
     tail = _fold_beyond(terms, _product_tail(P, Q), positive_sector=True)
     return MicroOp(P.dim, P.prime, terms, tail)
+
+
+def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP) -> "MicroOp":
+    """Product of two positive operators (Laurent products: microop.mul)."""
+    if not (P.positive and Q.positive):
+        raise ValueError("compose needs positive operators; use microop.mul")
+    return _product(P, Q, window_cap)
 
 
 # -- level norms and orders ---------------------------------------------------

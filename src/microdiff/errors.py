@@ -18,7 +18,8 @@ class DivisionByZero(MicrodiffError, ZeroDivisionError):
 
 
 class NotCertifiable(MicrodiffError):
-    """A truncated series cannot certify the requested predicate."""
+    """A truncated series cannot certify the requested predicate, or an exact
+    coefficient would lose a monomial to the degree cap."""
 
 
 class InsufficientTruncation(MicrodiffError):

@@ -15,10 +15,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import MicroOp
+from .diffop import DEFAULT_WINDOW_CAP, MicroOp
 from .errors import ExprSyntaxError, UnknownSymbol
 from .microop import mul
-from .tate import TateSeries
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME
+from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 # -- AST ---------------------------------------------------------------------
 
@@ -55,6 +56,7 @@ class Compr:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\.\.)|([()+\-*/^=,]))")
+_KINDS = (None, "num", "name", "dots", "op")  # token kind by index of the matched group
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -66,16 +68,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip() == "":
                 break
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        num, name, dots, op = m.groups()
-        start = m.start(1) if num else m.start(2) if name else m.start(3) if dots else m.start(4)
-        if num:
-            tokens.append(("num", num, start))
-        elif name:
-            tokens.append(("name", name, start))
-        elif dots:
-            tokens.append(("dots", "..", start))
-        else:
-            tokens.append(("op", op, start))
+        g = m.lastindex
+        tokens.append((_KINDS[g], m.group(g), m.start(g)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -217,11 +211,11 @@ def to_text(node, parent_prec: int = 0) -> str:
 
 @dataclass(frozen=True)
 class EvalContext:
-    prime: int = 2
+    prime: int = DEFAULT_PRIME
     dim: int = 1
-    precision: int = 64
-    degree_cap: int = 32
-    window_cap: int = 64
+    precision: int = DEFAULT_PRECISION
+    degree_cap: int = DEFAULT_DEGREE_CAP
+    window_cap: int = DEFAULT_WINDOW_CAP
 
 
 _AXIS_RE = re.compile(r"^([xd])([0-9]+)$")
@@ -232,29 +226,21 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
         return env[name]
     if name == "p":
         return Fraction(ctx.prime)
-    if name == "x":
+    if name in ("x", "d"):
         if ctx.dim != 1:
-            raise UnknownSymbol("plain 'x' needs dim 1; use x1..xd")
-        return MicroOp.constant(TateSeries.coordinate(1, 1, ctx.prime,
-                                                      ctx.degree_cap, ctx.precision),
-                                1, ctx.prime)
-    if name == "d":
-        if ctx.dim != 1:
-            raise UnknownSymbol("plain 'd' needs dim 1; use d1..dd")
-        return _unit_monomial((1,), ctx)
+            raise UnknownSymbol(f"plain '{name}' needs dim 1; use {name}1..{name}d")
+        name += "1"
     if name == "dinv":
         return _unit_monomial((-1,) + (0,) * (ctx.dim - 1), ctx)
     m = _AXIS_RE.match(name)
     if m:
-        axis = int(m.group(2))
+        letter, axis = m[1], int(m[2])
         if not 1 <= axis <= ctx.dim:
             raise UnknownSymbol(f"axis {axis} out of range for dim {ctx.dim}")
-        if m.group(1) == "x":
-            return MicroOp.constant(
-                TateSeries.coordinate(axis, ctx.dim, ctx.prime,
-                                      ctx.degree_cap, ctx.precision),
-                ctx.dim, ctx.prime)
-        return _unit_monomial(tuple(int(i == axis - 1) for i in range(ctx.dim)), ctx)
+        if letter == "x":
+            return MicroOp.constant(TateSeries.coordinate(
+                axis, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision))
+        return _unit_monomial((0,) * (axis - 1) + (1,) + (0,) * (ctx.dim - axis), ctx)
     raise UnknownSymbol(f"unknown symbol {name!r}")
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .diffop import MicroOp, TailCertificate
 from .newton import NewtonPolygon
-from .padic import PadicScalar
+from .padic import DEFAULT_PRECISION, PadicScalar
 from .tate import TateSeries
 from .tower import UnitVerdict
 
@@ -35,9 +35,9 @@ def scalar_to_json(c: PadicScalar) -> dict:
 
 def scalar_from_json(obj: dict, prime: int) -> PadicScalar:
     if obj["val"] is None:
-        return PadicScalar.zero(prime, obj.get("prec", 64))
+        return PadicScalar.zero(prime, obj.get("prec", DEFAULT_PRECISION))
     return PadicScalar.from_residue(obj["val"], int(obj["unit"]), prime,
-                                    obj.get("prec", 64))
+                                    obj.get("prec", DEFAULT_PRECISION))
 
 
 def series_to_json(f: TateSeries) -> dict:

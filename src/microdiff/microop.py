@@ -25,11 +25,9 @@ from fractions import Fraction
 
 # _stored_max and tail_sup_exponent are the certified core every norm, order
 # and unit verdict shares; they are re-exported here beside the Laurent norms
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate,
-                     _fold_beyond, _graded_weight, _level_exponent, _level_max,
-                     _power, _product_terms, _stored_max, _window_cap_check,
-                     compose, floor_sum, length, tail_sup_exponent)
-from .errors import InsufficientTruncation
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate, _fold_beyond,
+                     _graded_weight, _level_exponent, _level_max, _power, _product,
+                     _stored_max, floor_sum, length, tail_sup_exponent)
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,10 @@ def mul(S: MicroOp, T: MicroOp, window: int | None = None,
     absolute value <= window; clipped terms are folded into tail
     certificates so later norm queries stay certified rather than silently
     wrong.  Truncated operands are supported in the positive sector (the
-    composition path); mixed-sector truncated products have no sound
-    certificate combination here and raise.
+    body is :func:`~microdiff.diffop.compose`'s); mixed-sector truncated
+    products have no sound certificate combination and raise.
     """
-    S._check_compatible(T)
-    if not (S.is_exact and T.is_exact):
-        if S.positive and T.positive:
-            return _clip(compose(S, T, window_cap), window)
-        raise InsufficientTruncation(
-            "tail certificates cannot be combined across mixed sectors")
-    terms = _product_terms(S, T)
-    _window_cap_check(terms, window_cap)
-    return _clip(MicroOp(S.dim, S.prime, terms), window)
+    return _clip(_product(S, T, window_cap), window)
 
 
 def _clip(S: MicroOp, window: int | None) -> MicroOp:

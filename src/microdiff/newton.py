@@ -105,12 +105,7 @@ def polygon(P: MicroOp) -> NewtonPolygon:
 
 def is_slope(P: MicroOp, mu: Fraction | int) -> bool:
     """Exact slope membership, certified against the tail."""
-    mu = Fraction(mu)
-    poly = polygon(P)
-    if poly.certified_below is not None and mu >= poly.certified_below:
-        raise InsufficientTruncation(
-            f"slope queries above {poly.certified_below} need a larger truncation")
-    return mu in poly.slopes
+    return polygon(P).has_slope_in(Fraction(mu), Fraction(mu))
 
 
 def slope_in_interval(P: MicroOp, r: Fraction | int, k: Fraction | int) -> bool:

@@ -5,7 +5,9 @@ degree.  The ``exact`` flag records whether the truncation discarded
 anything: an exact element is a genuine polynomial and every norm or unit
 statement about it is unconditional.  The Gauss norm is the max of the
 coefficient norms and is multiplicative on exact elements (the chart is
-integral).
+integral).  The cap of a result is the smaller cap of its operands;
+``derive`` keeps its operand's cap.  The ring itself only flags a loss to
+the cap; the operator layer refuses one formed from exact operands.
 """
 
 from __future__ import annotations
@@ -110,9 +112,8 @@ class TateSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def _like(self, coeffs: dict, exact: bool, degree_cap: int | None = None) -> "TateSeries":
-        return _make(self.dim, self.prime, coeffs,
-                     self.degree_cap if degree_cap is None else degree_cap, exact)
+    def _like(self, coeffs: dict, exact: bool) -> "TateSeries":
+        return _make(self.dim, self.prime, coeffs, self.degree_cap, exact)
 
     def _check_compatible(self, other: "TateSeries"):
         if self.dim != other.dim or self.prime != other.prime:
@@ -186,7 +187,7 @@ class TateSeries:
                 continue
             nm = m[:i] + (m[i] - 1,) + m[i + 1:]
             out[nm] = out[nm] + nc if nm in out else nc
-        return self._like(out, self.exact, degree_cap=max(0, self.degree_cap - 1))
+        return self._like(out, self.exact)
 
     # -- units -----------------------------------------------------------
 
@@ -237,12 +238,6 @@ class TateSeries:
 
     # -- printing ----------------------------------------------------------
 
-    def _monomial_text(self, m: Monomial) -> str:
-        names = ["x"] if self.dim == 1 else [f"x{i + 1}" for i in range(self.dim)]
-        parts = [f"{names[i]}^{e}" if e > 1 else names[i]
-                 for i, e in enumerate(m) if e > 0]
-        return "*".join(parts)
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -250,7 +245,7 @@ class TateSeries:
         for m in sorted(self.coeffs, key=lambda t: (sum(t), t)):
             c = self.coeffs[m]
             ctext = str(c.as_fraction()) if c.exact else f"(~{c.residue()}*p^{c.valuation})"
-            mono = self._monomial_text(m)
+            mono = monomial_text("x", m)
             if not mono:
                 parts.append(ctext)
             elif ctext == "1":
@@ -263,6 +258,13 @@ class TateSeries:
 
     def __repr__(self):
         return f"TateSeries({self})"
+
+
+def monomial_text(letter: str, m: tuple[int, ...]) -> str:
+    """Text of an exponent, such as ``x^2`` or ``d1*d2^-1``: the letter alone
+    in dim 1, numbered letter1..letterd above; zero entries are left out."""
+    names = [letter] if len(m) == 1 else [f"{letter}{i + 1}" for i in range(len(m))]
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e])
 
 
 # slot descriptors of the frozen dataclass: setting through them bypasses

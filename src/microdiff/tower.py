@@ -128,7 +128,15 @@ class UnitVerdict:
     delegate: tuple[int, int] | None = None
 
 
-def _raise_uncertified(level: RingLevel):
+def _check_tail(P: MicroOp, level: RingLevel, bound, strict: bool, r=None, beta: int = 0):
+    """Refuse the verdict unless the (k, r) tail sup recentred at beta stays
+    below ``bound``: strictly, or at most reaching it when not ``strict``."""
+    try:
+        sup = tail_sup_exponent(P, level.k, r, beta)
+        if sup is None or (sup < bound if strict else sup <= bound):
+            return
+    except InsufficientTruncation:
+        pass
     raise InsufficientTruncation(
         f"tail mass can reach the stored maximum; the {level} verdict "
         "needs a larger truncation")
@@ -164,22 +172,12 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     else:
         recentred, rtop = _stored_max(P, lambda m: level.weight(m - fl_beta))
         if len(rtop) == 1 and rtop[0][0] == beta:
-            try:
-                sup = tail_sup_exponent(P, k, level.r, fl_beta)
-            except InsufficientTruncation:
-                _raise_uncertified(level)
-            if sup is not None and sup >= recentred:
-                _raise_uncertified(level)
+            _check_tail(P, level, recentred, True, level.r, fl_beta)
             return UnitVerdict(True, level, beta=beta)
         clause = "lower_order_too_large"
         alpha = next(a for a, _, fl, v in sorted(P.term_table)
                      if a != beta and level.weight(fl - fl_beta) - v + v_beta >= 0)
-    try:
-        sup = tail_sup_exponent(P, k)
-    except InsufficientTruncation:
-        _raise_uncertified(level)
-    if sup is not None and (sup >= best if unit else sup > best):
-        _raise_uncertified(level)
+    _check_tail(P, level, best, unit)
     if unit:
         return UnitVerdict(True, level, beta=beta)
     return UnitVerdict(False, level, violated=clause, alpha=alpha)

@@ -120,6 +120,15 @@ class TestWorkingRing:
         precs = [c["coeff"]["prec"] for t in doc["terms"] for c in t["coeff"]["terms"]]
         assert precs and set(precs) == {100}
 
+    def test_a_monomial_past_the_degree_cap_is_refused_with_a_hint(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["mul", "x^20", "x^20*d"])
+        assert code == 2 and out == ""
+        message = err.getvalue().strip()
+        assert "exceeds the degree cap 32" in message and "lower bound" in message
+        assert message.endswith("rerun with --deg-cap 40 or larger")
+
     def test_degree_cap_above_the_default_reaches_every_literal(self):
         # d and the start of x^20 used to keep the default cap 32
         code, out = run(["mul", "--deg-cap", "50", "x^20", "x^20*d"])

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from microdiff import (LevelParams, MicroOp,
-                       TateSeries, WindowOverflow, mul, norm_Ek, norm_Fkr,
-                       order_Ek, sector_norms, sector_split, weight)
+from microdiff import (InsufficientTruncation, LevelParams, MicroOp, TailCertificate,
+                       TateSeries, WindowOverflow, compose, mul, norm_Ek, norm_Fkr,
+                       order_Ek, product_op, sector_norms, sector_split, weight)
 
-from conftest import rand_laurent_op
+from conftest import rand_laurent_op, rand_positive_op
 
 F = Fraction
 
@@ -92,6 +92,63 @@ class TestMul:
         assert not prod.terms
         assert prod.tail is not None and prod.tail.start == 4
         assert prod.tail.bound_at(5) <= 2
+
+
+class TestProductPaths:
+    """compose, mul and ``*`` share one product body; each entry path agrees."""
+
+    @staticmethod
+    def exact_positive():
+        return MicroOp(1, 2, {(0,): TateSeries.constant(3), (1,): TateSeries.coordinate(1),
+                              (2,): TateSeries.constant(F(1, 2))})
+
+    def test_truncated_positive_mul_equals_compose(self):
+        G, E = product_op(6), self.exact_positive()
+        for S, T in ((G, E), (E, G)):
+            prod = mul(S, T)
+            assert prod.tail is not None
+            assert prod == compose(S, T)  # terms and tail
+
+    def test_truncated_times_laurent_is_refused(self):
+        for S, T in ((product_op(6), dinv()), (dinv(), product_op(6))):
+            with pytest.raises(InsufficientTruncation):
+                mul(S, T)
+
+    def test_window_on_a_truncated_product_keeps_the_certificate(self):
+        G, C = product_op(6), MicroOp.constant(3)
+        full = mul(G, C)
+        assert full.tail.infinite and full.tail.t1 > 0
+        clipped = mul(G, C, window=4)
+        dropped = [a for a in full.terms if a[0] > 4]
+        assert dropped
+        assert clipped.terms == {a: c for a, c in full.terms.items() if a[0] <= 4}
+        assert clipped.tail.start == min(full.tail.start, 4)
+        assert clipped.tail.t1 == min(full.tail.t1, 0)
+        assert clipped.tail.infinite
+        assert clipped.tail.t0 == min([full.tail.t0] + [full.terms[a].spectral_valuation()
+                                                        for a in dropped])
+        assert clipped.neg_tail is None
+
+    def test_window_clips_a_negative_sector_term_into_neg_tail(self):
+        T = MicroOp.identity() + MicroOp.monomial((-4,), 4)
+        prod = mul(dinv(), T, window=4)
+        assert prod.terms_equal(dinv())
+        assert prod.tail is None
+        assert prod.neg_tail == TailCertificate(4, 2, 0)
+
+    def test_star_is_mul(self, rng):
+        for _ in range(20):
+            S, T = rand_laurent_op(rng, max_exp=2), rand_laurent_op(rng, max_exp=2)
+            assert S * T == mul(S, T)
+        G = product_op(6)
+        for _ in range(5):
+            E = rand_positive_op(rng, max_exp=2, poly=True)
+            assert G * E == mul(G, E) and E * G == mul(E, G)
+
+    def test_compose_refuses_a_laurent_operator(self):
+        for S, T in ((dinv(), MicroOp.identity()), (MicroOp.identity(), dinv())):
+            with pytest.raises(ValueError):
+                compose(S, T)
 
 
 class TestNormEk:

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from microdiff import (InsufficientTruncation, MicroOp, NotCertifiable,
                        TailCertificate, TateSeries, UndecidableFiniteness,
-                       WindowOverflow, ZeroOperator, check_unit, compose,
-                       is_slope, norm_Ek, norm_Fkr, norm_k, norm_mu, order_Ek,
+                       WindowOverflow, ZeroOperator, check_unit, compose, invert,
+                       is_slope, mul, norm_Ek, norm_Fkr, norm_k, norm_mu, order_Ek,
                        order_Nk, order_nk, order_Nmu, order_nmu, polygon,
                        product_op, sector_norms, slope_in_interval)
 from microdiff.diffop import _graded_weight, floor_sum, length, tail_sup_exponent
@@ -92,9 +92,9 @@ def test_constant_takes_the_dimension_of_a_series():
     assert C.dim == 2 and C.terms == {(0, 0): f}
 
 
-# The degree cap of the coefficient ring (32) drops x^40 from a coefficient with
-# no tail and no refusal, so these are still false proofs.  A certified answer
-# must be the true one; a refusal is also honest.
+# The degree cap of the coefficient ring (32) used to drop x^40 from a
+# coefficient with no tail and no refusal, which gave false proofs.  A
+# certified answer must be the true one; a refusal is also honest.
 
 def parsed(text: str) -> MicroOp:
     from microdiff.exprs import EvalContext, _as_op, evaluate, parse
@@ -102,11 +102,6 @@ def parsed(text: str) -> MicroOp:
     return _as_op(evaluate(parse(text), ctx), ctx)
 
 
-DEGREE_CAP_DEFECT = pytest.mark.xfail(
-    strict=True, reason="the degree cap drops coefficient monomials without a certificate")
-
-
-@DEGREE_CAP_DEFECT
 def test_degree_cap_does_not_hide_a_norm():
     try:
         assert norm_k(parsed("x^40*d + 1"), 1) == 2  # |x^40 d|_1 = p^1
@@ -114,7 +109,6 @@ def test_degree_cap_does_not_hide_a_norm():
         pass
 
 
-@DEGREE_CAP_DEFECT
 def test_degree_cap_does_not_prove_a_unit():
     try:
         assert not check_unit(parsed("1 + x^20*x^20*d"), RingLevel.dkq(1)).invertible
@@ -122,12 +116,37 @@ def test_degree_cap_does_not_prove_a_unit():
         pass
 
 
-@DEGREE_CAP_DEFECT
 def test_degree_cap_does_not_zero_a_product():
     try:
         assert not parsed("x^20 * x^20*d").is_zero
     except REFUSALS:
         pass
+
+
+def test_a_commutation_step_keeps_the_degree_cap():
+    # p*x*d * x^30 = p*x^31*d + 30*p*x^30, and x^2 * x^30 = x^32 fits the cap
+    P = parsed("(p*x*d + x^2)*x^30")
+    assert P.coefficient((0,)).degree() == 32
+    assert norm_k(P, 0) == 1
+
+
+def at_cap(P: MicroOp, cap: int) -> MicroOp:
+    return MicroOp(P.dim, P.prime, {a: TateSeries(c.dim, c.prime, dict(c.coeffs), cap, c.exact)
+                                    for a, c in P.terms.items()})
+
+
+def test_an_inverse_past_the_degree_cap_is_refused_or_true():
+    # the geometric series of p^4*x*d needs coefficients of degree up to 59;
+    # the multiply-back runs at a cap no coefficient reaches
+    P, level = parsed("1 + p^4*x*d"), RingLevel.ek(3)
+    try:
+        S = invert(P, level, residual_exponent=60)
+    except REFUSALS:
+        return
+    one = MicroOp.constant(TateSeries.constant(1, 1, 2, 400))
+    residual = mul(at_cap(P, 400), at_cap(S, 400), window_cap=None) - one
+    e = level.norm_exponent(residual)
+    assert e is None or e <= -60
 
 
 @pytest.mark.parametrize("alpha", [(3,), (-2,), (2, 1), (2, -1), (-2, 1), (1, -4), (-1, -1)])
