@@ -16,9 +16,10 @@ Truncated operators carry :class:`TailCertificate` bounds so that norm and
 order queries are certified, never heuristic: a query either proves its
 answer against the certificate or raises
 :class:`~microdiff.errors.InsufficientTruncation`.  One product body serves
-:func:`compose`, :func:`microdiff.microop.mul` and ``*``.  It and the sum
-refuse to form a coefficient from exact ones when the degree cap would drop
-one of its monomials: the loss would pass for an exact zero.
+:func:`compose`, :func:`microdiff.microop.mul` and ``*``: an integer kernel
+for exact operands, series arithmetic for digit-mode ones (read from JSON).
+It and the sum refuse to form a coefficient from exact ones when the degree
+cap would drop one of its monomials: the loss would pass for an exact zero.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -26,15 +27,20 @@ freely across threads.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, ge, sub
 from typing import Iterable, Mapping
 
 from .errors import (DivisionByZero, InsufficientTruncation, NotCertifiable,
                      WindowOverflow, ZeroOperator)
-from .padic import DEFAULT_PRIME, PadicScalar, generalized_binomial
+from .padic import DEFAULT_PRIME, generalized_binomial, int_binomial, int_valuation
+from .padic import _make as _scalar
 from .tate import DEFAULT_DEGREE_CAP, TateSeries, monomial_text
+from .tate import _make as _series
 
 DEFAULT_WINDOW_CAP = 64
 
@@ -288,47 +294,31 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
                   prime: int) -> Iterable[tuple[Exponent, TateSeries]]:
     """Expand (f * D^alpha) . (g * D^beta) into coefficient-left terms.
 
-    Moving D^alpha past g uses the one commutation law valid for any integer
-    power a of a single derivation:
-
-        D^a g = sum_j C(a, j) * D^j(g) * D^(a-j)
-
-    with generalized binomials; for a >= 0 the sum stops at j = a, and it
-    always stops once the derivative of g vanishes (coefficients are
-    polynomials).  Axes commute, so the law is applied axis by axis.
-
-    A constant g commutes with every D^alpha, so it takes a direct path.
-    Binomial factors are exact scalars at the largest precision of g's
-    coefficients, which bounds every product coefficient's, so they never
-    cap it; ``s`` is ``None`` while it is still the exact one, and
-    multiplying by it is skipped.
+    Moving D^alpha past g uses, axis by axis, the commutation law valid for
+    any integer power a of a derivation: D^a g = sum_j C(a, j) D^j(g) D^(a-j),
+    which stops at j = a for a >= 0 and once D^j(g) vanishes.  Binomials are
+    exact scalars at the largest precision of g's coefficients, so they never
+    cap a product's; ``s`` is ``None`` while it is still the exact one.
     """
-    zero = (0,) * len(alpha)
-    pending: list[tuple[TateSeries, PadicScalar | None, Exponent]] = [(g, None, zero)]
-    if not (len(g.coeffs) == 1 and zero in g.coeffs):
-        precision = max(c.precision for c in g.coeffs.values())
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            expanded = []
-            for h, s, j in pending:
-                dh = h
-                jj = 0
-                while True:
-                    factor = generalized_binomial(a, jj, prime, precision)
-                    if not factor.is_zero and not dh.is_zero:
-                        if jj == 0:
-                            sj = s  # C(a, 0) = 1
-                        else:
-                            sj = factor if s is None else s * factor
-                        expanded.append((dh, sj, j[:i] + (jj,) + j[i + 1:]))
-                    jj += 1
-                    if 0 <= a < jj:
-                        break
-                    dh = dh.derive(i + 1)
-                    if dh.is_zero:
-                        break
-            pending = expanded
+    pending = [(g, None, (0,) * len(alpha))]  # (D^j g, C(alpha, j) or None, j)
+    precision = max(c.precision for c in g.coeffs.values())
+    for i, a in enumerate(alpha):
+        if a == 0:
+            continue
+        expanded = []
+        for h, s, j in pending:
+            dh, jj = h, 0
+            while True:  # dh is nonzero and C(a, jj) too, as jj <= a for a >= 0
+                factor = generalized_binomial(a, jj, prime, precision)
+                sj = s if jj == 0 else factor if s is None else s * factor
+                expanded.append((dh, sj, j[:i] + (jj,) + j[i + 1:]))
+                jj += 1
+                if 0 <= a < jj:
+                    break
+                dh = dh.derive(i + 1)
+                if dh.is_zero:
+                    break
+        pending = expanded
     for h, s, j in pending:
         gamma = tuple(a + b - c for a, b, c in zip(alpha, beta, j))
         coeff = f * h
@@ -364,7 +354,8 @@ def _window_cap_check(terms: dict, cap: int | None):
                 f"product exponent {a} exceeds the window cap {cap}", needed)
 
 
-def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
+def _series_product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
+    """The product terms by series arithmetic, one term pair at a time."""
     out: dict[Exponent, TateSeries] = {}
     for alpha, f in P.terms.items():
         for beta, g in Q.terms.items():
@@ -375,6 +366,121 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
                     out.pop(gamma, None)
                 else:
                     out[gamma] = coeff
+    return out
+
+
+def _int_rows(S: MicroOp):
+    """Rows (alpha, [(m, N, precision)], cap, exact, degree), V and D of S,
+    each scalar p^V / D * N with V the least valuation and D the lcm of the
+    unit denominators; None when a scalar is in digit mode."""
+    if len(S.terms) == 1:  # a monomial, as every literal is built: no rescaling
+        (alpha, f), = S.terms.items()
+        if len(f.coeffs) == 1:
+            (m, c), = f.coeffs.items()
+            if c.exact:
+                return ([(alpha, [(m, c.unit.numerator, c.precision)], f.degree_cap,
+                          f.exact, sum(m))], c.valuation, c.unit.denominator)
+    scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
+    if not all(c.exact for c in scalars):
+        return None
+    p, V = S.prime, min((c.valuation for c in scalars), default=0)
+    D = math.lcm(*{c.unit.denominator for c in scalars})
+    align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
+    return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V),
+                       c.precision) for m, c in f.coeffs.items()],
+              f.degree_cap, f.exact, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
+            V, D)
+
+
+def _commutations(alpha: Exponent, beta: Exponent, g: list, cache: dict) -> list:
+    """(beta - j, D^j(g), its degree, C(alpha, j)) for each j of the law in
+    :func:`_term_product`, in its order; ``cache`` keeps g's derivatives."""
+    out = []
+    for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1) for a, t in
+                                 zip(alpha, map(max, zip(*[m for m, _, _ in g])))]):
+        if j not in cache:
+            h = [(tuple(map(sub, m, j)), N * math.prod(map(math.perm, m, j)), n)
+                 for m, N, n in g if all(map(ge, m, j))]
+            cache[j] = h, max([sum(m) for m, _, _ in h], default=-1)
+        h, degree = cache[j]
+        if degree >= 0:
+            out.append((tuple(map(sub, beta, j)), h, degree,
+                        math.prod(map(int_binomial, alpha, j))))
+    return out
+
+
+def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
+    """The coefficient-left terms of P*Q.  Exact operands take one integer
+    kernel: each commuted term pair adds products of :func:`_int_rows`, times
+    integer binomials and falling factorials, into one ``int`` per output
+    (gamma, monomial), whose valuation is extracted once.  Caps, exact flags,
+    precisions, refusals and term order are those of the series arithmetic,
+    which digit-mode operands keep."""
+    left, right = _int_rows(P), _int_rows(Q)
+    if left is None or right is None:
+        return _series_product_terms(P, Q)
+    (lrows, lv, ld), (rrows, rv, rd) = left, right
+    caches: dict = {}  # beta -> {j: D^j of its coefficient}
+    out: dict = {}  # gamma -> [values, precisions, cap, exact]
+    for alpha, fv, fcap, fexact, fdeg in lrows:
+        for beta, gv, gcap, gexact, gdeg in rrows:
+            cap = fcap if fcap < gcap else gcap
+            for bj, hv, hdeg, b in (_commutations(alpha, beta, gv, caches.setdefault(beta, {}))
+                                    if gdeg and any(alpha) else ((beta, gv, gdeg, 1),)):
+                over = fdeg + hdeg > cap
+                if over and fexact and gexact:
+                    raise _degree_cap_refusal(fdeg + hdeg, cap)
+                loc, lp = {}, {}  # the pair's product, as TateSeries.__mul__ forms it
+                for ma, ca, na in fv:
+                    for mb, cb, nb in hv:
+                        m = tuple(map(add, ma, mb))
+                        if over and sum(m) > cap:
+                            continue
+                        old = loc.get(m)  # stored values are nonzero
+                        c = ca * cb * b + (old or 0)
+                        if c:  # a cancelled monomial drops its precision with it
+                            loc[m] = c
+                            lp[m] = min(lp[m], na, nb) if old else na if na < nb else nb
+                        else:
+                            del loc[m]
+                if not loc:
+                    continue
+                exact = fexact and gexact and not over
+                gamma = tuple(map(add, alpha, bj))
+                acc = out.setdefault(gamma, [loc, lp, cap, exact])
+                vals, aprec, acap, aexact = acc
+                if vals is loc:
+                    continue
+                if acap != cap:  # a sum keeps the smaller cap
+                    acc[2] = low = min(acap, cap)
+                    needed = max(max(map(sum, vals)), max(map(sum, loc)))
+                    if needed > low:
+                        if aexact and exact:
+                            raise _degree_cap_refusal(needed, low)
+                        exact = False
+                        for d in (vals, loc):
+                            for m in [m for m in d if sum(m) > low]:
+                                del d[m]
+                acc[3] = aexact and exact
+                for m, c in loc.items():
+                    old = vals.get(m)
+                    c += old or 0
+                    if c:
+                        vals[m] = c
+                        aprec[m] = min(aprec[m], lp[m]) if old else lp[m]
+                    else:
+                        del vals[m]
+                if not vals:
+                    del out[gamma]
+    p, W, E = P.prime, lv + rv, ld * rd
+    for gamma, (vals, aprec, cap, exact) in out.items():
+        coeffs = {}
+        for m, N in vals.items():
+            v = int_valuation(N, p)
+            u = N >> v if p == 2 else N // p ** v if v else N
+            coeffs[m] = _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E),
+                                aprec[m], True)
+        out[gamma] = _series(P.dim, p, coeffs, cap, exact)
     return out
 
 

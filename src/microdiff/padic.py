@@ -317,18 +317,17 @@ def binomial(n: int, l: int, prime: int = DEFAULT_PRIME,
 
 
 @lru_cache(maxsize=4096)
-def generalized_binomial(a: int, j: int, prime: int = DEFAULT_PRIME,
-                         precision: int = DEFAULT_PRECISION) -> PadicScalar:
-    """Binomial C(a, j) for any integer a and j >= 0.
-
-    For a < 0 this is the signed negative-binomial value
-    ``(-1)**j * C(-a + j - 1, j)``; it drives the commutation of negative
-    derivation powers past a function.  Results are memoized: the keys are
-    small integers and scalars are immutable.
-    """
+def int_binomial(a: int, j: int) -> int:
+    """C(a, j) for any integer a and j >= 0; for a < 0 the signed negative
+    binomial (-1)**j * C(-a + j - 1, j), which commutes negative derivation
+    powers past a function."""
     if j < 0:
         raise ValueError("lower index must be >= 0")
-    num = 1
-    for i in range(j):
-        num *= a - i
-    return PadicScalar.from_fraction(Fraction(num, math.factorial(j)), prime, precision)
+    return math.comb(a, j) if a >= 0 else (-1) ** j * math.comb(j - a - 1, j)
+
+
+@lru_cache(maxsize=4096)
+def generalized_binomial(a: int, j: int, prime: int = DEFAULT_PRIME,
+                         precision: int = DEFAULT_PRECISION) -> PadicScalar:
+    """:func:`int_binomial` embedded into Q_p; memoized, as scalars are immutable."""
+    return PadicScalar.from_int(int_binomial(a, j), prime, precision)

@@ -11,6 +11,11 @@ from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+# a d = 1 Laurent times polynomial-coefficient product, and a d = 2 product
+MUL_PRODUCTS = (["x^2*d + p*dinv + 3", "x*d^2 + p^2*x^3"],
+                ["--dim", "2", "x1*d2 + p*d1^2 + x2^2", "x1^2*d1 + p^2*x2*d2 + 3"])
+
+
 def run(args):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -31,6 +36,11 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "norm_k3_prod7.txt").read_text()
         assert out.strip() == "norm = p^3"
+
+    def test_mul_products(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same two commands
+        out = "".join(run(["mul", *args])[1] for args in MUL_PRODUCTS)
+        assert out == (GOLDEN / "mul_products.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
@@ -128,6 +138,15 @@ class TestWorkingRing:
         message = err.getvalue().strip()
         assert "exceeds the degree cap 32" in message and "lower bound" in message
         assert message.endswith("rerun with --deg-cap 40 or larger")
+
+    def test_a_power_past_the_degree_cap_names_a_cap_that_works(self):
+        # x^40 has degree exactly 40: the hint suffices on the first rerun
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["norm", "--k", "1", "x^40*d + 1"])
+        assert code == 2 and out == ""
+        assert err.getvalue().strip().endswith("rerun with --deg-cap 40 or larger")
+        assert run(["norm", "--k", "1", "--deg-cap", "40", "x^40*d + 1"]) == (0, "norm = p^1\n")
 
     def test_degree_cap_above_the_default_reaches_every_literal(self):
         # d and the start of x^20 used to keep the default cap 32

@@ -1,14 +1,18 @@
+import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff import (InsufficientTruncation, MicroOp,
-                       TailCertificate, TateSeries, ZeroOperator, compose,
+from microdiff import (InsufficientTruncation, MicroOp, NotCertifiable,
+                       PadicScalar, TailCertificate, TateSeries, ZeroOperator, compose,
                        finite_order, is_finite, norm_k, norm_mu, order_Nk,
                        order_nk, order_Nmu, order_nmu, product_op,
                        quasi_abelian_defect)
+from microdiff import diffop
 
 from conftest import rand_positive_op
 
@@ -295,3 +299,141 @@ class TestProductPrecision:
             TateSeries.coordinate(1) * TateSeries.coordinate(1) + TateSeries.constant(5)))
         for c in prod.terms.values():
             assert {s.precision for s in c.coeffs.values()} == {64}
+
+
+# -- the integer product kernel against the series arithmetic ---------------------
+
+
+@st.composite
+def product_operands(draw):
+    """Two operators for the product kernel, in one of three modes.
+
+    "general": d = 1 or 2, Laurent exponents, p = 2, 3 or 5, scalars
+    +-u/w * p^v with w in (1, 3, 5), degree caps 3, 5 and 32 mixed within
+    one operator (so exact pairs are refused past the cap), one or two
+    precisions, and truncated inverses from invert_unit as inexact factors.
+    "cancel": constant or dense coefficients of scalars +-1 at precisions
+    20 and 64, so that monomials and terms cancel midway and come back.
+    "caps": exact coefficients of degree <= 1 at cap 3 and exactly 2 at cap
+    32, so that no pair is refused but sums meet monomials past one
+    summand's cap.  Choices are uniform (a seeded ``random.Random``), so
+    each mode's rare paths come up at a steady rate.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    mode = rng.choice(("general", "cancel", "caps"))
+    dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
+    precisions = (20, 64) if mode == "cancel" else rng.choice(((64,), (20,), (20, 64)))
+
+    def scalar():
+        if mode == "cancel":
+            q = F(rng.choice((1, -1)))
+        else:
+            q = (F(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 3, 5)))
+                 * F(p) ** rng.randint(-2, 3))
+        return PadicScalar.from_fraction(q, p, rng.choice(precisions))
+
+    def series():
+        if mode == "cancel":
+            dense = rng.random() < 0.5
+            box = [m for m in itertools.product(range(3 if dim == 1 else 2), repeat=dim)
+                   if dense and rng.random() < 0.75]
+            return TateSeries(dim, p, {m: scalar() for m in box or [(0,) * dim]})
+        cap = rng.choice((3, 32) if mode == "caps" else (3, 5, 32))
+        if mode == "general" and rng.random() < 0.125:
+            x = TateSeries.coordinate(rng.randint(1, dim), dim, p, cap)
+            unit = TateSeries.constant(rng.choice((1, -1)), dim, p, cap)
+            return (unit + x.scale(PadicScalar.from_int(p, p))).invert_unit()
+        top = (1 if cap == 3 else 2) if mode == "caps" else cap
+        coeffs = {(2,) + (0,) * (dim - 1): scalar()} if top == 2 else {}
+        for _ in range(rng.randint(1, 3)):
+            m = tuple(rng.randint(0, 2) for _ in range(dim))
+            if sum(m) <= top:
+                coeffs[m] = scalar()
+        return TateSeries(dim, p, coeffs, cap)
+
+    def operator(lo, hi):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            f = series()
+            if not f.is_zero:
+                terms[tuple(rng.randint(lo, hi) for _ in range(dim))] = f
+        return MicroOp(dim, p, terms)
+
+    if mode == "cancel":
+        # up to three pairs meet in d1^0: P at d1^0..d1^2, Q at d1^0..d1^-2
+        def stack(sign):
+            return MicroOp(dim, p, {(sign * a,) + (0,) * (dim - 1): series()
+                                    for a in range(3) if rng.random() < 0.75})
+        return stack(1), stack(-1)
+    lo, hi = (-2, 3) if mode == "general" else (0, 1)
+    return operator(lo, hi), operator(lo, hi)
+
+
+def product_snapshot(product_terms, P: MicroOp, Q: MicroOp):
+    """Everything a product promises: term order, caps, exact flags, values
+    and precisions per monomial, or the refusal's type and text."""
+    try:
+        terms = product_terms(P, Q)
+    except NotCertifiable as e:
+        return type(e), str(e)
+    return [(gamma, c.degree_cap, c.exact,
+             sorted((m, s.valuation, type(s.unit), s.unit, s.precision, s.exact)
+                    for m, s in c.coeffs.items()))
+            for gamma, c in terms.items()]
+
+
+def falling_binomial(a, j, prime, precision):
+    """C(a, j) = a (a - 1) ... (a - j + 1) / j!, independent of padic's."""
+    return PadicScalar.from_fraction(F(math.prod(range(a - j + 1, a + 1)), math.factorial(j)),
+                                     prime, precision)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(product_operands())
+def test_the_integer_kernel_equals_the_series_arithmetic(operands):
+    P, Q = operands
+    with mock.patch.object(diffop, "generalized_binomial", falling_binomial):
+        want = product_snapshot(diffop._series_product_terms, P, Q)
+    assert product_snapshot(diffop._product_terms, P, Q) == want
+
+
+P64 = 3 ** 64  # residues below are modulo p^precision at p = 3
+# (x^2*d + 3*dinv + 5) read back from JSON, times (x*d^2 + 9*x^3): per term,
+# (monomial, valuation, residue, precision, exact); d^0's x^0 coefficient is -p
+DIGIT_MODE_PRODUCT = [
+    ((1,), 32, True, [((1,), 1, 1, 64, False), ((5,), 2, 1, 64, False)]),
+    ((0,), 32, True, [((0,), 1, P64 - 1, 64, False), ((3,), 2, 5, 64, False),
+                      ((4,), 3, 1, 64, False)]),
+    ((-1,), 32, True, [((3,), 3, 1, 64, False)]),
+    ((-2,), 32, True, [((2,), 4, P64 - 1, 64, False)]),
+    ((-3,), 32, True, [((1,), 4, 2, 64, False)]),
+    ((-4,), 32, True, [((0,), 4, P64 - 2, 64, False)]),
+    ((2,), 32, True, [((1,), 0, 5, 64, False), ((2,), 0, 1, 64, False)]),
+    ((3,), 32, True, [((3,), 0, 1, 64, False)]),
+]
+
+
+class TestProductKernel:
+    def test_a_term_that_cancels_and_comes_back_moves_to_the_end(self):
+        # d^0 cancels after two pairs and is formed again by the last one
+        P = MicroOp(1, 2, {(1,): TateSeries.constant(1), (0,): TateSeries.constant(1),
+                           (2,): TateSeries.constant(1)})
+        Q = MicroOp(1, 2, {(0,): TateSeries.constant(1), (-1,): TateSeries.constant(-1),
+                           (-2,): TateSeries.constant(1)})
+        got = diffop._product_terms(P, Q)
+        assert list(got) == list(diffop._series_product_terms(P, Q))
+        assert list(got)[-1] == (0,)
+
+    def test_a_digit_mode_operand_keeps_the_series_arithmetic(self):
+        from microdiff.exprs import EvalContext, _as_op, evaluate, parse
+        from microdiff.jsonio import operator_from_json, operator_to_json
+
+        def parsed(text):
+            return _as_op(evaluate(parse(text), EvalContext(prime=3)), EvalContext(prime=3))
+        P = operator_from_json(operator_to_json(parsed("x^2*d + 3*dinv + 5")))
+        prod = diffop._product_terms(P, parsed("x*d^2 + 9*x^3"))
+        residues = [(gamma, c.degree_cap, c.exact,
+                     sorted((m, s.valuation, s.residue(), s.precision, s.exact)
+                            for m, s in c.coeffs.items()))
+                    for gamma, c in prod.items()]
+        assert residues == DIGIT_MODE_PRODUCT

@@ -149,6 +149,22 @@ def test_an_inverse_past_the_degree_cap_is_refused_or_true():
     assert e is None or e <= -60
 
 
+@pytest.mark.xfail(strict=True, reason="invert_unit's truncated inverse hides the residual")
+def test_an_inverse_with_a_non_constant_dominant_coefficient_is_refused_or_true():
+    # c_0 = 1 + p*x is inverted only up to the degree cap, and the multiply-back
+    # at the same cap drops exactly the x^33 terms it should measure: the
+    # certificate claims p^-40, the true residual is p^-33 (20 and 30 are true)
+    P, level = parsed("1 + p*x + p^5*d"), RingLevel.ek(1)
+    try:
+        S = invert(P, level, residual_exponent=40)
+    except REFUSALS:
+        return
+    one = MicroOp.constant(TateSeries.constant(1, 1, 2, 400))
+    residual = mul(at_cap(P, 400), at_cap(S, 400), window_cap=None) - one
+    e = level.norm_exponent(residual)
+    assert e is None or e <= -40
+
+
 @pytest.mark.parametrize("alpha", [(3,), (-2,), (2, 1), (2, -1), (-2, 1), (1, -4), (-1, -1)])
 @pytest.mark.parametrize("k, r", [(1, None), (3, None), (2, 1), (4, 2)])
 @pytest.mark.parametrize("beta", [0, 1, -2])
