@@ -12,8 +12,8 @@ from .catalog import (cofactor_norm_check, gauss_op, product_op,
 from .diffop import (MicroOp, TailCertificate, compose, finite_order,
                      is_finite, norm_k, norm_mu, order_Nk, order_nk,
                      order_Nmu, order_nmu, quasi_abelian_defect)
-from .errors import (DivisionByZero, ExprSyntaxError, InsufficientTruncation,
-                     MicrodiffError, NotCertifiable, NotInvertible,
+from .errors import (DegreeCapOverflow, DivisionByZero, ExprSyntaxError,
+                     InsufficientTruncation, MicrodiffError, NotCertifiable, NotInvertible,
                      PrecisionExhausted, UndecidableFiniteness, UnknownSymbol,
                      WindowOverflow, ZeroOperator)
 from .microop import (LevelParams, mul, norm_Ek, norm_Fkr, order_Ek,
@@ -37,6 +37,6 @@ __all__ = [
     "product_op", "gauss_op", "truncated_cofactor", "cofactor_norm_check",
     "required_truncation",
     "MicrodiffError", "PrecisionExhausted", "DivisionByZero", "NotCertifiable",
-    "InsufficientTruncation", "WindowOverflow", "NotInvertible",
+    "InsufficientTruncation", "WindowOverflow", "DegreeCapOverflow", "NotInvertible",
     "UndecidableFiniteness", "ZeroOperator", "ExprSyntaxError", "UnknownSymbol",
 ]

@@ -15,11 +15,12 @@ data: one representation serves every level.
 Truncated operators carry :class:`TailCertificate` bounds so that norm and
 order queries are certified, never heuristic: a query either proves its
 answer against the certificate or raises
-:class:`~microdiff.errors.InsufficientTruncation`.  One product body serves
+:class:`~microdiff.errors.InsufficientTruncation`.  The constructor refuses
+a coefficient that is not an exact polynomial.  One product body serves
 :func:`compose`, :func:`microdiff.microop.mul` and ``*``: an integer kernel
-for exact operands, series arithmetic for digit-mode ones (read from JSON).
-It and the sum refuse to form a coefficient from exact ones when the degree
-cap would drop one of its monomials: the loss would pass for an exact zero.
+for exact scalars, series arithmetic for digit-mode ones (read from JSON).
+It and the sum refuse a coefficient that would lose a monomial to the
+degree cap: the loss would pass for an exact zero.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -35,8 +36,8 @@ from functools import cached_property
 from operator import add, ge, sub
 from typing import Iterable, Mapping
 
-from .errors import (DivisionByZero, InsufficientTruncation, NotCertifiable,
-                     WindowOverflow, ZeroOperator)
+from .errors import (DegreeCapOverflow, DivisionByZero, InsufficientTruncation,
+                     NotCertifiable, WindowOverflow, ZeroOperator)
 from .padic import DEFAULT_PRIME, generalized_binomial, int_binomial, int_valuation
 from .padic import _make as _scalar
 from .tate import DEFAULT_DEGREE_CAP, TateSeries, monomial_text
@@ -84,7 +85,7 @@ class TailCertificate:
 class MicroOp:
     """Sparse Laurent differential operator with optional tail certificates.
 
-    ``terms`` maps exponents to nonzero coefficients.  ``tail`` bounds the
+    ``terms`` maps exponents to nonzero exact polynomials.  ``tail`` bounds the
     discarded part of the sector ``fl(alpha) >= 0``, ``neg_tail`` the sector
     ``fl(alpha) < 0``.  An operator without tails is exact: its stored terms
     are the whole element.
@@ -104,6 +105,8 @@ class MicroOp:
                 raise ValueError("coefficient ring mismatch")
             if c.is_zero:
                 raise ValueError("stored coefficients must be nonzero")
+            if not c.exact:
+                raise NotCertifiable(f"coefficient of d^{list(a)}: not an exact polynomial")
 
     # -- constructors ---------------------------------------------------
 
@@ -322,25 +325,19 @@ def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
     for h, s, j in pending:
         gamma = tuple(a + b - c for a, b, c in zip(alpha, beta, j))
         coeff = f * h
-        if not coeff.exact and f.exact and h.exact:
-            raise _degree_cap_refusal(f.degree() + h.degree(), coeff.degree_cap)
+        if not coeff.exact:
+            raise DegreeCapOverflow(f.degree() + h.degree(), coeff.degree_cap)
         if s is not None:
             coeff = coeff.scale(s)
         if not coeff.is_zero:
             yield gamma, coeff
 
 
-def _degree_cap_refusal(needed: int, cap: int) -> NotCertifiable:
-    return NotCertifiable(f"a coefficient of degree {needed} exceeds the degree cap {cap} "
-                          f"({needed} is a lower bound: later products may reach further): "
-                          f"rerun with --deg-cap {needed} or larger")
-
-
 def _capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
-    """f + g, refused where the degree cap drops a monomial of exact summands."""
+    """f + g, refused where the degree cap drops a monomial."""
     s = f + g
-    if not s.exact and f.exact and g.exact:
-        raise _degree_cap_refusal(max(f.degree(), g.degree()), s.degree_cap)
+    if not s.exact:
+        raise DegreeCapOverflow(max(f.degree(), g.degree()), s.degree_cap)
     return s
 
 
@@ -370,7 +367,7 @@ def _series_product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
 
 
 def _int_rows(S: MicroOp):
-    """Rows (alpha, [(m, N, precision)], cap, exact, degree), V and D of S,
+    """Rows (alpha, [(m, N, precision)], cap, degree), V and D of S,
     each scalar p^V / D * N with V the least valuation and D the lcm of the
     unit denominators; None when a scalar is in digit mode."""
     if len(S.terms) == 1:  # a monomial, as every literal is built: no rescaling
@@ -378,8 +375,8 @@ def _int_rows(S: MicroOp):
         if len(f.coeffs) == 1:
             (m, c), = f.coeffs.items()
             if c.exact:
-                return ([(alpha, [(m, c.unit.numerator, c.precision)], f.degree_cap,
-                          f.exact, sum(m))], c.valuation, c.unit.denominator)
+                return ([(alpha, [(m, c.unit.numerator, c.precision)], f.degree_cap, sum(m))],
+                        c.valuation, c.unit.denominator)
     scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
     if not all(c.exact for c in scalars):
         return None
@@ -388,7 +385,7 @@ def _int_rows(S: MicroOp):
     align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
     return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V),
                        c.precision) for m, c in f.coeffs.items()],
-              f.degree_cap, f.exact, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
+              f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
             V, D)
 
 
@@ -410,32 +407,29 @@ def _commutations(alpha: Exponent, beta: Exponent, g: list, cache: dict) -> list
 
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
-    """The coefficient-left terms of P*Q.  Exact operands take one integer
+    """The coefficient-left terms of P*Q.  Exact scalars take one integer
     kernel: each commuted term pair adds products of :func:`_int_rows`, times
     integer binomials and falling factorials, into one ``int`` per output
-    (gamma, monomial), whose valuation is extracted once.  Caps, exact flags,
-    precisions, refusals and term order are those of the series arithmetic,
-    which digit-mode operands keep."""
+    (gamma, monomial), whose valuation is extracted once.  Caps, precisions,
+    refusals and term order are those of the series arithmetic, which
+    digit-mode operands keep."""
     left, right = _int_rows(P), _int_rows(Q)
     if left is None or right is None:
         return _series_product_terms(P, Q)
     (lrows, lv, ld), (rrows, rv, rd) = left, right
     caches: dict = {}  # beta -> {j: D^j of its coefficient}
-    out: dict = {}  # gamma -> [values, precisions, cap, exact]
-    for alpha, fv, fcap, fexact, fdeg in lrows:
-        for beta, gv, gcap, gexact, gdeg in rrows:
+    out: dict = {}  # gamma -> [values, precisions, cap]
+    for alpha, fv, fcap, fdeg in lrows:
+        for beta, gv, gcap, gdeg in rrows:
             cap = fcap if fcap < gcap else gcap
             for bj, hv, hdeg, b in (_commutations(alpha, beta, gv, caches.setdefault(beta, {}))
                                     if gdeg and any(alpha) else ((beta, gv, gdeg, 1),)):
-                over = fdeg + hdeg > cap
-                if over and fexact and gexact:
-                    raise _degree_cap_refusal(fdeg + hdeg, cap)
+                if fdeg + hdeg > cap:
+                    raise DegreeCapOverflow(fdeg + hdeg, cap)
                 loc, lp = {}, {}  # the pair's product, as TateSeries.__mul__ forms it
                 for ma, ca, na in fv:
                     for mb, cb, nb in hv:
                         m = tuple(map(add, ma, mb))
-                        if over and sum(m) > cap:
-                            continue
                         old = loc.get(m)  # stored values are nonzero
                         c = ca * cb * b + (old or 0)
                         if c:  # a cancelled monomial drops its precision with it
@@ -445,23 +439,16 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
                             del loc[m]
                 if not loc:
                     continue
-                exact = fexact and gexact and not over
                 gamma = tuple(map(add, alpha, bj))
-                acc = out.setdefault(gamma, [loc, lp, cap, exact])
-                vals, aprec, acap, aexact = acc
+                acc = out.setdefault(gamma, [loc, lp, cap])
+                vals, aprec, acap = acc
                 if vals is loc:
                     continue
                 if acap != cap:  # a sum keeps the smaller cap
                     acc[2] = low = min(acap, cap)
                     needed = max(max(map(sum, vals)), max(map(sum, loc)))
                     if needed > low:
-                        if aexact and exact:
-                            raise _degree_cap_refusal(needed, low)
-                        exact = False
-                        for d in (vals, loc):
-                            for m in [m for m in d if sum(m) > low]:
-                                del d[m]
-                acc[3] = aexact and exact
+                        raise DegreeCapOverflow(needed, low)
                 for m, c in loc.items():
                     old = vals.get(m)
                     c += old or 0
@@ -473,14 +460,14 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
                 if not vals:
                     del out[gamma]
     p, W, E = P.prime, lv + rv, ld * rd
-    for gamma, (vals, aprec, cap, exact) in out.items():
+    for gamma, (vals, aprec, cap) in out.items():
         coeffs = {}
         for m, N in vals.items():
             v = int_valuation(N, p)
             u = N >> v if p == 2 else N // p ** v if v else N
             coeffs[m] = _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E),
                                 aprec[m], True)
-        out[gamma] = _series(P.dim, p, coeffs, cap, exact)
+        out[gamma] = _series(P.dim, p, coeffs, cap, True)
     return out
 
 

@@ -18,8 +18,19 @@ class DivisionByZero(MicrodiffError, ZeroDivisionError):
 
 
 class NotCertifiable(MicrodiffError):
-    """A truncated series cannot certify the requested predicate, or an exact
-    coefficient would lose a monomial to the degree cap."""
+    """A truncated series cannot certify the requested predicate or be an
+    operator coefficient, or a coefficient would lose a monomial to the cap."""
+
+
+class DegreeCapOverflow(NotCertifiable):
+    """A coefficient would lose a monomial to the degree cap; ``needed`` is
+    the cap to rerun with, a lower bound unless the message says it suffices."""
+
+    def __init__(self, needed: int, cap: int, message: str = ""):
+        message = message or (f"a coefficient of degree {needed} exceeds the degree cap {cap} "
+                              f"({needed} is a lower bound: later products may reach further)")
+        super().__init__(f"{message}: rerun with --deg-cap {needed} or larger")
+        self.needed = needed
 
 
 class InsufficientTruncation(MicrodiffError):

@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DEFAULT_WINDOW_CAP, MicroOp, _degree_cap_refusal
-from .errors import ExprSyntaxError, UnknownSymbol
+from .diffop import DEFAULT_WINDOW_CAP, MicroOp
+from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .microop import mul
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
@@ -344,7 +344,7 @@ def _power(base, exponent, ctx: EvalContext):
     # commutation only lowers x-degrees, so f^e has degree exactly e * deg f
     needed = e * max([sum(m) for c in base.terms.values() for m in c.coeffs], default=0)
     if needed > ctx.degree_cap:
-        raise _degree_cap_refusal(needed, ctx.degree_cap)
+        raise DegreeCapOverflow(needed, ctx.degree_cap)
     out = _unit_monomial((0,) * base.dim, ctx)
     for _ in range(e):
         out = mul(out, base, window_cap=ctx.window_cap)

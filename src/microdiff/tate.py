@@ -6,8 +6,8 @@ anything: an exact element is a genuine polynomial and every norm or unit
 statement about it is unconditional.  The Gauss norm is the max of the
 coefficient norms and is multiplicative on exact elements (the chart is
 integral).  The cap of a result is the smaller cap of its operands;
-``derive`` keeps its operand's cap.  The ring itself only flags a loss to
-the cap; the operator layer refuses one formed from exact operands.
+``derive`` keeps its operand's cap.  The ring only flags a loss to the
+cap; operators hold exact polynomials only, unit inverses included.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-from .errors import NotCertifiable
+from .errors import DegreeCapOverflow, NotCertifiable
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar
 
 DEFAULT_DEGREE_CAP = 32
@@ -207,34 +207,32 @@ class TateSeries:
         n0 = c0.norm()
         return all(c.norm() < n0 for m, c in self.coeffs.items() if m != zero)
 
-    def invert_unit(self) -> "TateSeries":
-        """Inverse up to the degree cap, via the geometric series.
+    def inverse_length(self, target: int) -> int:
+        """The J of :meth:`invert_unit`: the least J >= 0 with (J + 1) * v(u) >= target."""
+        v0 = self.coeffs[_zero_exp(self.dim)].valuation
+        vu = min((c.valuation - v0 for m, c in self.coeffs.items() if any(m)), default=None)
+        return 0 if vu is None else max(0, -(-target // vu) - 1)
 
-        Writes f = c0*(1 - u) with |u| < 1 and zero constant term, so the
-        partial sums of c0^{-1} * sum u^j stabilize degree by degree.  The
-        result satisfies |g| = |f|^{-1}; it is flagged inexact unless f is a
-        nonzero constant (the true inverse is an infinite series otherwise).
+    def invert_unit(self, target: int) -> "TateSeries":
+        """Exact polynomial inverse to within p**-target.
+
+        Writes f = c0*(1 - u) with |u| < 1 and zero constant term; then
+        g = c0^{-1} * sum_{j<=J} u^j has f*g = 1 - u^(J+1) exactly, |g| =
+        |f|^{-1} and degree J*deg(u), and a g past the degree cap is refused.
         """
         if not self.is_unit():
             raise NotCertifiable("not a certified unit")
-        zero = _zero_exp(self.dim)
-        c0 = self.coeffs[zero]
-        c0_inv = c0.inv()
-        u = TateSeries.constant(PadicScalar.one(self.prime), self.dim, self.prime,
-                                self.degree_cap) - self.scale(c0_inv)
-        if u.is_zero:
-            return TateSeries.constant(c0_inv, self.dim, self.prime, self.degree_cap)
-        out = TateSeries.constant(PadicScalar.one(self.prime), self.dim, self.prime,
-                                  self.degree_cap)
-        power = u
-        # u has zero constant term: u^j only touches degrees >= j
-        for _ in range(self.degree_cap):
-            if power.is_zero:
-                break
-            out = out + power
+        J = self.inverse_length(target)
+        if J * self.degree() > self.degree_cap:
+            raise DegreeCapOverflow(J * self.degree(), self.degree_cap)
+        c0_inv = self.coeffs[_zero_exp(self.dim)].inv()
+        out = power = TateSeries.constant(PadicScalar.one(self.prime, c0_inv.precision),
+                                          self.dim, self.prime, self.degree_cap)
+        u = out - self.scale(c0_inv)
+        for _ in range(J):
             power = power * u
-        return TateSeries(self.dim, self.prime, out.scale(c0_inv).coeffs,
-                          self.degree_cap, exact=False)
+            out = out + power
+        return out.scale(c0_inv)
 
     # -- printing ----------------------------------------------------------
 

@@ -23,7 +23,8 @@ weighted inequalities the coefficients must satisfy:
 Verdicts carry machine-checkable witnesses: the dominant exponent for a
 unit, or the violated clause and offending exponent for a non-unit.
 Inversion recentres around the dominant monomial and sums the geometric
-series to the certified residual target, then multiplies back to verify.
+series to the certified residual target in exact polynomials, then
+multiplies back: the whole certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from . import newton
 from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _graded_weight,
                      _level_exponent, _require_positive, floor_sum, is_finite)
-from .errors import (InsufficientTruncation, NotCertifiable, NotInvertible,
+from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, ZeroOperator)
 from .microop import _stored_max, mul, tail_sup_exponent
 
@@ -155,8 +156,6 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     grow the argmax set); true dkq / ek verdicts need the tail strictly below.
     """
     k = level.k
-    if level.tag == "fkr" and not all(c.exact for c in P.terms.values()):
-        raise NotCertifiable("the contraction test needs exact polynomial coefficients")
     best, top = _stored_max(P, lambda m: k * m)
     beta, _, fl_beta, v_beta = top[0]
     unit = False
@@ -277,10 +276,12 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
            residual_exponent: int = 20) -> MicroOp:
     """Explicit inverse with certified residual ||P * S - 1|| <= p**-target.
 
-    Writes P = c_beta (1 + R) D^beta around the dominant monomial; the
-    geometric series for (1 + R)^{-1} is summed until the contraction ratio
-    pushes the residual below the target, and the result is multiplied back
-    to verify.  Limit levels delegate to the concrete (k, r) in the verdict.
+    Writes P = c_beta (1 + R) D^beta around the dominant monomial, with g the
+    exact polynomial inverse of c_beta to within the target and R = g * (P -
+    c_beta D^beta) D^-beta; the geometric series for (1 + R)^{-1} is summed
+    until the contraction ratio pushes the residual below the target, and the
+    result is multiplied back to verify, all at P's degree cap.  Limit levels
+    delegate to the concrete (k, r) in the verdict.
     """
     verdict = check_unit(P, level)
     if not verdict.invertible:
@@ -288,52 +289,54 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     if level.tag in ("fir", "finf", "dinf"):
         k, r = verdict.delegate
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
-    beta = verdict.beta
+    beta, cap = verdict.beta, max(c.degree_cap for c in P.terms.values())
     c_beta = P.terms[beta]
-    c_beta_inv = c_beta.invert_unit()
-    R = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c * c_beta_inv
-                                 for a, c in P.terms.items() if a != beta})
-    # the contraction ratio: the level norm of R, and of the recentred tail
-    rho = level.norm_exponent(R)
-    sup = tail_sup_exponent(P, level.k, level.r, floor_sum(beta))
-    if sup is not None:
-        sup += c_beta.spectral_valuation()
-        rho = sup if rho is None else max(rho, sup)
-    inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime)
-    tail_inv = MicroOp.constant(c_beta_inv, P.dim, P.prime)
-    if rho is None:
-        # monomial with unit coefficient: the inverse is exact
-        return mul(inv_mono, tail_inv, window_cap=window_cap)
-    if rho >= 0:
+    rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c
+                                    for a, c in P.terms.items() if a != beta})
+    # the contraction ratio: the level norm of R, whose valuations are
+    # v(c_alpha) - v(c_beta), and of the recentred tail
+    rho = [e + c_beta.spectral_valuation() for e in
+           (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, floor_sum(beta)))
+           if e is not None]
+    inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime, cap)
+    if not rho:  # a monomial: c_beta * g = 1 - u^(J+1) is the residual
+        return mul(inv_mono, MicroOp.constant(c_beta.invert_unit(residual_exponent)),
+                   window_cap=window_cap)
+    if max(rho) >= 0:
         raise NotInvertible("recentred series does not contract")
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
     # geometric series already sits below the residual target
-    target = Fraction(residual_exponent)
-    J = math.ceil(target / -rho) - 1
-    series = MicroOp.identity(P.dim, P.prime)
-    power = MicroOp.identity(P.dim, P.prime)
-    minus_R = -R
-    for _ in range(J):
-        power = mul(power, minus_R, window_cap=window_cap)
-        if not power.terms:
-            break
-        series = series + power
-    result = mul(mul(inv_mono, series, window_cap=window_cap), tail_inv,
-                 window_cap=window_cap)
-    _verify_residual(P, result, level, residual_exponent, window_cap)
+    J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1
+    try:
+        g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
+        minus_R = -mul(g, rest, window_cap=None)
+        series = power = MicroOp.constant(1, P.dim, P.prime, cap)
+        for _ in range(J):
+            power = mul(power, minus_R, window_cap=window_cap)
+            if not power.terms:
+                break
+            series = series + power
+        result = mul(mul(inv_mono, series, window_cap=window_cap), g, window_cap=window_cap)
+        _verify_residual(P, result, level, residual_exponent, cap)
+    except DegreeCapOverflow:  # commutation only lowers x-degrees, so
+        # deg P + J*deg R + deg g bounds every coefficient formed above
+        deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
+        needed = max(c.degree() for c in P.terms.values()) + deg_g + J * (
+            max((c.degree() for c in rest.terms.values()), default=0) + deg_g)
+        raise DegreeCapOverflow(needed, cap, f"the inverse and its multiply-back reach "
+                                f"coefficient degree at most {needed}, past the degree cap") from None
     return result
 
 
 def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel,
-                     residual_exponent: int, window_cap: int):
+                     residual_exponent: int, cap: int):
     # verification multiplies back exactly; the window cap binds only the
     # inverse itself, not this internal product
     stored = MicroOp(P.dim, P.prime, dict(P.terms))
-    res = mul(stored, S, window_cap=None) - MicroOp.identity(P.dim, P.prime)
+    res = mul(stored, S, window_cap=None) - MicroOp.constant(1, P.dim, P.prime, cap)
     measured = level.norm_exponent(res)
     sup = tail_sup_exponent(P, level.k, level.r)
-    if sup is not None:
-        # discarded mass of P also multiplies S
+    if sup is not None:  # discarded mass of P also multiplies S
         sup += level.norm_exponent(S)
         measured = sup if measured is None else max(measured, sup)
     if measured is not None and measured > -residual_exponent:

@@ -148,6 +148,15 @@ class TestWorkingRing:
         assert err.getvalue().strip().endswith("rerun with --deg-cap 40 or larger")
         assert run(["norm", "--k", "1", "--deg-cap", "40", "x^40*d + 1"]) == (0, "norm = p^1\n")
 
+    def test_an_inverse_past_the_degree_cap_names_a_cap_that_works(self):
+        args = ["invert", "--level", "ek", "--k", "1", "--residual", "20"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(args + ["1 + p*x + p^5*d"])
+        assert code == 2 and out == ""
+        assert err.getvalue().strip().endswith("rerun with --deg-cap 96 or larger")
+        assert run(args + ["--deg-cap", "96", "1 + p*x + p^5*d"])[0] == 0
+
     def test_degree_cap_above_the_default_reaches_every_literal(self):
         # d and the start of x^20 used to keep the default cap 32
         code, out = run(["mul", "--deg-cap", "50", "x^20", "x^20*d"])

@@ -208,6 +208,12 @@ class TestFiniteness:
         assert finite_order(P) == 2
 
 
+    def test_a_truncated_coefficient_series_is_refused(self):
+        f = TateSeries(1, 2, {(0,): PadicScalar.one()}, exact=False)
+        with pytest.raises(NotCertifiable):
+            MicroOp(1, 2, {(1,): f})
+
+
 class TestTailArithmetic:
     def test_sum_folds_corrupted_range(self):
         # tail starting at 1 forces stored length-2 terms of the other
@@ -311,7 +317,7 @@ def product_operands(draw):
     "general": d = 1 or 2, Laurent exponents, p = 2, 3 or 5, scalars
     +-u/w * p^v with w in (1, 3, 5), degree caps 3, 5 and 32 mixed within
     one operator (so exact pairs are refused past the cap), one or two
-    precisions, and truncated inverses from invert_unit as inexact factors.
+    precisions, and exact inverses from invert_unit(cap) (degree cap - 1).
     "cancel": constant or dense coefficients of scalars +-1 at precisions
     20 and 64, so that monomials and terms cancel midway and come back.
     "caps": exact coefficients of degree <= 1 at cap 3 and exactly 2 at cap
@@ -342,7 +348,7 @@ def product_operands(draw):
         if mode == "general" and rng.random() < 0.125:
             x = TateSeries.coordinate(rng.randint(1, dim), dim, p, cap)
             unit = TateSeries.constant(rng.choice((1, -1)), dim, p, cap)
-            return (unit + x.scale(PadicScalar.from_int(p, p))).invert_unit()
+            return (unit + x.scale(PadicScalar.from_int(p, p))).invert_unit(cap)
         top = (1 if cap == 3 else 2) if mode == "caps" else cap
         coeffs = {(2,) + (0,) * (dim - 1): scalar()} if top == 2 else {}
         for _ in range(rng.randint(1, 3)):

@@ -2,8 +2,9 @@ import json
 from fractions import Fraction
 
 import jsonschema
+import pytest
 
-from microdiff import MicroOp, TailCertificate, product_op
+from microdiff import MicroOp, NotCertifiable, TailCertificate, product_op
 from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, SCALAR_SCHEMA,
                               SERIES_SCHEMA, VERDICT_SCHEMA, dumps,
                               operator_from_json, operator_to_json,
@@ -63,3 +64,11 @@ def test_nested_schemas_are_valid_json_schema():
     for schema in (SCALAR_SCHEMA, SERIES_SCHEMA, OPERATOR_SCHEMA,
                    POLYGON_SCHEMA, VERDICT_SCHEMA):
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_a_truncated_coefficient_series_is_refused_on_reading():
+    doc = operator_to_json(MicroOp.monomial((1,), F(3)))
+    doc["terms"][0]["coeff"]["exact"] = False
+    jsonschema.validate(doc, OPERATOR_SCHEMA)
+    with pytest.raises(NotCertifiable):
+        operator_from_json(doc)

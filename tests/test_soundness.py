@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff import (InsufficientTruncation, MicroOp, NotCertifiable,
-                       TailCertificate, TateSeries, UndecidableFiniteness,
+from microdiff import (InsufficientTruncation, MicroOp, NotCertifiable, NotInvertible,
+                       PadicScalar, TailCertificate, TateSeries, UndecidableFiniteness,
                        WindowOverflow, ZeroOperator, check_unit, compose, invert,
                        is_slope, mul, norm_Ek, norm_Fkr, norm_k, norm_mu, order_Ek,
                        order_Nk, order_nk, order_Nmu, order_nmu, polygon,
@@ -135,6 +135,17 @@ def at_cap(P: MicroOp, cap: int) -> MicroOp:
                                     for a, c in P.terms.items()})
 
 
+def assert_true_residual(P: MicroOp, S: MicroOp, level: RingLevel, target: int):
+    """||P*S - 1|| <= p**-target, multiplied back at degree cap 400, which no
+    coefficient reaches, at the level (a limit level: at its delegate)."""
+    if level.k is None:
+        level = RingLevel.fkr(*check_unit(P, level).delegate)
+    one = MicroOp.constant(TateSeries.constant(1, P.dim, P.prime, 400))
+    residual = mul(at_cap(P, 400), at_cap(S, 400), window_cap=None) - one
+    e = level.norm_exponent(residual)
+    assert e is None or e <= -target
+
+
 def test_an_inverse_past_the_degree_cap_is_refused_or_true():
     # the geometric series of p^4*x*d needs coefficients of degree up to 59;
     # the multiply-back runs at a cap no coefficient reaches
@@ -143,26 +154,56 @@ def test_an_inverse_past_the_degree_cap_is_refused_or_true():
         S = invert(P, level, residual_exponent=60)
     except REFUSALS:
         return
-    one = MicroOp.constant(TateSeries.constant(1, 1, 2, 400))
-    residual = mul(at_cap(P, 400), at_cap(S, 400), window_cap=None) - one
-    e = level.norm_exponent(residual)
-    assert e is None or e <= -60
+    assert_true_residual(P, S, level, 60)
 
 
-@pytest.mark.xfail(strict=True, reason="invert_unit's truncated inverse hides the residual")
 def test_an_inverse_with_a_non_constant_dominant_coefficient_is_refused_or_true():
-    # c_0 = 1 + p*x is inverted only up to the degree cap, and the multiply-back
-    # at the same cap drops exactly the x^33 terms it should measure: the
-    # certificate claims p^-40, the true residual is p^-33 (20 and 30 are true)
+    # c_0 = 1 + p*x used to be inverted only up to the degree cap, and the
+    # multiply-back at the same cap dropped exactly the x^33 terms it should
+    # measure: the certificate claimed p^-40, the true residual was p^-33
     P, level = parsed("1 + p*x + p^5*d"), RingLevel.ek(1)
     try:
         S = invert(P, level, residual_exponent=40)
     except REFUSALS:
         return
-    one = MicroOp.constant(TateSeries.constant(1, 1, 2, 400))
-    residual = mul(at_cap(P, 400), at_cap(S, 400), window_cap=None) - one
-    e = level.norm_exponent(residual)
-    assert e is None or e <= -40
+    assert_true_residual(P, S, level, 40)
+
+
+@st.composite
+def non_constant_units(draw):
+    """(P, level, target) with a dominant coefficient c = u +- p^a*x_i (a in
+    1..3), a unit that is not a constant: at ek(k) and fkr(k, r) it sits at
+    d^0 above terms +-p^b*d^gamma of weight k*fl(gamma) - b in -6..-1; at
+    finf it is the top coefficient, at length 2, over lower-order terms.
+    Targets run up to 60, past what 33 terms of the geometric series of c
+    reach at a = 1.  Choices are uniform (a seeded ``random.Random``), so
+    large targets come up as often as small ones."""
+    rng = draw(st.randoms(use_true_random=True))
+    dim, tag, k = rng.choice((1, 2)), rng.choice(("ek", "fkr", "finf")), rng.randint(1, 3)
+    level = {"ek": RingLevel.ek(k), "fkr": RingLevel.fkr(k, rng.randint(1, k)),
+             "finf": RingLevel.finf()}[tag]
+    scale = rng.choice((1, -1)) * Fraction(2) ** rng.randint(1, 3)
+    c = TateSeries.constant(rng.choice((1, -1, 3)), dim) + TateSeries.coordinate(
+        rng.randint(1, dim), dim).scale(PadicScalar.from_fraction(scale))
+    beta = (2,) + (0,) * (dim - 1) if tag == "finf" else (0,) * dim
+    terms = {beta: c}
+    for _ in range(rng.randint(1, 2)):
+        gamma = tuple(rng.randint(0, 1 if tag == "finf" else 2) for _ in range(dim))
+        if gamma != beta and (tag != "finf" or sum(gamma) < 2):
+            b = rng.randint(0, 6) if tag == "finf" else k * sum(gamma) + rng.randint(1, 6)
+            terms[gamma] = TateSeries.constant(rng.choice((1, -1)) * 2 ** b, dim)
+    return MicroOp(dim, 2, terms), level, rng.randint(1, 60)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(non_constant_units())
+def test_inverses_of_non_constant_dominant_units_are_refused_or_true(case):
+    P, level, target = case
+    try:
+        S = invert(P, level, residual_exponent=target)
+    except (NotInvertible, *REFUSALS):
+        return
+    assert_true_residual(P, S, level, target)
 
 
 @pytest.mark.parametrize("alpha", [(3,), (-2,), (2, 1), (2, -1), (-2, 1), (1, -4), (-1, -1)])

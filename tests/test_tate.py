@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff import NotCertifiable, PadicScalar, TateSeries
+from microdiff import DegreeCapOverflow, NotCertifiable, PadicScalar, TateSeries
 from microdiff.tate import INFINITY
 
 from conftest import rand_series
@@ -92,31 +92,53 @@ class TestUnits:
             f.is_unit()
 
     def test_invert_geometric_series(self):
+        # 1 + 2x = 1 - u with u = -2x, v(u) = 1: J = 9 reaches p^-10
         f = const(1) + coord().scale(PadicScalar.from_int(2))
-        g = f.invert_unit()
-        for n in range(5):
+        g = f.invert_unit(10)
+        assert g.exact and g.degree() == 9
+        for n in range(10):
             assert g.coefficient((n,)).as_fraction() == Fraction(-2) ** n
+        assert f * g == const(1) - power(coord().scale(PadicScalar.from_int(-2)), 10)
 
     def test_invert_constant(self):
-        g = const(6).invert_unit()
+        g = const(6).invert_unit(10)
         assert g.coefficient((0,)).as_fraction() == Fraction(1, 6)
+        assert const(6) * g == const(1)
 
     def test_multiply_back(self):
-        f = const(1) + coord().scale(PadicScalar.from_int(2))
-        prod = f * f.invert_unit()
-        assert prod.coefficient((0,)).as_fraction() == 1
-        # within the cap every other coefficient cancels exactly
-        assert all(m == (0,) for m in prod.coeffs)
+        # 1 - 4x^2 = 1 - u with v(u) = 2: (J + 1) * 2 >= 7 gives J = 3
+        u = coord().scale(PadicScalar.from_int(4)) * coord()
+        f = const(1) - u
+        assert f * f.invert_unit(7) == const(1) - power(u, 4)
+
+    def test_an_inverse_past_the_cap_is_refused_up_front(self):
+        x = TateSeries.coordinate(1, degree_cap=8)
+        f = TateSeries.constant(1, degree_cap=8) + x.scale(PadicScalar.from_int(2))
+        with pytest.raises(DegreeCapOverflow) as refusal:
+            f.invert_unit(20)  # J = 19
+        assert refusal.value.needed == 19
+        assert f * f.invert_unit(8) == TateSeries.constant(1, degree_cap=8) - power(
+            x.scale(PadicScalar.from_int(-2)), 8)
 
     def test_inverse_norm(self, rng):
         for _ in range(50):
-            f = rand_series(rng, poly=False)
-            g = TateSeries.constant(PadicScalar.one()) + \
-                TateSeries.coordinate(1).scale(PadicScalar.from_int(2))
-            h = f + TateSeries.zero()
+            h = rand_series(rng, poly=True)
             if not h.is_unit():
                 continue
-            assert h.invert_unit().gauss_norm() == 1 / h.gauss_norm()
+            g = h.invert_unit(20)
+            assert g.gauss_norm() == 1 / h.gauss_norm()
+            u = const(1) - h.scale(h.coefficient((0,)).inv())
+            J = h.inverse_length(20)
+            if not u.is_zero:  # the least J with (J + 1) * v(u) >= 20
+                assert (J + 1) * u.spectral_valuation() >= 20 > J * u.spectral_valuation()
+            assert h * g == const(1) - power(u, J + 1)
+
+
+def power(f: TateSeries, n: int) -> TateSeries:
+    out = const(1)
+    for _ in range(n):
+        out = out * f
+    return out
 
 
 def test_degree_cap_truncates_and_flags():

@@ -1,13 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from microdiff import (InsufficientTruncation, MicroOp, NotInvertible,
+from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotInvertible,
                        PadicScalar, TailCertificate, TateSeries,
                        UndecidableFiniteness,
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
                        slope_criterion_check, truncated_cofactor)
+from microdiff.exprs import EvalContext, _as_op, evaluate, parse
 from microdiff.tower import RingLevel
 
 from conftest import rand_laurent_op, rand_positive_op
@@ -269,3 +271,46 @@ class TestInvert:
             measured = norm_Fkr(res, 2, 1) if res.terms else F(0)
             assert measured <= F(2) ** -20
             done += 1
+
+    def test_operators_it_builds_keep_the_degree_cap_of_p(self):
+        # the identity, D^-beta and the multiply-back's identity used to sit
+        # at the default cap 32, so no --deg-cap could reach degree 59
+        P, level = parsed("1 + p^4*x*d", cap=120), RingLevel.ek(3)
+        S = invert(P, level, residual_exponent=60)
+        assert {c.degree_cap for c in S.terms.values()} == {120}
+        assert max(c.degree() for c in S.terms.values()) == 59
+        assert level.norm_exponent(mul(P, S, window_cap=None) - MicroOp.constant(
+            TateSeries.constant(1, degree_cap=120))) <= -60
+
+    def test_a_degree_cap_refusal_names_a_cap_that_suffices(self):
+        # deg P + J*deg R + deg g = 1 + 4*19 + 19: g = (1 + p*x)^-1 to p^-20
+        # has degree 19, R = p^5*g*d as well, and J = 4 reaches p^-20
+        with pytest.raises(DegreeCapOverflow) as refusal:
+            invert(parsed("1 + p*x + p^5*d"), RingLevel.ek(1), residual_exponent=20)
+        assert refusal.value.needed == 96
+        P = parsed("1 + p*x + p^5*d", cap=96)
+        S = invert(P, RingLevel.ek(1), residual_exponent=20)
+        assert max(c.degree() for c in S.terms.values()) == 95
+        with pytest.raises(DegreeCapOverflow):
+            invert(parsed("1 + p*x + p^5*d", cap=95), RingLevel.ek(1), residual_exponent=20)
+
+    def test_a_non_constant_dominant_coefficient_in_d2_is_quick(self):
+        # c_beta = 56 - 9*x1: its inverse used to be expanded to the degree
+        # cap, and this inverse ran for more than 20 s
+        P = parsed("(56 - 9*x1) - 22*d2^3 + 1/4*d1^3 + (-56 - 1/2*x1)*d1*d2^3"
+                   " + (7/4 + 24*x1)*d1^2*d2^2", dim=2)
+        level = RingLevel.ek(1)
+        start = time.process_time()
+        try:
+            S = invert(P, level, residual_exponent=6)
+        except (DegreeCapOverflow, InsufficientTruncation):
+            S = None
+        assert time.process_time() - start < 5
+        if S is not None:
+            e = level.norm_exponent(mul(P, S, window_cap=None) - MicroOp.identity(2))
+            assert e is None or e <= -6
+
+
+def parsed(text: str, dim: int = 1, cap: int = 32) -> MicroOp:
+    ctx = EvalContext(dim=dim, degree_cap=cap)
+    return _as_op(evaluate(parse(text), ctx), ctx)
