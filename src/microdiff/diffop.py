@@ -22,6 +22,17 @@ for exact scalars, series arithmetic for digit-mode ones (read from JSON).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
+Two rules keep chains of exact products cheap.  Row reuse: the kernel's
+output sums are the integer rows of the product itself, and the rows of
+the last exact, unfolded product of two or more terms are kept in one
+entry keyed by a weak reference to it, so a product whose operand is that
+very operator skips converting it; an equal copy, a clipped or a folded
+result is converted anew, and no operator holds rows of its own.
+Precision: when every scalar of each operand shares one precision, every
+output scalar has the smaller of the two and no per-monomial precision is
+tracked; an operand that mixes precisions switches on the per-monomial
+bookkeeping of the series arithmetic.
+
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
 """
@@ -30,10 +41,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, ge, sub
+from operator import add, attrgetter, ge, sub
 from typing import Iterable, Mapping
 
 from .errors import (DegreeCapOverflow, DivisionByZero, InsufficientTruncation,
@@ -367,108 +379,183 @@ def _series_product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
 
 
 def _int_rows(S: MicroOp):
-    """Rows (alpha, [(m, N, precision)], cap, degree), V and D of S,
-    each scalar p^V / D * N with V the least valuation and D the lcm of the
-    unit denominators; None when a scalar is in digit mode."""
+    """Rows (alpha, [(m, N)], {m: precision} or None, cap, degree), V, D and n
+    of S: each scalar is p^V / D * N with V the least valuation and D the lcm
+    of the unit denominators, and n the precision all scalars share, or None
+    when they mix and each row carries its own; None when a scalar is in
+    digit mode."""
     if len(S.terms) == 1:  # a monomial, as every literal is built: no rescaling
         (alpha, f), = S.terms.items()
         if len(f.coeffs) == 1:
             (m, c), = f.coeffs.items()
             if c.exact:
-                return ([(alpha, [(m, c.unit.numerator, c.precision)], f.degree_cap, sum(m))],
-                        c.valuation, c.unit.denominator)
+                return ([(alpha, [(m, c.unit.numerator)], None, f.degree_cap, sum(m))],
+                        c.valuation, c.unit.denominator, c.precision)
     scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
     if not all(c.exact for c in scalars):
         return None
     p, V = S.prime, min((c.valuation for c in scalars), default=0)
     D = math.lcm(*{c.unit.denominator for c in scalars})
+    precisions = set(map(attrgetter("precision"), scalars))
+    n = precisions.pop() if len(precisions) == 1 else None
     align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
-    return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V),
-                       c.precision) for m, c in f.coeffs.items()],
+    return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
+                      for m, c in f.coeffs.items()],
+              None if n else {m: c.precision for m, c in f.coeffs.items()},
               f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
-            V, D)
+            V, D, n)
 
 
-def _commutations(alpha: Exponent, beta: Exponent, g: list, cache: dict) -> list:
-    """(beta - j, D^j(g), its degree, C(alpha, j)) for each j of the law in
-    :func:`_term_product`, in its order; ``cache`` keeps g's derivatives."""
+def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
+                  cache: dict) -> list:
+    """(beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for each j
+    of the law in :func:`_term_product`, in its order; ``cache`` keeps g's
+    derivatives, and the precisions are None when ``gp`` is."""
     out = []
-    for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1) for a, t in
-                                 zip(alpha, map(max, zip(*[m for m, _, _ in g])))]):
+    for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1)
+                                 for a, t in zip(alpha, map(max, zip(*[m for m, _ in g])))]):
         if j not in cache:
-            h = [(tuple(map(sub, m, j)), N * math.prod(map(math.perm, m, j)), n)
-                 for m, N, n in g if all(map(ge, m, j))]
-            cache[j] = h, max([sum(m) for m, _, _ in h], default=-1)
-        h, degree = cache[j]
+            g_j = [(m, N) for m, N in g if all(map(ge, m, j))]
+            h = [(tuple(map(sub, m, j)), N * math.prod(map(math.perm, m, j))) for m, N in g_j]
+            hp = None if gp is None else {tuple(map(sub, m, j)): gp[m] for m, _ in g_j}
+            cache[j] = h, hp, max([sum(m) for m, _ in h], default=-1)
+        h, hp, degree = cache[j]
         if degree >= 0:
-            out.append((tuple(map(sub, beta, j)), h, degree,
+            out.append((tuple(map(sub, beta, j)), h, hp, degree,
                         math.prod(map(int_binomial, alpha, j))))
     return out
 
 
-def _product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
-    """The coefficient-left terms of P*Q.  Exact scalars take one integer
-    kernel: each commuted term pair adds products of :func:`_int_rows`, times
-    integer binomials and falling factorials, into one ``int`` per output
-    (gamma, monomial), whose valuation is extracted once.  Caps, precisions,
-    refusals and term order are those of the series arithmetic, which
-    digit-mode operands keep."""
-    left, right = _int_rows(P), _int_rows(Q)
+def _meet_cap(acc: list, cap: int, degree: int):
+    """Lower a sum's cap to the smaller one, refused where a monomial of the
+    sum so far or of degree ``degree`` would pass it."""
+    acc[2] = low = min(acc[2], cap)
+    needed = max(max(map(sum, acc[0])), degree)
+    if needed > low:
+        raise DegreeCapOverflow(needed, low)
+
+
+# (weak reference to the last exact, unfolded product, its kernel sums, W, E
+# and n): a product with that very operator as an operand takes its rows from
+# the sums.  The entry is read and replaced as one tuple, so threads only miss
+# each other's reuse.
+_last_rows: tuple = (lambda: None, None)
+
+
+def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
+    """The coefficient-left terms of P*Q, and their integer rows.
+
+    Exact scalars take one integer kernel: each commuted term pair adds
+    products of :func:`_int_rows`, times integer binomials and falling
+    factorials, into one ``int`` per output (gamma, monomial), whose
+    valuation is extracted once.  Those sums, over ``p^W / E`` with W and E
+    the operands' V and D combined, are the rows returned; :func:`_product`
+    keeps them for an exact, unfolded result of two or more terms, and an
+    operand that is that very operator reuses them instead of
+    :func:`_int_rows`.  Two one-scalar monomials with nothing to commute, as
+    literals multiply, take one scalar product and no rows.  Per-monomial
+    precisions are tracked only when an operand mixes precisions; otherwise
+    every output scalar has the smaller of the operands' two.  A pair in
+    which either coefficient is one monomial cannot meet itself, so it adds
+    straight into the sum; any other pair is formed on its own first, as
+    ``TateSeries.__mul__`` forms it.  Caps, precisions, refusals and term
+    order are those of the series arithmetic, which digit-mode operands
+    keep; their rows are None."""
+    if len(P.terms) == 1 == len(Q.terms):
+        ((alpha, f),), ((beta, g),) = P.terms.items(), Q.terms.items()
+        if len(f.coeffs) == 1 == len(g.coeffs):
+            ((ma, a),), ((mb, c),) = f.coeffs.items(), g.coeffs.items()
+            if a.exact and c.exact and not (any(alpha) and any(mb)):
+                m, cap = tuple(map(add, ma, mb)), min(f.degree_cap, g.degree_cap)
+                if sum(m) > cap:
+                    raise DegreeCapOverflow(sum(m), cap)
+                s = _scalar(P.prime, a.valuation + c.valuation, a.unit * c.unit,
+                            min(a.precision, c.precision), True)
+                return {tuple(map(add, alpha, beta)): _series(P.dim, P.prime, {m: s}, cap,
+                                                              True)}, None
+    ref, kept = _last_rows
+    last = ref()
+    if last is P or last is Q:  # the last product's sums, as rows
+        sums, W, E, n = kept
+        kept = ([(a, list(v.items()), vp, cap, max(map(sum, v))) for a, (v, vp, cap) in sums],
+                W, E, n)
+    left = kept if last is P else _int_rows(P)
+    right = kept if last is Q else _int_rows(Q)
     if left is None or right is None:
-        return _series_product_terms(P, Q)
-    (lrows, lv, ld), (rrows, rv, rd) = left, right
+        return _series_product_terms(P, Q), None
+    (lrows, lv, ld, ln), (rrows, rv, rd, rn) = left, right
+    n = None if ln is None or rn is None else min(ln, rn)
+    if n is None:  # precisions mix: every row carries one per monomial
+        lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
+                         for a, v, vp, cap, deg in side]
+                        for side, prec in ((lrows, ln), (rrows, rn))]
     caches: dict = {}  # beta -> {j: D^j of its coefficient}
-    out: dict = {}  # gamma -> [values, precisions, cap]
-    for alpha, fv, fcap, fdeg in lrows:
-        for beta, gv, gcap, gdeg in rrows:
+    out: dict = {}  # gamma -> [values, precisions or None, cap]
+    for alpha, fv, fp, fcap, fdeg in lrows:
+        for beta, gv, gp, gcap, gdeg in rrows:
             cap = fcap if fcap < gcap else gcap
-            for bj, hv, hdeg, b in (_commutations(alpha, beta, gv, caches.setdefault(beta, {}))
-                                    if gdeg and any(alpha) else ((beta, gv, gdeg, 1),)):
+            for bj, hv, hp, hdeg, b in (
+                    _commutations(alpha, beta, gv, gp, caches.setdefault(beta, {}))
+                    if gdeg and any(alpha) else ((beta, gv, gp, gdeg, 1),)):
                 if fdeg + hdeg > cap:
                     raise DegreeCapOverflow(fdeg + hdeg, cap)
-                loc, lp = {}, {}  # the pair's product, as TateSeries.__mul__ forms it
-                for ma, ca, na in fv:
-                    for mb, cb, nb in hv:
-                        m = tuple(map(add, ma, mb))
-                        old = loc.get(m)  # stored values are nonzero
-                        c = ca * cb * b + (old or 0)
-                        if c:  # a cancelled monomial drops its precision with it
-                            loc[m] = c
-                            lp[m] = min(lp[m], na, nb) if old else na if na < nb else nb
-                        else:
-                            del loc[m]
-                if not loc:
-                    continue
                 gamma = tuple(map(add, alpha, bj))
-                acc = out.setdefault(gamma, [loc, lp, cap])
-                vals, aprec, acap = acc
-                if vals is loc:
-                    continue
-                if acap != cap:  # a sum keeps the smaller cap
-                    acc[2] = low = min(acap, cap)
-                    needed = max(max(map(sum, vals)), max(map(sum, loc)))
-                    if needed > low:
-                        raise DegreeCapOverflow(needed, low)
-                for m, c in loc.items():
-                    old = vals.get(m)
-                    c += old or 0
-                    if c:
-                        vals[m] = c
-                        aprec[m] = min(aprec[m], lp[m]) if old else lp[m]
-                    else:
-                        del vals[m]
-                if not vals:
+                acc = out.get(gamma)
+                direct = len(fv) == 1 or len(hv) == 1  # no two of its products meet
+                if not direct:  # the pair's product, as TateSeries.__mul__ forms it
+                    vals, precs = {}, None if n else {}
+                elif acc is None:
+                    acc = out[gamma] = [{}, None if n else {}, cap]
+                    vals, precs = acc[0], acc[1]
+                else:
+                    if acc[2] != cap:
+                        _meet_cap(acc, cap, fdeg + hdeg)
+                    vals, precs = acc[0], acc[1]
+                for ma, ca in fv:
+                    if b != 1:
+                        ca *= b
+                    for mb, cb in hv:
+                        m = tuple(map(add, ma, mb))
+                        old = vals.get(m)  # stored values are nonzero
+                        c = ca * cb + old if old else ca * cb
+                        if c:  # a cancelled monomial drops its precision with it
+                            vals[m] = c
+                            if precs is not None:
+                                q = min(fp[ma], hp[mb])
+                                precs[m] = min(precs[m], q) if old else q
+                        else:
+                            del vals[m]
+                if not direct:
+                    if not vals:
+                        continue
+                    if acc is None:
+                        out[gamma] = [vals, precs, cap]
+                        continue
+                    if acc[2] != cap:
+                        _meet_cap(acc, cap, max(map(sum, vals)))
+                    total, aprec = acc[0], acc[1]
+                    for m, c in vals.items():
+                        old = total.get(m)
+                        c += old or 0
+                        if c:
+                            total[m] = c
+                            if aprec is not None:
+                                aprec[m] = min(aprec[m], precs[m]) if old else precs[m]
+                        else:
+                            del total[m]
+                if not acc[0]:
                     del out[gamma]
     p, W, E = P.prime, lv + rv, ld * rd
-    for gamma, (vals, aprec, cap) in out.items():
+    sums = list(out.items())
+    for gamma, (vals, aprec, cap) in sums:
         coeffs = {}
         for m, N in vals.items():
             v = int_valuation(N, p)
             u = N >> v if p == 2 else N // p ** v if v else N
             coeffs[m] = _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E),
-                                aprec[m], True)
+                                n if aprec is None else aprec[m], True)
         out[gamma] = _series(P.dim, p, coeffs, cap, True)
-    return out
+    return out, (sums, W, E, n)
 
 
 def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
@@ -534,10 +621,16 @@ def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
     if not (P.is_exact and Q.is_exact or P.positive and Q.positive):
         raise InsufficientTruncation(
             "tail certificates cannot be combined across mixed sectors")
-    terms = _product_terms(P, Q)
+    global _last_rows
+    terms, rows = _product_terms(P, Q)
     _window_cap_check(terms, window_cap)
     tail = _fold_beyond(terms, _product_tail(P, Q), positive_sector=True)
-    return MicroOp(P.dim, P.prime, terms, tail)
+    S = MicroOp(P.dim, P.prime, terms, tail)
+    # exact and unfolded, the rows match the terms; one term converts as
+    # cheaply as it would be reused
+    if rows is not None and tail is None and len(terms) > 1:
+        _last_rows = weakref.ref(S), rows
+    return S
 
 
 def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP) -> "MicroOp":

@@ -44,16 +44,17 @@ class InsufficientTruncation(MicrodiffError):
 class WindowOverflow(MicrodiffError):
     """A product or inverse needs exponents outside the configured window.
 
-    ``needed`` is the largest absolute exponent the refused product holds:
-    a lower bound on the window that lets the computation go on, since
-    later products of the same computation may reach further.
+    ``needed`` is the window to rerun with: by default the largest absolute
+    exponent the refused product holds, a lower bound since later products
+    of the same computation may reach further; a ``bound`` text replaces
+    that wording where ``needed`` suffices.  ``reason`` is ``message``.
     """
 
-    def __init__(self, message: str, needed: int):
-        super().__init__(f"{message}; it needs a window of at least {needed} (a lower "
-                         f"bound: later products may reach further): rerun with "
-                         f"--window {needed} or larger")
-        self.needed = needed
+    def __init__(self, message: str, needed: int, bound: str = ""):
+        bound = bound or (f"it needs a window of at least {needed} (a lower bound: "
+                          "later products may reach further)")
+        super().__init__(f"{message}; {bound}: rerun with --window {needed} or larger")
+        self.reason, self.needed = message, needed
 
 
 class NotInvertible(MicrodiffError):

@@ -37,7 +37,7 @@ from . import newton
 from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _graded_weight,
                      _level_exponent, _require_positive, floor_sum, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
-                     UndecidableFiniteness, ZeroOperator)
+                     UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, mul, tail_sup_exponent
 
 _TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
@@ -307,6 +307,9 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
     # geometric series already sits below the residual target
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1
+    # coefficient degrees of g and of R = g * rest bound both refusals' hints
+    deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
+    deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
     try:
         g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
         minus_R = -mul(g, rest, window_cap=None)
@@ -320,11 +323,16 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         _verify_residual(P, result, level, residual_exponent, cap)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above
-        deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
-        needed = max(c.degree() for c in P.terms.values()) + deg_g + J * (
-            max((c.degree() for c in rest.terms.values()), default=0) + deg_g)
+        needed = max(c.degree() for c in P.terms.values()) + deg_g + J * deg_R
         raise DegreeCapOverflow(needed, cap, f"the inverse and its multiply-back reach "
                                 f"coefficient degree at most {needed}, past the degree cap") from None
+    except WindowOverflow as e:  # a product lowers a D-exponent by at most its
+        # right factor's coefficient degree: J*deg R over the powers of -R,
+        # J*deg R more past D^-beta and deg g past g
+        needed = max(map(abs, beta)) + deg_g + J * (
+            max((abs(x) for a in rest.terms for x in a), default=0) + 2 * deg_R)
+        raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
+                             f"within {needed}") from None
     return result
 
 

@@ -14,6 +14,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # a d = 1 Laurent times polynomial-coefficient product, and a d = 2 product
 MUL_PRODUCTS = (["x^2*d + p*dinv + 3", "x*d^2 + p^2*x^3"],
                 ["--dim", "2", "x1*d2 + p*d1^2 + x2^2", "x1^2*d1 + p^2*x2*d2 + 3"])
+# chains of products: a 20-factor generator times one more factor, in text
+# and in JSON at --prec 20, and a power of a Laurent operator with x coefficients
+CHAIN_PRODUCTS = (["prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
+                  ["--format", "json", "--prec", "20", "prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
+                  ["(x*d + p*x^2*dinv + 3)^4", "x + p*dinv"])
 
 
 def run(args):
@@ -41,6 +46,11 @@ class TestGolden:
         # the smoke job in .github/workflows/tests.yml diffs the same two commands
         out = "".join(run(["mul", *args])[1] for args in MUL_PRODUCTS)
         assert out == (GOLDEN / "mul_products.txt").read_text()
+
+    def test_chain_products(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same three commands
+        out = "".join(run(["mul", *args])[1] for args in CHAIN_PRODUCTS)
+        assert out == (GOLDEN / "chain_products.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
@@ -116,8 +126,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         message = err.getvalue().strip()
         assert "exceeds the window cap 64" in message
-        assert "lower bound" in message
-        assert message.endswith("rerun with --window 65 or larger")
+        assert "lower bound" not in message
+        assert message.endswith("rerun with --window 80 or larger")
+        assert run(["invert", "--level", "ek", "--k", "2", "--residual", "80",
+                    "--window", "80", "1 - p*d"])[0] == 0
+
+    def test_a_laurent_inverse_with_x_coefficients_answers_at_the_hinted_window(self):
+        # the hint used to be the refused product's exponent: 3, then 5, 7
+        args = ["invert", "--level", "ek", "--k", "1", "--residual", "10", "1 - p*x*dinv"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run([*args, "--window", "2"])
+        assert code == 2
+        assert err.getvalue().strip().endswith("rerun with --window 12 or larger")
+        assert run([*args, "--window", "12"])[0] == 0
 
 
 class TestWorkingRing:

@@ -1,5 +1,9 @@
+import contextlib
 import itertools
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -13,6 +17,7 @@ from microdiff import (InsufficientTruncation, MicroOp, NotCertifiable,
                        order_nk, order_Nmu, order_nmu, product_op,
                        quasi_abelian_defect)
 from microdiff import diffop
+from microdiff.microop import mul
 
 from conftest import rand_positive_op
 
@@ -375,17 +380,21 @@ def product_operands(draw):
     return operator(lo, hi), operator(lo, hi)
 
 
-def product_snapshot(product_terms, P: MicroOp, Q: MicroOp):
-    """Everything a product promises: term order, caps, exact flags, values
-    and precisions per monomial, or the refusal's type and text."""
-    try:
-        terms = product_terms(P, Q)
-    except NotCertifiable as e:
-        return type(e), str(e)
+def terms_snapshot(terms):
+    """Term order, caps, exact flags, values and precisions per monomial."""
     return [(gamma, c.degree_cap, c.exact,
              sorted((m, s.valuation, type(s.unit), s.unit, s.precision, s.exact)
                     for m, s in c.coeffs.items()))
             for gamma, c in terms.items()]
+
+
+def product_snapshot(product_terms, P: MicroOp, Q: MicroOp):
+    """Everything a product promises, or the refusal's type and text."""
+    try:
+        terms = product_terms(P, Q)
+    except NotCertifiable as e:
+        return type(e), str(e)
+    return terms_snapshot(terms)
 
 
 def falling_binomial(a, j, prime, precision):
@@ -400,7 +409,82 @@ def test_the_integer_kernel_equals_the_series_arithmetic(operands):
     P, Q = operands
     with mock.patch.object(diffop, "generalized_binomial", falling_binomial):
         want = product_snapshot(diffop._series_product_terms, P, Q)
-    assert product_snapshot(diffop._product_terms, P, Q) == want
+    assert product_snapshot(lambda P, Q: diffop._product_terms(P, Q)[0], P, Q) == want
+
+
+@st.composite
+def product_chains(draw):
+    """Two chains of products, interleaved, for the kernel's row reuse.
+
+    Each step takes one chain's last value and multiplies it on the left or
+    on the right by a fresh operator, or by itself; or by an operator whose
+    scalars mix precisions 20 and 64; or replaces the value first by an
+    equal copy that is not the same object, or by the value with a tail
+    certificate, so that the product folds; or clips the product to a
+    window.  Degree caps 5 and 32 are mixed, so chains meet refusals.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
+    lo = rng.choice((0, -1))
+
+    def operator(precisions=(64,)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            coeffs = {tuple(rng.randint(0, 1) for _ in range(dim)): PadicScalar.from_fraction(
+                F(rng.choice((1, -1, 3)), rng.choice((1, 5))) * F(p) ** rng.randint(0, 2),
+                p, rng.choice(precisions)) for _ in range(rng.randint(1, 2))}
+            terms[tuple(rng.randint(lo, 1) for _ in range(dim))] = TateSeries(
+                dim, p, coeffs, rng.choice((5, 32)))
+        return MicroOp(dim, p, terms)
+
+    kinds = ("left", "left", "right", "square", "mixed", "copy", "fold", "clip")
+    steps = [(rng.randint(0, 1), rng.choice(kinds),
+              operator((20, 64)) if rng.random() < 0.25 else operator(),
+              rng.randint(1, 3)) for _ in range(rng.randint(2, 8))]
+    return [operator(), operator()], steps
+
+
+def chain_step(kind, acc, operand, size):
+    if kind == "right":
+        return diffop._product(operand, acc, None)
+    if kind == "square":
+        return diffop._product(acc, acc, None)
+    if kind == "copy":
+        acc = MicroOp(acc.dim, acc.prime, dict(acc.terms), acc.tail, acc.neg_tail)
+    elif kind == "fold":
+        acc = MicroOp(acc.dim, acc.prime, dict(acc.terms), TailCertificate(size, 0, 1))
+    elif kind == "clip":
+        return mul(acc, operand, window=size, window_cap=None)
+    return diffop._product(acc, operand, None)
+
+
+def operator_snapshot(S):
+    """An operator's terms and tails; a refusal, as (type, text), as it is."""
+    return S if isinstance(S, tuple) else (terms_snapshot(S.terms), S.tail, S.neg_tail)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(product_chains())
+def test_chained_products_equal_the_series_arithmetic(chains):
+    starts, steps = chains
+    got, want = list(starts), list(starts)
+    for which, kind, operand, size in steps:
+        results = []
+        for values, series in ((got, False), (want, True)):
+            with contextlib.ExitStack() as stack:
+                if series:  # the product body on the series arithmetic, which keeps no rows
+                    stack.enter_context(mock.patch.object(
+                        diffop, "_product_terms",
+                        lambda P, Q: (diffop._series_product_terms(P, Q), None)))
+                    stack.enter_context(mock.patch.object(
+                        diffop, "generalized_binomial", falling_binomial))
+                try:
+                    results.append(chain_step(kind, values[which], operand, size))
+                except (NotCertifiable, InsufficientTruncation, ValueError) as e:
+                    results.append((type(e), str(e)))
+        assert operator_snapshot(results[0]) == operator_snapshot(results[1])
+        if isinstance(results[0], MicroOp):
+            got[which], want[which] = results
 
 
 P64 = 3 ** 64  # residues below are modulo p^precision at p = 3
@@ -426,7 +510,7 @@ class TestProductKernel:
                            (2,): TateSeries.constant(1)})
         Q = MicroOp(1, 2, {(0,): TateSeries.constant(1), (-1,): TateSeries.constant(-1),
                            (-2,): TateSeries.constant(1)})
-        got = diffop._product_terms(P, Q)
+        got, _ = diffop._product_terms(P, Q)
         assert list(got) == list(diffop._series_product_terms(P, Q))
         assert list(got)[-1] == (0,)
 
@@ -437,9 +521,41 @@ class TestProductKernel:
         def parsed(text):
             return _as_op(evaluate(parse(text), EvalContext(prime=3)), EvalContext(prime=3))
         P = operator_from_json(operator_to_json(parsed("x^2*d + 3*dinv + 5")))
-        prod = diffop._product_terms(P, parsed("x*d^2 + 9*x^3"))
+        prod, _ = diffop._product_terms(P, parsed("x*d^2 + 9*x^3"))
         residues = [(gamma, c.degree_cap, c.exact,
                      sorted((m, s.valuation, s.residue(), s.precision, s.exact)
                             for m, s in c.coeffs.items()))
                     for gamma, c in prod.items()]
         assert residues == DIGIT_MODE_PRODUCT
+
+    def test_concurrent_chains_equal_the_same_chains_run_in_turn(self):
+        # each thread's products may meet another thread's kept rows
+        def chain(seed):
+            rng = random.Random(seed)
+            p = rng.choice((2, 3))
+            acc, out = MicroOp.identity(1, p), []
+            for n in range(1, 16):
+                factor = MicroOp(1, p, {(0,): TateSeries.constant(1, prime=p),
+                                        ((-1) ** n,): TateSeries(1, p, {
+                                            (n % 2,): PadicScalar.from_fraction(
+                                                F(rng.choice((1, -1, 5))) * p ** n, p)})})
+                acc = mul(acc, factor, window_cap=None)
+                out.append(operator_snapshot(acc))
+            return out
+
+        seeds = range(4)
+        in_turn = [chain(seed) for seed in seeds]
+        results = [None] * len(seeds)
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, chain(i)))
+                   for i in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == in_turn

@@ -5,14 +5,14 @@ import pytest
 
 from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotInvertible,
                        PadicScalar, TailCertificate, TateSeries,
-                       UndecidableFiniteness,
+                       UndecidableFiniteness, WindowOverflow,
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
                        slope_criterion_check, truncated_cofactor)
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
 from microdiff.tower import RingLevel
 
-from conftest import rand_laurent_op, rand_positive_op
+from conftest import rand_laurent_op, rand_positive_op, rand_series
 
 F = Fraction
 
@@ -293,6 +293,39 @@ class TestInvert:
         assert max(c.degree() for c in S.terms.values()) == 95
         with pytest.raises(DegreeCapOverflow):
             invert(parsed("1 + p*x + p^5*d", cap=95), RingLevel.ek(1), residual_exponent=20)
+
+    def test_a_window_refusal_names_a_window_that_suffices(self):
+        # R = -p^-1*d^-1 at ek(2): J = 79 powers reach d^-79 and D^-1 one
+        # more; the refused product held d^-65 and the hint used to be 65
+        with pytest.raises(WindowOverflow) as refusal:
+            invert(parsed("1 - p*d"), RingLevel.ek(2), residual_exponent=80)
+        assert refusal.value.needed == 80
+        assert "lower bound" not in str(refusal.value)
+        invert(parsed("1 - p*d"), RingLevel.ek(2), window_cap=80, residual_exponent=80)
+        with pytest.raises(WindowOverflow):
+            invert(parsed("1 - p*d"), RingLevel.ek(2), window_cap=79, residual_exponent=80)
+
+    def test_window_hints_with_x_coefficients_work_on_the_first_rerun(self, rng):
+        # each product lowers a D-exponent by up to its right factor's
+        # coefficient degree, so J*max|e_R| + |beta| alone falls short here
+        done = 0
+        while done < 20:
+            P = MicroOp(1, 2, {(rng.randint(-2, 2),): rand_series(rng, poly=True)
+                               for _ in range(rng.randint(2, 3))})
+            level = rng.choice((RingLevel.ek(1), RingLevel.ek(2), RingLevel.fkr(2, 1)))
+            target, window = rng.randint(5, 25), rng.randint(1, 4)
+            try:
+                invert(P, level, window_cap=window, residual_exponent=target)
+                continue
+            except WindowOverflow as refusal:
+                needed = refusal.needed
+            except (NotInvertible, InsufficientTruncation, DegreeCapOverflow):
+                continue
+            try:  # the rerun answers or refuses for another bound
+                invert(P, level, window_cap=needed, residual_exponent=target)
+            except DegreeCapOverflow:
+                pass
+            done += 1
 
     def test_a_non_constant_dominant_coefficient_in_d2_is_quick(self):
         # c_beta = 56 - 9*x1: its inverse used to be expanded to the degree
