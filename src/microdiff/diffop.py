@@ -22,7 +22,7 @@ for exact scalars, series arithmetic for digit-mode ones (read from JSON).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
-Two rules keep chains of exact products cheap.  Row reuse: the kernel's
+Three rules keep chains of exact products cheap.  Row reuse: the kernel's
 output sums are the integer rows of the product itself, and the rows of
 the last exact, unfolded product of two or more terms are kept in one
 entry keyed by a weak reference to it, so a product whose operand is that
@@ -31,7 +31,15 @@ result is converted anew, and no operator holds rows of its own.
 Precision: when every scalar of each operand shares one precision, every
 output scalar has the smaller of the two and no per-monomial precision is
 tracked; an operand that mixes precisions switches on the per-monomial
-bookkeeping of the series arithmetic.
+bookkeeping of the series arithmetic.  Constant coefficients: when every
+coefficient of both operands is one exact constant, and each operand's
+scalars share one precision and one degree cap, nothing commutes and the
+product is one of Laurent polynomials over Z, flat rows ``(alpha, N)``
+summed into one ``int`` per exponent; every output takes the smaller
+precision and cap.  Its term order is the pair loop's: left terms in
+storage order, then right terms, an exponent whose sum cancels dropped at
+once and re-inserted at the end if formed again.  Kept flat rows serve the
+next flat product as they are and a general one after conversion.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -379,18 +387,22 @@ def _series_product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
 
 
 def _int_rows(S: MicroOp):
-    """Rows (alpha, [(m, N)], {m: precision} or None, cap, degree), V, D and n
-    of S: each scalar is p^V / D * N with V the least valuation and D the lcm
-    of the unit denominators, and n the precision all scalars share, or None
-    when they mix and each row carries its own; None when a scalar is in
-    digit mode."""
+    """S as integer rows over p^V / D, with V the least valuation and D the
+    lcm of the unit denominators: (rows, V, D, n, cap).  When every
+    coefficient is one exact constant, n is their one precision and cap their
+    one degree cap, the rows are flat, [(alpha, N)]; otherwise cap is None and
+    each row is (alpha, [(m, N)], {m: precision} or None, cap, degree), n
+    being the precision all scalars share, or None when they mix and each row
+    carries its own.  None when a scalar is in digit mode."""
+    zero = (0,) * S.dim
     if len(S.terms) == 1:  # a monomial, as every literal is built: no rescaling
         (alpha, f), = S.terms.items()
         if len(f.coeffs) == 1:
             (m, c), = f.coeffs.items()
             if c.exact:
-                return ([(alpha, [(m, c.unit.numerator)], None, f.degree_cap, sum(m))],
-                        c.valuation, c.unit.denominator, c.precision)
+                N, cap, flat = c.unit.numerator, f.degree_cap, m == zero
+                return ([(alpha, N)] if flat else [(alpha, [(m, N)], None, cap, sum(m))],
+                        c.valuation, c.unit.denominator, c.precision, cap if flat else None)
     scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
     if not all(c.exact for c in scalars):
         return None
@@ -399,11 +411,43 @@ def _int_rows(S: MicroOp):
     precisions = set(map(attrgetter("precision"), scalars))
     n = precisions.pop() if len(precisions) == 1 else None
     align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
+    flat = n and len(scalars) == len(S.terms) and all(zero in f.coeffs for f in S.terms.values())
+    caps = {f.degree_cap for f in S.terms.values()} if flat else ()
+    if len(caps) == 1:  # one constant per coefficient, one precision, one cap
+        return ([(alpha, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
+                 for alpha, c in zip(S.terms, scalars)], V, D, n, caps.pop())
     return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
                       for m, c in f.coeffs.items()],
               None if n else {m: c.precision for m, c in f.coeffs.items()},
               f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
-            V, D, n)
+            V, D, n, None)
+
+
+def _flat_product(P: MicroOp, left: tuple, right: tuple):
+    """The terms of P*Q and their flat rows, from flat rows ``left`` of P and
+    ``right`` of Q: with nothing to commute, each term pair adds ``x*y`` into
+    one ``int`` per gamma, in the pair loop's order, and a gamma whose sum
+    cancels leaves at once."""
+    (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
+    out: dict = {}
+    d1 = P.dim == 1
+    for alpha, x in lrows:
+        for beta, y in rrows:
+            g = (alpha[0] + beta[0],) if d1 else tuple(map(add, alpha, beta))
+            c = out.get(g)
+            c = x * y + c if c else x * y
+            if c:
+                out[g] = c
+            else:
+                del out[g]
+    p, W, E, n, cap, zero = P.prime, lv + rv, ld * rd, min(ln, rn), min(lcap, rcap), (0,) * P.dim
+    rows = list(out.items())
+    for g, N in rows:
+        v = int_valuation(N, p)
+        u = N >> v if p == 2 else N // p ** v if v else N
+        out[g] = _series(P.dim, p, {zero: _scalar(p, W + v, Fraction(u) if E == 1 else
+                                                  Fraction(u, E), n, True)}, cap, True)
+    return out, (rows, W, E, n, cap)
 
 
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
@@ -435,10 +479,10 @@ def _meet_cap(acc: list, cap: int, degree: int):
         raise DegreeCapOverflow(needed, low)
 
 
-# (weak reference to the last exact, unfolded product, its kernel sums, W, E
-# and n): a product with that very operator as an operand takes its rows from
-# the sums.  The entry is read and replaced as one tuple, so threads only miss
-# each other's reuse.
+# (weak reference to the last exact, unfolded product, (its kernel sums, W, E,
+# n, cap)): a product with that very operator as an operand takes its rows
+# from the sums, which are flat rows when cap is not None.  The entry is read
+# and replaced as one tuple, so threads only miss each other's reuse.
 _last_rows: tuple = (lambda: None, None)
 
 
@@ -453,7 +497,11 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], 
     keeps them for an exact, unfolded result of two or more terms, and an
     operand that is that very operator reuses them instead of
     :func:`_int_rows`.  Two one-scalar monomials with nothing to commute, as
-    literals multiply, take one scalar product and no rows.  Per-monomial
+    literals multiply, take one scalar product and no rows.  Two operands
+    whose coefficients are all exact constants, at one precision and one
+    cap per operand, take :func:`_flat_product`: their rows are flat, and
+    the pair loop is ``out[alpha + beta] += x*y`` in the same pair order,
+    with a cancelled exponent deleted when it cancels.  Per-monomial
     precisions are tracked only when an operand mixes precisions; otherwise
     every output scalar has the smaller of the operands' two.  A pair in
     which either coefficient is one monomial cannot meet itself, so it adds
@@ -475,15 +523,21 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], 
                                                               True)}, None
     ref, kept = _last_rows
     last = ref()
-    if last is P or last is Q:  # the last product's sums, as rows
-        sums, W, E, n = kept
+    if (last is P or last is Q) and kept[4] is None:  # the last product's sums, as rows
+        sums, W, E, n, _ = kept
         kept = ([(a, list(v.items()), vp, cap, max(map(sum, v))) for a, (v, vp, cap) in sums],
-                W, E, n)
+                W, E, n, None)
     left = kept if last is P else _int_rows(P)
     right = kept if last is Q else _int_rows(Q)
     if left is None or right is None:
         return _series_product_terms(P, Q), None
-    (lrows, lv, ld, ln), (rrows, rv, rd, rn) = left, right
+    (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
+    if lcap is not None and rcap is not None:
+        return _flat_product(P, left, right)
+    if lcap is not None or rcap is not None:  # flat rows, as general ones
+        zero = (0,) * P.dim
+        lrows, rrows = [side if cap is None else [(a, [(zero, N)], None, cap, 0) for a, N in side]
+                        for side, cap in ((lrows, lcap), (rrows, rcap))]
     n = None if ln is None or rn is None else min(ln, rn)
     if n is None:  # precisions mix: every row carries one per monomial
         lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
@@ -555,7 +609,7 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], 
             coeffs[m] = _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E),
                                 n if aprec is None else aprec[m], True)
         out[gamma] = _series(P.dim, p, coeffs, cap, True)
-    return out, (sums, W, E, n)
+    return out, (sums, W, E, n, None)
 
 
 def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:

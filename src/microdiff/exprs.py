@@ -18,7 +18,7 @@ from fractions import Fraction
 from .diffop import DEFAULT_WINDOW_CAP, MicroOp
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .microop import mul
-from .padic import DEFAULT_PRECISION, DEFAULT_PRIME
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 # -- AST ---------------------------------------------------------------------
@@ -346,6 +346,16 @@ def _power(base, exponent, ctx: EvalContext):
     if needed > ctx.degree_cap:
         raise DegreeCapOverflow(needed, ctx.degree_cap)
     out = _unit_monomial((0,) * base.dim, ctx)
+    (alpha, f), = base.terms.items() if len(base.terms) == 1 else ((None, None),)
+    if e > 1 and f is not None and len(f.coeffs) == 1:
+        (m, c), = f.coeffs.items()
+        if not (any(alpha) and any(m)):
+            # nothing commutes: one step to c^e x^(e*m) D^(e*alpha), whose
+            # window refusal names e*|alpha|
+            base, e = MicroOp.monomial(tuple(e * a for a in alpha), TateSeries(
+                base.dim, base.prime, {tuple(e * k for k in m): PadicScalar(
+                    c.prime, e * c.valuation, c.unit**e, c.precision)}, f.degree_cap),
+                base.dim, base.prime), 1
     for _ in range(e):
         out = mul(out, base, window_cap=ctx.window_cap)
     return out

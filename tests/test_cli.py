@@ -19,6 +19,15 @@ MUL_PRODUCTS = (["x^2*d + p*dinv + 3", "x*d^2 + p^2*x^3"],
 CHAIN_PRODUCTS = (["prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
                   ["--format", "json", "--prec", "20", "prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
                   ["(x*d + p*x^2*dinv + 3)^4", "x + p*dinv"])
+# constant-coefficient products: a p = 3 Laurent product with fractional units,
+# in text and in JSON at --prec 20, a d = 2 product, and an inverse at ek(2)
+CONSTANT_PRODUCTS = (
+    ["mul", "--prime", "3", "1/2 + 3*d - 9/5*dinv + 2/7*d^2",
+     "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2"],
+    ["mul", "--prime", "3", "--format", "json", "--prec", "20",
+     "1/2 + 3*d - 9/5*dinv + 2/7*d^2", "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2"],
+    ["mul", "--dim", "2", "1 + p*d1 - p^2/3*d1*d2 + 5*d2^2", "3 - p*d2 + 1/5*d1^2 - d1*d2"],
+    ["invert", "--level", "ek", "--k", "2", "--residual", "20", "1 - p*d"])
 
 
 def run(args):
@@ -51,6 +60,11 @@ class TestGolden:
         # the smoke job in .github/workflows/tests.yml diffs the same three commands
         out = "".join(run(["mul", *args])[1] for args in CHAIN_PRODUCTS)
         assert out == (GOLDEN / "chain_products.txt").read_text()
+
+    def test_constant_products(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same four commands
+        out = "".join(run(args)[1] for args in CONSTANT_PRODUCTS)
+        assert out == (GOLDEN / "constant_products.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
@@ -140,6 +154,15 @@ class TestExitCodes:
         assert code == 2
         assert err.getvalue().strip().endswith("rerun with --window 12 or larger")
         assert run([*args, "--window", "12"])[0] == 0
+
+    def test_a_monomial_power_names_the_window_it_reaches(self):
+        # d^10 is raised in one step: the hint used to be 5, then 6, ..., 10
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["mul", "--window", "4", "d^10", "1"])
+        assert code == 2 and out == ""
+        assert err.getvalue().strip().endswith("rerun with --window 10 or larger")
+        assert run(["mul", "--window", "10", "d^10", "1"]) == (0, "d^10\n")
 
 
 class TestWorkingRing:

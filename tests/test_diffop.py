@@ -413,6 +413,65 @@ def test_the_integer_kernel_equals_the_series_arithmetic(operands):
 
 
 @st.composite
+def constant_operands(draw):
+    """Two operators whose coefficients are exact constants, for the flat path.
+
+    d = 1 or 2, Laurent exponents, p = 2, 3 or 5, scalars +-u/w * p^v with
+    w in (1, 3, 5, 7), so the common denominator is not 1.  "flat": each
+    operand has one precision (20 or 64) and one degree cap (3 or 32), which
+    may differ between the two.  "cancel": scalars +-1 on d1^0..d1^2 and
+    d1^0..d1^-2, so that d1^0 cancels midway and is formed again.  "mixed":
+    the left operand mixes precisions or caps over its terms, so the product
+    takes the general path.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    mode = rng.choice(("flat", "cancel", "mixed"))
+    dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
+
+    def operator(exponents, precisions, caps):
+        terms = {}
+        for i, alpha in enumerate(exponents):
+            q = (F(rng.choice((1, -1))) if mode == "cancel" else
+                 F(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 3, 5, 7)))
+                 * F(p) ** rng.randint(-2, 3))
+            terms[alpha] = TateSeries.constant(PadicScalar.from_fraction(
+                q, p, precisions[i % len(precisions)]), dim, p, caps[i % len(caps)])
+        return MicroOp(dim, p, terms)
+
+    def exponents(sign=0):
+        if sign:
+            return [(sign * a,) + (0,) * (dim - 1) for a in range(3) if rng.random() < 0.75]
+        return list({tuple(rng.randint(-2, 3) for _ in range(dim))
+                     for _ in range(rng.randint(1, 4))})
+
+    def one(values):
+        return (rng.choice(values),)
+
+    left, right = ((exponents(1), exponents(-1)) if mode == "cancel"
+                   else (exponents(), exponents()))
+    if mode == "mixed":
+        left = left + [tuple(e + 5 for e in left[0])]  # at least two terms to mix
+        precisions, caps = rng.choice((((20, 64), one((3, 32))), (one((20, 64)), (3, 32))))
+        return mode, operator(left, precisions, caps), operator(right, one((20, 64)),
+                                                                one((3, 32)))
+    return mode, *(operator(e or [(0,) * dim], one((20, 64)), one((3, 32)))
+                   for e in (left, right))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(constant_operands())
+def test_the_flat_path_equals_the_series_arithmetic(operands):
+    mode, P, Q = operands
+    with mock.patch.object(diffop, "generalized_binomial", falling_binomial):
+        want = product_snapshot(diffop._series_product_terms, P, Q)
+    with mock.patch.object(diffop, "_flat_product", wraps=diffop._flat_product) as flat:
+        got = product_snapshot(lambda P, Q: diffop._product_terms(P, Q)[0], P, Q)
+    assert got == want
+    # two one-term operands take the literal shortcut; mixed ones the general path
+    assert flat.called == (mode != "mixed" and len(P.terms) * len(Q.terms) > 1)
+
+
+@st.composite
 def product_chains(draw):
     """Two chains of products, interleaved, for the kernel's row reuse.
 
@@ -421,20 +480,23 @@ def product_chains(draw):
     scalars mix precisions 20 and 64; or replaces the value first by an
     equal copy that is not the same object, or by the value with a tail
     certificate, so that the product folds; or clips the product to a
-    window.  Degree caps 5 and 32 are mixed, so chains meet refusals.
+    window.  Degree caps 5 and 32 are mixed, so chains meet refusals.  Half
+    the operators have constant coefficients and one cap, so flat and
+    x-coefficient products alternate through the kept rows.
     """
     rng = draw(st.randoms(use_true_random=True))
     dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
     lo = rng.choice((0, -1))
 
     def operator(precisions=(64,)):
-        terms = {}
+        terms, flat, cap = {}, rng.random() < 0.5, rng.choice((5, 32))
         for _ in range(rng.randint(1, 3)):
-            coeffs = {tuple(rng.randint(0, 1) for _ in range(dim)): PadicScalar.from_fraction(
+            coeffs = {(0,) * dim if flat else tuple(rng.randint(0, 1) for _ in range(dim)):
+                      PadicScalar.from_fraction(
                 F(rng.choice((1, -1, 3)), rng.choice((1, 5))) * F(p) ** rng.randint(0, 2),
                 p, rng.choice(precisions)) for _ in range(rng.randint(1, 2))}
             terms[tuple(rng.randint(lo, 1) for _ in range(dim))] = TateSeries(
-                dim, p, coeffs, rng.choice((5, 32)))
+                dim, p, coeffs, cap if flat else rng.choice((5, 32)))
         return MicroOp(dim, p, terms)
 
     kinds = ("left", "left", "right", "square", "mixed", "copy", "fold", "clip")
@@ -529,18 +591,24 @@ class TestProductKernel:
         assert residues == DIGIT_MODE_PRODUCT
 
     def test_concurrent_chains_equal_the_same_chains_run_in_turn(self):
-        # each thread's products may meet another thread's kept rows
+        # each thread's products may meet another thread's kept rows; each
+        # step is a flat product, an x-coefficient product of its result
+        # (from kept flat rows) and a constant factor on that (from kept sums)
         def chain(seed):
             rng = random.Random(seed)
             p = rng.choice((2, 3))
+
+            def factor(n, x):
+                return MicroOp(1, p, {(0,): TateSeries.constant(1, prime=p),
+                                      ((-1) ** n,): TateSeries(1, p, {
+                                          (x,): PadicScalar.from_fraction(
+                                              F(rng.choice((1, -1, 5))) * p ** n, p)})})
             acc, out = MicroOp.identity(1, p), []
             for n in range(1, 16):
-                factor = MicroOp(1, p, {(0,): TateSeries.constant(1, prime=p),
-                                        ((-1) ** n,): TateSeries(1, p, {
-                                            (n % 2,): PadicScalar.from_fraction(
-                                                F(rng.choice((1, -1, 5))) * p ** n, p)})})
-                acc = mul(acc, factor, window_cap=None)
-                out.append(operator_snapshot(acc))
+                acc = mul(acc, factor(n, 0), window_cap=None)
+                mixed = mul(acc, factor(n, 1), window_cap=None)
+                mixed = mul(mixed, factor(n + 1, 0), window_cap=None)
+                out += [operator_snapshot(acc), operator_snapshot(mixed)]
             return out
 
         seeds = range(4)
