@@ -6,16 +6,28 @@ Atoms: integer literals (rationals via ``/``), the uniformizer ``p``,
 coordinates ``x`` / ``x1..xd``, derivations ``d`` / ``d1..dd``, the inverse
 derivation ``dinv``, parentheses, and the comprehensions
 ``prod(n=a..b, body)`` / ``sum(n=a..b, body)`` whose index variable may
-appear in exponents.
+appear in exponents.  An evaluation error names the position of its
+operator's token (of ``prod``/``sum`` for a range bound).
+
+Evaluation folds literals: numbers stay ``Fraction``, and a value built
+from coordinates and derivations stays exact data ``{alpha: {m: Fraction}}``
+until :func:`evaluate` returns, a product must commute (a D-exponent on the
+left meets an x on the right) or a power is not of a monomial; it then
+becomes a :class:`MicroOp` by the checked constructors at the context's
+precision and degree cap.  Folded steps keep the operator arithmetic's term
+order and refusals: the degree cap per term pair, the window on each
+product, and ``e * deg f`` up front for ``f^e``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
-from .diffop import DEFAULT_WINDOW_CAP, MicroOp
+from .diffop import DEFAULT_WINDOW_CAP, MicroOp, _window_cap_check
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .microop import mul
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar
@@ -44,6 +56,7 @@ class Bin:
     op: str  # one of + - * / ^
     lhs: object
     rhs: object
+    pos: int = field(default=0, compare=False)  # of the operator's token
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,7 @@ class Compr:
     lo: object
     hi: object
     body: object
+    pos: int = field(default=0, compare=False)  # of the kind's token
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\.\.)|([()+\-*/^=,]))")
@@ -106,15 +120,15 @@ class _Parser:
     def additive(self):
         node = self.multiplicative()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.next()[1]
-            node = Bin(op, node, self.multiplicative())
+            _, op, pos = self.next()
+            node = Bin(op, node, self.multiplicative(), pos)
         return node
 
     def multiplicative(self):
         node = self.unary()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.next()[1]
-            node = Bin(op, node, self.unary())
+            _, op, pos = self.next()
+            node = Bin(op, node, self.unary(), pos)
         return node
 
     def unary(self):
@@ -127,10 +141,10 @@ class _Parser:
     def power(self):
         base = self.atom()
         if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.next()
+            pos = self.next()[2]
             # right-associative; unary minus binds below ^, so -2 needs parens
             exponent = self.power_operand()
-            return Bin("^", base, exponent)
+            return Bin("^", base, exponent, pos)
         return base
 
     def power_operand(self):
@@ -142,8 +156,8 @@ class _Parser:
             return Neg(self.power_operand())
         base = self.atom()
         if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.next()
-            return Bin("^", base, self.power_operand())
+            pos = self.next()[2]
+            return Bin("^", base, self.power_operand(), pos)
         return base
 
     def atom(self):
@@ -158,11 +172,11 @@ class _Parser:
         if kind == "name":
             nxt = self.peek()
             if value in ("prod", "sum") and nxt[0] == "op" and nxt[1] == "(":
-                return self.comprehension(value)
+                return self.comprehension(value, pos)
             return Sym(value)
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 
-    def comprehension(self, kind: str):
+    def comprehension(self, kind: str, pos: int):
         self.expect("op", "(")
         var_tok = self.expect("name")
         self.expect("op", "=")
@@ -172,7 +186,7 @@ class _Parser:
         self.expect("op", ",")
         body = self.additive()
         self.expect("op", ")")
-        return Compr(kind, var_tok[1], lo, hi, body)
+        return Compr(kind, var_tok[1], lo, hi, body, pos)
 
 
 def parse(text: str):
@@ -219,6 +233,15 @@ class EvalContext:
 
 
 _AXIS_RE = re.compile(r"^([xd])([0-9]+)$")
+_ONE = Fraction(1)
+
+
+@lru_cache(maxsize=64)
+def _check_ring(ctx: EvalContext, axis: int) -> None:
+    """Build ``x_axis``, or 1 for axis 0, by the checked constructors once per
+    context: a context they refuse is refused where the symbol appears."""
+    build = TateSeries.coordinate if axis else TateSeries.constant
+    build(axis or 1, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
 
 
 def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
@@ -230,132 +253,188 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
         if ctx.dim != 1:
             raise UnknownSymbol(f"plain '{name}' needs dim 1; use {name}1..{name}d")
         name += "1"
+    zero = (0,) * ctx.dim
     if name == "dinv":
-        return _unit_monomial((-1,) + (0,) * (ctx.dim - 1), ctx)
+        _check_ring(ctx, 0)
+        return {(-1,) + zero[1:]: {zero: _ONE}}
     m = _AXIS_RE.match(name)
     if m:
         letter, axis = m[1], int(m[2])
         if not 1 <= axis <= ctx.dim:
             raise UnknownSymbol(f"axis {axis} out of range for dim {ctx.dim}")
-        if letter == "x":
-            return MicroOp.constant(TateSeries.coordinate(
-                axis, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision))
-        return _unit_monomial((0,) * (axis - 1) + (1,) + (0,) * (ctx.dim - axis), ctx)
+        e = zero[:axis - 1] + (1,) + zero[axis:]
+        _check_ring(ctx, axis if letter == "x" else 0)
+        return {zero: {e: _ONE}} if letter == "x" else {e: {zero: _ONE}}
     raise UnknownSymbol(f"unknown symbol {name!r}")
 
 
-def _unit_monomial(alpha: tuple[int, ...], ctx: EvalContext) -> MicroOp:
-    """D^alpha with coefficient 1 at the working degree cap and precision."""
-    one = TateSeries.constant(1, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
-    return MicroOp.monomial(alpha, one, ctx.dim, ctx.prime)
-
-
 def _as_op(value, ctx: EvalContext) -> MicroOp:
+    """The operator of an evaluated value, built by the checked constructors
+    at the context's precision and degree cap."""
     if isinstance(value, MicroOp):
         return value
+    if isinstance(value, dict):
+        p, n = ctx.prime, ctx.precision
+        return MicroOp(ctx.dim, p, {alpha: TateSeries(
+            ctx.dim, p, {m: PadicScalar.from_fraction(q, p, n) for m, q in f.items()},
+            ctx.degree_cap) for alpha, f in value.items()})
     return MicroOp.constant(TateSeries.constant(Fraction(value), ctx.dim, ctx.prime,
                                                 ctx.degree_cap, ctx.precision))
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, pos: int) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     if isinstance(value, int):
         return value
-    raise ExprSyntaxError(f"{what} must evaluate to an integer", 0)
+    raise ExprSyntaxError(f"{what} must evaluate to an integer", pos)
 
 
 def evaluate(node, ctx: EvalContext, env: dict | None = None):
     """Evaluate to a MicroOp or a scalar Fraction (numbers stay numbers)."""
-    env = env or {}
-    if isinstance(node, Num):
-        return Fraction(node.value)
-    if isinstance(node, Sym):
-        return _resolve_symbol(node.name, ctx, env)
-    if isinstance(node, Neg):
-        v = evaluate(node.operand, ctx, env)
-        return -v
-    if isinstance(node, Compr):
-        lo = _as_int(evaluate(node.lo, ctx, env), "range bound")
-        hi = _as_int(evaluate(node.hi, ctx, env), "range bound")
-        acc = None
-        for i in range(lo, hi + 1):
-            item = evaluate(node.body, ctx, {**env, node.var: Fraction(i)})
-            if acc is None:
-                acc = item
-            elif node.kind == "prod":
-                acc = _combine_mul(acc, item, ctx)
-            else:
-                acc = _combine_add(acc, item, ctx)
-        if acc is None:
-            return Fraction(1) if node.kind == "prod" else Fraction(0)
-        return acc
+    value = _fold(node, ctx, env or {})
+    return _as_op(value, ctx) if isinstance(value, dict) else value
+
+
+def _fold(node, ctx: EvalContext, env: dict):
+    """A Fraction, folded literal data or a MicroOp (see the module docstring)."""
     if isinstance(node, Bin):
-        lhs = evaluate(node.lhs, ctx, env)
-        rhs = evaluate(node.rhs, ctx, env)
+        lhs = _fold(node.lhs, ctx, env)
+        rhs = _fold(node.rhs, ctx, env)
         if node.op == "+":
-            return _combine_add(lhs, rhs, ctx)
+            return _add(lhs, rhs, ctx)
         if node.op == "-":
-            return _combine_add(lhs, -rhs, ctx)
+            return _add(lhs, _neg(rhs), ctx)
         if node.op == "*":
-            return _combine_mul(lhs, rhs, ctx)
+            return _mul(lhs, rhs, ctx)
         if node.op == "/":
             if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
                 if rhs == 0:
-                    raise ExprSyntaxError("division by zero", 0)
+                    raise ExprSyntaxError("division by zero", node.pos)
                 return lhs / rhs
-            raise ExprSyntaxError("'/' is for rational literals only", 0)
-        if node.op == "^":
-            return _power(lhs, rhs, ctx)
+            raise ExprSyntaxError("'/' is for rational literals only", node.pos)
+        return _power(lhs, _as_int(rhs, "exponent", node.pos), ctx, node.pos)
+    if isinstance(node, Sym):
+        return _resolve_symbol(node.name, ctx, env)
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, Neg):
+        return _neg(_fold(node.operand, ctx, env))
+    if isinstance(node, Compr):
+        lo = _as_int(_fold(node.lo, ctx, env), "range bound", node.pos)
+        hi = _as_int(_fold(node.hi, ctx, env), "range bound", node.pos)
+        acc = Fraction(node.kind == "prod")
+        for i in range(lo, hi + 1):
+            item = _fold(node.body, ctx, {**env, node.var: Fraction(i)})
+            acc = item if i == lo else (_mul if node.kind == "prod" else _add)(acc, item, ctx)
+        return acc
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _combine_add(a, b, ctx: EvalContext):
+def _folded(value, dim: int) -> dict:
+    if isinstance(value, dict):
+        return value
+    zero = (0,) * dim
+    return {zero: {zero: value}} if value else {}
+
+
+def _neg(value):
+    if isinstance(value, dict):
+        return {a: {m: -q for m, q in f.items()} for a, f in value.items()}
+    return -value
+
+
+def _add(a, b, ctx: EvalContext):
+    """a + b in ``MicroOp.__add__``'s term and monomial order."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return _as_op(a, ctx) + _as_op(b, ctx)
+    if isinstance(a, MicroOp) or isinstance(b, MicroOp):
+        return _as_op(a, ctx) + _as_op(b, ctx)
+    out = dict(_folded(a, ctx.dim))
+    for alpha, g in _folded(b, ctx.dim).items():
+        f = out.get(alpha)
+        if f is None:
+            out[alpha] = g
+        elif s := {m: q for m in set(f) | set(g) if (q := f.get(m, 0) + g.get(m, 0))}:
+            out[alpha] = s
+        else:
+            del out[alpha]
+    return out
 
 
-def _combine_mul(a, b, ctx: EvalContext):
+def _commutes(a: dict, b: dict) -> bool:
+    """Whether a*b has commutation terms: a D-exponent of a meets an x of b."""
+    return any(map(any, a)) and any(any(map(any, g)) for g in b.values())
+
+
+def _mul(a, b, ctx: EvalContext):
+    """a*b; folded operands with nothing to commute stay folded."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
+    if not (isinstance(a, MicroOp) or isinstance(b, MicroOp)):
+        a, b = _folded(a, ctx.dim), _folded(b, ctx.dim)
+        if not _commutes(a, b):
+            return _fold_product(a, b, ctx)
     return mul(_as_op(a, ctx), _as_op(b, ctx), window_cap=ctx.window_cap)
 
 
-def _power(base, exponent, ctx: EvalContext):
-    e = _as_int(exponent, "exponent")
+def _fold_product(a: dict, b: dict, ctx: EvalContext) -> dict:
+    """a*b with nothing to commute, in the kernel's pair order.  The kernel
+    forms a pair's product apart only when both coefficients have several
+    monomials; with nothing to commute, a then has one term, at D^0, so each
+    pair meets an empty sum and the two orders agree."""
+    cap, out = ctx.degree_cap, {}
+    right = [(beta, g, max(map(sum, g))) for beta, g in b.items()]
+    for alpha, f in a.items():
+        fdeg = max(map(sum, f))
+        for beta, g, gdeg in right:
+            if fdeg + gdeg > cap:
+                raise DegreeCapOverflow(fdeg + gdeg, cap)
+            gamma = tuple(map(add, alpha, beta))
+            total = out.setdefault(gamma, {})
+            for ma, ca in f.items():
+                for mb, cb in g.items():
+                    m, c = tuple(map(add, ma, mb)), ca * cb
+                    old = total.get(m)
+                    if old is None or (c := c + old):
+                        total[m] = c
+                    else:  # a sum that cancels leaves at once
+                        del total[m]
+            if not total:
+                del out[gamma]
+    _window_cap_check(out, ctx.window_cap)
+    return out
+
+
+def _power(base, e: int, ctx: EvalContext, pos: int):
     if isinstance(base, Fraction):
         if base == 0 and e < 0:
-            raise ExprSyntaxError("division by zero", 0)
+            raise ExprSyntaxError("division by zero", pos)
         return base**e
+    if isinstance(base, MicroOp):  # read back, so a monomial takes the one-step rule
+        base = {a: {m: c.as_fraction() for m, c in f.coeffs.items()}
+                for a, f in base.terms.items()}
+    monomial = len(base) == 1 and len(next(iter(base.values()))) == 1
+    if monomial:
+        (alpha, f), = base.items()
+        (m, c), = f.items()
     if e < 0:
-        if len(base.terms) == 1:
-            (alpha, coeff), = base.terms.items()
-            if len(coeff.coeffs) == 1 and coeff.is_unit():
-                inv_alpha = tuple(-x for x in alpha)
-                c = coeff.coeffs[(0,) * base.dim].inv()
-                unit = mul(_unit_monomial(inv_alpha, ctx),
-                           MicroOp.constant(TateSeries.constant(
-                               c, base.dim, base.prime, ctx.degree_cap),
-                               base.dim, base.prime),
-                           window_cap=ctx.window_cap)
-                return _power(unit, Fraction(-e), ctx)
-        raise ExprSyntaxError("negative powers need a monomial base", 0)
+        if not monomial or any(m):
+            raise ExprSyntaxError("negative powers need a monomial base", pos)
+        # D^-alpha * c^-1 is a product of its own, refused by the window first
+        alpha, c, e = tuple(-a for a in alpha), 1 / c, -e
+        _window_cap_check({alpha: None}, ctx.window_cap)
     # commutation only lowers x-degrees, so f^e has degree exactly e * deg f
-    needed = e * max([sum(m) for c in base.terms.values() for m in c.coeffs], default=0)
+    needed = e * max([sum(k) for g in base.values() for k in g], default=0)
     if needed > ctx.degree_cap:
         raise DegreeCapOverflow(needed, ctx.degree_cap)
-    out = _unit_monomial((0,) * base.dim, ctx)
-    (alpha, f), = base.terms.items() if len(base.terms) == 1 else ((None, None),)
-    if e > 1 and f is not None and len(f.coeffs) == 1:
-        (m, c), = f.coeffs.items()
-        if not (any(alpha) and any(m)):
-            # nothing commutes: one step to c^e x^(e*m) D^(e*alpha), whose
-            # window refusal names e*|alpha|
-            base, e = MicroOp.monomial(tuple(e * a for a in alpha), TateSeries(
-                base.dim, base.prime, {tuple(e * k for k in m): PadicScalar(
-                    c.prime, e * c.valuation, c.unit**e, c.precision)}, f.degree_cap),
-                base.dim, base.prime), 1
+    if e and monomial and not (any(alpha) and any(m)):
+        # nothing commutes: one step to c^e x^(e*m) D^(e*alpha), whose window
+        # refusal names e*|alpha|
+        out = {tuple(e * a for a in alpha): {tuple(e * k for k in m): c**e}}
+        _window_cap_check(out, ctx.window_cap)
+        return out
+    base, out = _as_op(base, ctx), _folded(_ONE, ctx.dim)
     for _ in range(e):
-        out = mul(out, base, window_cap=ctx.window_cap)
+        out = _mul(out, base, ctx)
     return out

@@ -271,13 +271,14 @@ class PadicScalar:
     def __pow__(self, n: int) -> "PadicScalar":
         if n < 0:
             return self.inv() ** (-n)
-        out = self.one(self.prime, self.precision)
+        out = _make(self.prime, 0, Fraction(1), self.precision, True)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __repr__(self):

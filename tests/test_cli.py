@@ -28,6 +28,21 @@ CONSTANT_PRODUCTS = (
      "1/2 + 3*d - 9/5*dinv + 2/7*d^2", "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2"],
     ["mul", "--dim", "2", "1 + p*d1 - p^2/3*d1*d2 + 5*d2^2", "3 - p*d2 + 1/5*d1^2 - d1*d2"],
     ["invert", "--level", "ek", "--k", "2", "--residual", "20", "1 - p*d"])
+# literal-heavy operators: a d = 1 Laurent product with x coefficients in text
+# and in JSON at --prec 20, one at p = 3, one in d = 2, and the norm and order
+# of a comprehension product
+_LITERAL_P = "3*p^2*x^3*d^2 + 5/7*dinv^2 - 9*p*x*d + 2"
+_LITERAL_Q = "x^2*d + 7/3*p^3*x*dinv^3 - 1"
+_LITERAL_PROD = "prod(n=1..6, 1 - 3*p^n*d + 5/7*p^(2*n)*d^2)"
+LITERAL_EXPRS = (
+    ["mul", _LITERAL_P, _LITERAL_Q],
+    ["mul", "--format", "json", "--prec", "20", _LITERAL_P, _LITERAL_Q],
+    ["mul", "--prime", "3", "2/9*p*x^2*d - 4*dinv^3 + 5/7*p^-1*x*d^2",
+     "1 - 3*p^2*x*dinv + 1/2*d^3"],
+    ["mul", "--dim", "2", "3*p*x1^2*d2 - 5/9*x2*d1^2 + p^3*dinv",
+     "x2*d1 + 2/5*p*x1*x2*d2^2 - 7"],
+    ["norm", "--k", "2", _LITERAL_PROD],
+    ["order", "--k", "3", _LITERAL_PROD])
 
 
 def run(args):
@@ -65,6 +80,11 @@ class TestGolden:
         # the smoke job in .github/workflows/tests.yml diffs the same four commands
         out = "".join(run(args)[1] for args in CONSTANT_PRODUCTS)
         assert out == (GOLDEN / "constant_products.txt").read_text()
+
+    def test_literal_exprs(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same six commands
+        out = "".join(run(args)[1] for args in LITERAL_EXPRS)
+        assert out == (GOLDEN / "literal_exprs.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])

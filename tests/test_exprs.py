@@ -1,9 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from microdiff import (ExprSyntaxError, MicroOp, TateSeries, UnknownSymbol,
-                       mul, product_op)
+from microdiff import (DegreeCapOverflow, ExprSyntaxError, MicroOp, MicrodiffError,
+                       PadicScalar, TateSeries, UnknownSymbol, mul, product_op)
 from microdiff.exprs import (Bin, Compr, EvalContext, Neg, Num, Sym, evaluate,
                              parse, to_text)
 
@@ -141,3 +144,194 @@ class TestEvaluate:
         right = as_op("x*d")
         assert not left.terms_equal(right)
         assert left.terms_equal(right + MicroOp.identity())
+
+    @pytest.mark.parametrize("text, pos", [
+        ("x + x^-1", 5), ("1 + 2/0", 5), ("d + d/2", 5), ("1 + 0^-1", 5),
+        ("p + d^d", 5), ("1 + prod(n=1..d, d)", 4)])
+    def test_errors_name_the_operator_position(self, text, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            ev(text)
+        assert err.value.position == pos
+
+
+# -- the fold against the unfolded rules -----------------------------------------
+#
+# The reference below evaluates as the expression language did before literals
+# were folded: every literal is its own MicroOp, joined by mul and +, and a
+# power is a loop of products, except that a one-scalar monomial with nothing
+# to commute is raised in one step and a negative power inverts a constant
+# D-monomial first.
+
+
+def _ref_unit(alpha, ctx):
+    one = TateSeries.constant(1, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
+    return MicroOp.monomial(alpha, one, ctx.dim, ctx.prime)
+
+
+def _ref_as_op(v, ctx):
+    if isinstance(v, MicroOp):
+        return v
+    return MicroOp.constant(TateSeries.constant(v, ctx.dim, ctx.prime, ctx.degree_cap,
+                                                ctx.precision))
+
+
+def _ref_mul(a, b, ctx):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
+    return mul(_ref_as_op(a, ctx), _ref_as_op(b, ctx), window_cap=ctx.window_cap)
+
+
+def _ref_add(a, b, ctx):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return _ref_as_op(a, ctx) + _ref_as_op(b, ctx)
+
+
+def _ref_power(base, e, ctx, pos):
+    if isinstance(base, Fraction):
+        if base == 0 and e < 0:
+            raise ExprSyntaxError("division by zero", pos)
+        return base**e
+    if e < 0:
+        (alpha, f), = base.terms.items() if len(base.terms) == 1 else ((None, None),)
+        if f is None or len(f.coeffs) != 1 or not f.is_unit():
+            raise ExprSyntaxError("negative powers need a monomial base", pos)
+        c = MicroOp.constant(TateSeries.constant(f.coeffs[(0,) * ctx.dim].inv(), ctx.dim,
+                                                 ctx.prime, ctx.degree_cap))
+        unit = mul(_ref_unit(tuple(-a for a in alpha), ctx), c, window_cap=ctx.window_cap)
+        return _ref_power(unit, -e, ctx, pos)
+    needed = e * max([sum(m) for c in base.terms.values() for m in c.coeffs], default=0)
+    if needed > ctx.degree_cap:
+        raise DegreeCapOverflow(needed, ctx.degree_cap)
+    out = _ref_unit((0,) * ctx.dim, ctx)
+    (alpha, f), = base.terms.items() if len(base.terms) == 1 else ((None, None),)
+    if e > 1 and f is not None and len(f.coeffs) == 1:
+        (m, c), = f.coeffs.items()
+        if not (any(alpha) and any(m)):
+            coeff = TateSeries(ctx.dim, ctx.prime, {tuple(e * k for k in m): PadicScalar(
+                ctx.prime, e * c.valuation, c.unit**e, c.precision)}, f.degree_cap)
+            base, e = MicroOp.monomial(tuple(e * a for a in alpha), coeff, ctx.dim,
+                                       ctx.prime), 1
+    for _ in range(e):
+        out = mul(out, base, window_cap=ctx.window_cap)
+    return out
+
+
+def _ref_int(v, what, pos):
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    raise ExprSyntaxError(f"{what} must evaluate to an integer", pos)
+
+
+def ref_evaluate(node, ctx, env=None):
+    env = env or {}
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, Sym):
+        name = node.name
+        if name in env or name == "p":
+            return env.get(name, Fraction(ctx.prime))
+        if name == "dinv":
+            return _ref_unit((-1,) + (0,) * (ctx.dim - 1), ctx)
+        letter, axis = re.fullmatch(r"([xd])([0-9]*)", name).groups()
+        i = int(axis or 1) - 1
+        if letter == "x":
+            return MicroOp.constant(TateSeries.coordinate(i + 1, ctx.dim, ctx.prime,
+                                                          ctx.degree_cap, ctx.precision))
+        return _ref_unit(tuple(int(j == i) for j in range(ctx.dim)), ctx)
+    if isinstance(node, Neg):
+        return -ref_evaluate(node.operand, ctx, env)
+    if isinstance(node, Compr):
+        lo = _ref_int(ref_evaluate(node.lo, ctx, env), "range bound", node.pos)
+        hi = _ref_int(ref_evaluate(node.hi, ctx, env), "range bound", node.pos)
+        acc = Fraction(node.kind == "prod")
+        for i in range(lo, hi + 1):
+            item = ref_evaluate(node.body, ctx, {**env, node.var: Fraction(i)})
+            acc = item if i == lo else (_ref_mul if node.kind == "prod" else _ref_add)(
+                acc, item, ctx)
+        return acc
+    lhs, rhs = ref_evaluate(node.lhs, ctx, env), ref_evaluate(node.rhs, ctx, env)
+    if node.op in "+-":
+        return _ref_add(lhs, rhs if node.op == "+" else -rhs, ctx)
+    if node.op == "*":
+        return _ref_mul(lhs, rhs, ctx)
+    if node.op == "/":
+        if not (isinstance(lhs, Fraction) and isinstance(rhs, Fraction)):
+            raise ExprSyntaxError("'/' is for rational literals only", node.pos)
+        if rhs == 0:
+            raise ExprSyntaxError("division by zero", node.pos)
+        return lhs / rhs
+    return _ref_power(lhs, _ref_int(rhs, "exponent", node.pos), ctx, node.pos)
+
+
+def outcome(evaluator, node, ctx):
+    """Everything observable: term order, monomial order, values, precisions
+    and caps, or the refusal's type, text and ``needed``."""
+    try:
+        v = evaluator(node, ctx)
+    except MicrodiffError as exc:
+        return type(exc), str(exc), getattr(exc, "needed", None)
+    if isinstance(v, Fraction):
+        return v
+    return v.tail, v.neg_tail, [
+        (a, f.degree_cap, f.exact, [(m, c.valuation, c.unit, c.precision, c.exact)
+                                    for m, c in f.coeffs.items()])
+        for a, f in v.terms.items()]
+
+
+def random_literal_text(rng, dim: int, depth: int = 2) -> str:
+    """A sum of products of literals, powers of literals and of sums, and
+    comprehensions, with exponents -3..6."""
+    axes = ("",) if dim == 1 else ("1", "2")
+    symbols = ["p", "dinv"] + [c + a for c in "xd" for a in axes]
+
+    def exponent():
+        e = rng.randint(-3, 6)
+        return str(e) if e >= 0 else f"({e})"
+
+    def factor(depth):
+        kind = rng.randrange(6 if depth else 3)
+        if kind == 0:
+            return rng.choice(["0", "2", "3", "9", "(5/7)", "(-4/9)", "(1/3)"])
+        if kind == 1:
+            return rng.choice(symbols)
+        if kind == 2:
+            return f"{rng.choice(symbols)}^{exponent()}"
+        if kind == 3:
+            return f"({expr(depth - 1)})^{exponent()}"
+        if kind == 4:
+            return f"({expr(depth - 1)})"
+        lo = rng.randint(0, 2)
+        body = rng.choice([f"p^n*{factor(depth - 1)}", f"({expr(depth - 1)})^n"])
+        return f"{rng.choice(['prod', 'sum'])}(n={lo}..{lo + rng.randint(-1, 3)}, {body})"
+
+    def expr(depth):
+        terms = ["*".join(factor(depth) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        return rng.choice(["", "-"]) + " ".join(
+            t if i == 0 else f"{rng.choice('+-')} {t}" for i, t in enumerate(terms))
+
+    return expr(depth)
+
+
+@st.composite
+def literal_exprs(draw):
+    """A context and an expression over every literal the fold takes."""
+    dim = draw(st.sampled_from((1, 2)))
+    ctx = EvalContext(prime=draw(st.sampled_from((2, 3, 5))), dim=dim,
+                      precision=draw(st.sampled_from((20, 64, 100))),
+                      degree_cap=draw(st.sampled_from((8, 32))),
+                      window_cap=draw(st.sampled_from((0, 3, 64, None))))
+    return ctx, parse(random_literal_text(draw(st.randoms(use_true_random=False)), dim))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(literal_exprs())
+@example((EvalContext(prime=3), parse("(3/5*d^2)^-2 - 2*p^2*x^3*d*(1/7 - dinv)")))
+@example((EvalContext(window_cap=3), parse("(d^2)^-2")))
+@example((EvalContext(degree_cap=8), parse("(x^2 + d)^5")))
+@example((EvalContext(), parse("(1 + d)*(1 - d) - (x - 2)*(x + 2)")))
+@example((EvalContext(dim=2), parse("x1*d2 - d2*x1 + prod(n=1..3, 1 - p^n*d1*d2)")))
+def test_folding_matches_the_unfolded_rules(case):
+    ctx, node = case
+    assert outcome(evaluate, node, ctx) == outcome(ref_evaluate, node, ctx)

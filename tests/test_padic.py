@@ -75,6 +75,30 @@ class TestMul:
             assert (a * b).norm() == a.norm() * b.norm()
 
 
+class TestPow:
+    BASES = (F(Fraction(-12, 5)), F(Fraction(3, 8), prime=3), F(Fraction(1, 25), prime=5),
+             PadicScalar.from_residue(1, 7, precision=16),
+             PadicScalar.from_residue(-2, 11, prime=3, precision=5))
+
+    @staticmethod
+    def fields(s):
+        return (s.prime, s.valuation, s.unit, s.precision, s.exact)
+
+    @pytest.mark.parametrize("c", BASES)
+    def test_matches_repeated_products(self, c):
+        for n in range(-3, 10):
+            step = c if n >= 0 else c.inv()
+            want = PadicScalar.one(c.prime, c.precision)
+            for _ in range(abs(n)):
+                want = want * step
+            assert self.fields(c**n) == self.fields(want), n
+
+    def test_zero(self):
+        z = PadicScalar.zero(3, 9)
+        assert self.fields(z**0) == self.fields(PadicScalar.one(3, 9))
+        assert all((z**n).is_zero and (z**n).precision == 9 for n in range(1, 6))
+
+
 class TestInv:
     def test_uniformizer(self):
         assert F(2).inv().valuation == -1
