@@ -298,7 +298,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.prime is None:
             args.prime = int(os.environ.get("MICRODIFF_PRIME", padic.DEFAULT_PRIME))
-        ctx = _context(args)
+        ctx = _context(args)  # refuses a --prime that is not a prime
         return _COMMANDS[args.command](args, ctx)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -39,7 +39,10 @@ summed into one ``int`` per exponent; every output takes the smaller
 precision and cap.  Its term order is the pair loop's: left terms in
 storage order, then right terms, an exponent whose sum cancels dropped at
 once and re-inserted at the end if formed again.  Kept flat rows serve the
-next flat product as they are and a general one after conversion.
+next flat product as they are and a general one after conversion.  The
+geometric series of :func:`microdiff.tower.invert` stays on rows:
+:func:`_geometric_sum` adds each power's kernel sums into one integer
+accumulator and builds one operator at the end.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -423,14 +426,11 @@ def _int_rows(S: MicroOp):
             V, D, n, None)
 
 
-def _flat_product(P: MicroOp, left: tuple, right: tuple):
-    """The terms of P*Q and their flat rows, from flat rows ``left`` of P and
-    ``right`` of Q: with nothing to commute, each term pair adds ``x*y`` into
-    one ``int`` per gamma, in the pair loop's order, and a gamma whose sum
-    cancels leaves at once."""
-    (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
+def _flat_product(lrows: list, rrows: list, d1: bool) -> dict:
+    """The flat pair loop: with nothing to commute, each term pair of flat
+    rows adds ``x*y`` into one ``int`` per gamma, in the pair loop's order,
+    and a gamma whose sum cancels leaves at once."""
     out: dict = {}
-    d1 = P.dim == 1
     for alpha, x in lrows:
         for beta, y in rrows:
             g = (alpha[0] + beta[0],) if d1 else tuple(map(add, alpha, beta))
@@ -440,14 +440,7 @@ def _flat_product(P: MicroOp, left: tuple, right: tuple):
                 out[g] = c
             else:
                 del out[g]
-    p, W, E, n, cap, zero = P.prime, lv + rv, ld * rd, min(ln, rn), min(lcap, rcap), (0,) * P.dim
-    rows = list(out.items())
-    for g, N in rows:
-        v = int_valuation(N, p)
-        u = N >> v if p == 2 else N // p ** v if v else N
-        out[g] = _series(P.dim, p, {zero: _scalar(p, W + v, Fraction(u) if E == 1 else
-                                                  Fraction(u, E), n, True)}, cap, True)
-    return out, (rows, W, E, n, cap)
+    return out
 
 
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
@@ -479,70 +472,11 @@ def _meet_cap(acc: list, cap: int, degree: int):
         raise DegreeCapOverflow(needed, low)
 
 
-# (weak reference to the last exact, unfolded product, (its kernel sums, W, E,
-# n, cap)): a product with that very operator as an operand takes its rows
-# from the sums, which are flat rows when cap is not None.  The entry is read
-# and replaced as one tuple, so threads only miss each other's reuse.
-_last_rows: tuple = (lambda: None, None)
-
-
-def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
-    """The coefficient-left terms of P*Q, and their integer rows.
-
-    Exact scalars take one integer kernel: each commuted term pair adds
-    products of :func:`_int_rows`, times integer binomials and falling
-    factorials, into one ``int`` per output (gamma, monomial), whose
-    valuation is extracted once.  Those sums, over ``p^W / E`` with W and E
-    the operands' V and D combined, are the rows returned; :func:`_product`
-    keeps them for an exact, unfolded result of two or more terms, and an
-    operand that is that very operator reuses them instead of
-    :func:`_int_rows`.  Two one-scalar monomials with nothing to commute, as
-    literals multiply, take one scalar product and no rows.  Two operands
-    whose coefficients are all exact constants, at one precision and one
-    cap per operand, take :func:`_flat_product`: their rows are flat, and
-    the pair loop is ``out[alpha + beta] += x*y`` in the same pair order,
-    with a cancelled exponent deleted when it cancels.  Per-monomial
-    precisions are tracked only when an operand mixes precisions; otherwise
-    every output scalar has the smaller of the operands' two.  A pair in
-    which either coefficient is one monomial cannot meet itself, so it adds
-    straight into the sum; any other pair is formed on its own first, as
-    ``TateSeries.__mul__`` forms it.  Caps, precisions, refusals and term
-    order are those of the series arithmetic, which digit-mode operands
-    keep; their rows are None."""
-    if len(P.terms) == 1 == len(Q.terms):
-        ((alpha, f),), ((beta, g),) = P.terms.items(), Q.terms.items()
-        if len(f.coeffs) == 1 == len(g.coeffs):
-            ((ma, a),), ((mb, c),) = f.coeffs.items(), g.coeffs.items()
-            if a.exact and c.exact and not (any(alpha) and any(mb)):
-                m, cap = tuple(map(add, ma, mb)), min(f.degree_cap, g.degree_cap)
-                if sum(m) > cap:
-                    raise DegreeCapOverflow(sum(m), cap)
-                s = _scalar(P.prime, a.valuation + c.valuation, a.unit * c.unit,
-                            min(a.precision, c.precision), True)
-                return {tuple(map(add, alpha, beta)): _series(P.dim, P.prime, {m: s}, cap,
-                                                              True)}, None
-    ref, kept = _last_rows
-    last = ref()
-    if (last is P or last is Q) and kept[4] is None:  # the last product's sums, as rows
-        sums, W, E, n, _ = kept
-        kept = ([(a, list(v.items()), vp, cap, max(map(sum, v))) for a, (v, vp, cap) in sums],
-                W, E, n, None)
-    left = kept if last is P else _int_rows(P)
-    right = kept if last is Q else _int_rows(Q)
-    if left is None or right is None:
-        return _series_product_terms(P, Q), None
-    (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
-    if lcap is not None and rcap is not None:
-        return _flat_product(P, left, right)
-    if lcap is not None or rcap is not None:  # flat rows, as general ones
-        zero = (0,) * P.dim
-        lrows, rrows = [side if cap is None else [(a, [(zero, N)], None, cap, 0) for a, N in side]
-                        for side, cap in ((lrows, lcap), (rrows, rcap))]
-    n = None if ln is None or rn is None else min(ln, rn)
-    if n is None:  # precisions mix: every row carries one per monomial
-        lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
-                         for a, v, vp, cap, deg in side]
-                        for side, prec in ((lrows, ln), (rrows, rn))]
+def _general_product(lrows: list, rrows: list, n: int | None) -> dict:
+    """The general pair loop: gamma -> [{monomial: int}, precisions or None,
+    cap], the precisions per monomial unless ``n`` is the rows' one.  A pair
+    in which either coefficient is one monomial adds straight into the sum;
+    any other is formed on its own first, as ``TateSeries.__mul__`` does."""
     caches: dict = {}  # beta -> {j: D^j of its coefficient}
     out: dict = {}  # gamma -> [values, precisions or None, cap]
     for alpha, fv, fp, fcap, fdeg in lrows:
@@ -587,29 +521,112 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], 
                         continue
                     if acc[2] != cap:
                         _meet_cap(acc, cap, max(map(sum, vals)))
-                    total, aprec = acc[0], acc[1]
-                    for m, c in vals.items():
-                        old = total.get(m)
-                        c += old or 0
-                        if c:
-                            total[m] = c
-                            if aprec is not None:
-                                aprec[m] = min(aprec[m], precs[m]) if old else precs[m]
-                        else:
-                            del total[m]
+                    _add_into(acc, vals, precs, n, 1)
                 if not acc[0]:
                     del out[gamma]
-    p, W, E = P.prime, lv + rv, ld * rd
-    sums = list(out.items())
-    for gamma, (vals, aprec, cap) in sums:
-        coeffs = {}
-        for m, N in vals.items():
-            v = int_valuation(N, p)
-            u = N >> v if p == 2 else N // p ** v if v else N
-            coeffs[m] = _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E),
-                                n if aprec is None else aprec[m], True)
-        out[gamma] = _series(P.dim, p, coeffs, cap, True)
-    return out, (sums, W, E, n, None)
+    return out
+
+
+def _add_into(acc: list, vals: dict, precs: dict | None, n: int | None, scale: int):
+    """Add ``scale`` times ``vals`` into the sum ``acc`` as ``TateSeries.__add__``
+    adds: a monomial in both takes the smaller precision, one that cancels
+    leaves (its stale precision is overwritten if it forms again)."""
+    total, aprec = acc[0], acc[1]
+    for m, c in vals.items():
+        old = total.get(m)
+        c = c * scale + old if old else c * scale
+        if c:
+            total[m] = c
+            if aprec is not None:
+                q = n if precs is None else precs[m]
+                aprec[m] = min(aprec[m], q) if old else q
+        else:
+            del total[m]
+
+
+def _kernel_sums(left: tuple, right: tuple, dim: int) -> tuple:
+    """(sums, W, E, n, cap): the integer sums over ``p^W / E`` of the product
+    of rows ``left`` and ``right`` (as :func:`_int_rows` gives them), flat at
+    precision n and cap ``cap`` when both sides are; otherwise general, at
+    the smaller precision n, or per monomial when an operand mixes them."""
+    (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
+    if lcap is not None and rcap is not None:
+        return _flat_product(lrows, rrows, dim == 1), lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
+    if lcap is not None or rcap is not None:  # flat rows, as general ones
+        zero = (0,) * dim
+        lrows, rrows = [side if cap is None else [(a, [(zero, N)], None, cap, 0) for a, N in side]
+                        for side, cap in ((lrows, lcap), (rrows, rcap))]
+    n = None if ln is None or rn is None else min(ln, rn)
+    if n is None:  # precisions mix: every row carries one per monomial
+        lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
+                         for a, v, vp, cap, deg in side]
+                        for side, prec in ((lrows, ln), (rrows, rn))]
+    return _general_product(lrows, rrows, n), lv + rv, ld * rd, n, None
+
+
+def _as_rows(kept: tuple) -> tuple:
+    """Kernel sums as the rows of the operator they build: flat sums are
+    flat rows already; general ones become :func:`_int_rows`' general rows."""
+    sums, W, E, n, cap = kept
+    if cap is not None:
+        return list(sums.items()), W, E, n, cap
+    return ([(a, list(v.items()), vp, c, max(map(sum, v))) for a, (v, vp, c) in sums.items()],
+            W, E, n, None)
+
+
+def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
+    """The one output builder: each integer sum over ``p^W / E`` becomes an
+    exact scalar, its valuation extracted once, at precision n or its own."""
+    sums, W, E, n, cap = kept
+
+    def scalar(N: int, precision: int):
+        v = int_valuation(N, p)
+        u = N >> v if p == 2 else N // p ** v if v else N
+        return _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E), precision, True)
+    if cap is not None:
+        zero = (0,) * dim
+        return {g: _series(dim, p, {zero: scalar(N, n)}, cap, True) for g, N in sums.items()}
+    return {g: _series(dim, p, {m: scalar(N, n if aprec is None else aprec[m])
+                                for m, N in vals.items()}, gcap, True)
+            for g, (vals, aprec, gcap) in sums.items()}
+
+
+# (weak reference to the last exact, unfolded product, its kernel sums as
+# :func:`_kernel_sums` returns them): a product with that very operator as an
+# operand takes its rows from the sums.  The entry is read and replaced as one
+# tuple, so threads only miss each other's reuse.
+_last_rows: tuple = (lambda: None, None)
+
+
+def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
+    """The coefficient-left terms of P*Q, and their integer sums: none for
+    two one-scalar monomials with nothing to commute, as literals multiply,
+    nor for digit-mode operands, which keep the series arithmetic whose
+    caps, precisions, refusals and term order the kernel matches.  The
+    kernel reads an operand's :func:`_int_rows`, or the kept sums if it is
+    the last product (see :func:`_product`)."""
+    if len(P.terms) == 1 == len(Q.terms):
+        ((alpha, f),), ((beta, g),) = P.terms.items(), Q.terms.items()
+        if len(f.coeffs) == 1 == len(g.coeffs):
+            ((ma, a),), ((mb, c),) = f.coeffs.items(), g.coeffs.items()
+            if a.exact and c.exact and not (any(alpha) and any(mb)):
+                m, cap = tuple(map(add, ma, mb)), min(f.degree_cap, g.degree_cap)
+                if sum(m) > cap:
+                    raise DegreeCapOverflow(sum(m), cap)
+                s = _scalar(P.prime, a.valuation + c.valuation, a.unit * c.unit,
+                            min(a.precision, c.precision), True)
+                return {tuple(map(add, alpha, beta)): _series(P.dim, P.prime, {m: s}, cap,
+                                                              True)}, None
+    ref, kept = _last_rows
+    last = ref()
+    if last is P or last is Q:  # the last product's sums, as rows
+        kept = _as_rows(kept)
+    left = kept if last is P else _int_rows(P)
+    right = kept if last is Q else _int_rows(Q)
+    if left is None or right is None:
+        return _series_product_terms(P, Q), None
+    sums = _kernel_sums(left, right, P.dim)
+    return _build_terms(P.dim, P.prime, sums), sums
 
 
 def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
@@ -676,14 +693,14 @@ def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
         raise InsufficientTruncation(
             "tail certificates cannot be combined across mixed sectors")
     global _last_rows
-    terms, rows = _product_terms(P, Q)
+    terms, sums = _product_terms(P, Q)
     _window_cap_check(terms, window_cap)
     tail = _fold_beyond(terms, _product_tail(P, Q), positive_sector=True)
     S = MicroOp(P.dim, P.prime, terms, tail)
-    # exact and unfolded, the rows match the terms; one term converts as
+    # exact and unfolded, the sums match the terms; one term converts as
     # cheaply as it would be reused
-    if rows is not None and tail is None and len(terms) > 1:
-        _last_rows = weakref.ref(S), rows
+    if sums is not None and tail is None and len(terms) > 1:
+        _last_rows = weakref.ref(S), sums
     return S
 
 
@@ -692,6 +709,46 @@ def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP)
     if not (P.positive and Q.positive):
         raise ValueError("compose needs positive operators; use microop.mul")
     return _product(P, Q, window_cap)
+
+
+def _geometric_sum(Q: MicroOp, J: int, cap: int, window_cap: int | None) -> MicroOp:
+    """1 + Q + ... + Q^J (1 at the default precision and cap ``cap``) as the
+    loop below sums it: each power window-checked, the sum stopping at the
+    first empty one, each (gamma, monomial) at the place, precision and cap
+    ``MicroOp.__add__`` gives it.  On rows (digit mode has none) the powers
+    stay kernel sums, each the next one's left rows, added into one
+    accumulator over ``p^min(0, J*V) / D^J`` for Q's ``p^V / D``."""
+    one = MicroOp.constant(1, Q.dim, Q.prime, cap)
+    right = _int_rows(Q)
+    if right is None or J < 1:
+        S = power = one
+        for _ in range(J):
+            power = _product(power, Q, window_cap)
+            if not power.terms:
+                break
+            S = S + power
+        return S
+    p, zero, base, DJ = Q.prime, (0,) * Q.dim, min(0, J * right[1]), right[2] ** J
+    left = _int_rows(one)
+    acc = {zero: [{zero: p ** -base * DJ}, {zero: left[3]}, cap]}
+    for _ in range(J):
+        sums, W, E, n, flat_cap = kept = _kernel_sums(left, right, Q.dim)
+        _window_cap_check(sums, window_cap)
+        if not sums:
+            break
+        scale = p ** (W - base) * (DJ // E)
+        for gamma, s in sums.items():
+            vals, precs, gcap = ({zero: s}, None, flat_cap) if flat_cap is not None else s
+            entry = acc.get(gamma)
+            if entry is None:
+                entry = acc[gamma] = [{}, {}, gcap]
+            elif entry[2] != gcap:
+                _meet_cap(entry, gcap, max(map(sum, vals)))
+            _add_into(entry, vals, precs, n, scale)
+            if not entry[0]:
+                del acc[gamma]
+        left = _as_rows(kept)
+    return MicroOp(Q.dim, p, _build_terms(Q.dim, p, (acc, base, DJ, None, None)))
 
 
 # -- level norms and orders ---------------------------------------------------

@@ -30,7 +30,7 @@ from operator import add
 from .diffop import DEFAULT_WINDOW_CAP, MicroOp, _window_cap_check
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .microop import mul
-from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar, check_prime
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 # -- AST ---------------------------------------------------------------------
@@ -210,7 +210,7 @@ def to_text(node, parent_prec: int = 0) -> str:
         return f"({text})" if parent_prec > _PREC["neg"] else text
     if isinstance(node, Bin):
         prec = _PREC[node.op]
-        left = to_text(node.lhs, prec)
+        left = to_text(node.lhs, prec + 1 if node.op == "^" else prec)  # ^ is right-associative
         right = to_text(node.rhs, prec + 1)
         text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
         return f"({text})" if prec < parent_prec else text
@@ -230,6 +230,9 @@ class EvalContext:
     precision: int = DEFAULT_PRECISION
     degree_cap: int = DEFAULT_DEGREE_CAP
     window_cap: int = DEFAULT_WINDOW_CAP
+
+    def __post_init__(self):
+        check_prime(self.prime)
 
 
 _AXIS_RE = re.compile(r"^([xd])([0-9]+)$")

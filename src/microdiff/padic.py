@@ -66,6 +66,31 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+# as Miller-Rabin bases, the first thirteen primes decide every n below
+# 3317044064679887385961981; the first twelve stop at 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=64)
+def check_prime(p: int) -> int:
+    """p, once deterministic Miller-Rabin proves it prime; anything else is
+    refused, a value past the bases' proven bound included."""
+    if not isinstance(p, int) or not 2 <= p < 3317044064679887385961981:
+        raise ValueError(f"the prime must be an integer from 2 to 3.3e24, got {p!r}")
+    s = int_valuation(p - 1, 2)
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if a % p == 0 or x in (1, p - 1):  # p itself is a base, or a passes
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not a prime")
+    return p
+
+
 def fraction_valuation(q: Fraction, p: int) -> int:
     if q == 0:
         raise ValueError("valuation of 0 is infinite")
@@ -85,8 +110,7 @@ class PadicScalar:
     exact: bool = True
 
     def __post_init__(self):
-        if self.prime < 2:
-            raise ValueError(f"prime must be >= 2, got {self.prime}")
+        check_prime(self.prime)
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         if self.valuation is None:
@@ -124,17 +148,17 @@ class PadicScalar:
     @classmethod
     def from_fraction(cls, q: Fraction | int, prime: int = DEFAULT_PRIME,
                       precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        q = Fraction(q)
+        q = q if isinstance(q, Fraction) else Fraction(q)
         if q == 0:
             return cls.zero(prime, precision)
-        v = fraction_valuation(q, prime)
-        return cls(prime, v, q / Fraction(prime) ** v, precision)
+        v = fraction_valuation(q, check_prime(prime))  # at p = 1 it would never end
+        return cls(prime, v, q / Fraction(prime) ** v if v else q, precision)
 
     @classmethod
     def from_residue(cls, valuation: int, residue: int, prime: int = DEFAULT_PRIME,
                      precision: int = DEFAULT_PRECISION) -> "PadicScalar":
         """Digit-mode scalar known modulo ``p**(valuation + precision)``."""
-        residue %= prime**precision
+        residue %= check_prime(prime) ** precision
         if residue == 0:
             raise PrecisionExhausted("residue carries no known digits")
         shift = int_valuation(residue, prime)

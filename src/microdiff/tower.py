@@ -23,8 +23,8 @@ weighted inequalities the coefficients must satisfy:
 Verdicts carry machine-checkable witnesses: the dominant exponent for a
 unit, or the violated clause and offending exponent for a non-unit.
 Inversion recentres around the dominant monomial and sums the geometric
-series to the certified residual target in exact polynomials, then
-multiplies back: the whole certificate.
+series to the certified residual target on the product kernel's integer
+rows, building it once, then multiplies back: the whole certificate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _graded_weight,
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _geometric_sum, _graded_weight,
                      _level_exponent, _require_positive, floor_sum, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
@@ -312,13 +312,7 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
     try:
         g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
-        minus_R = -mul(g, rest, window_cap=None)
-        series = power = MicroOp.constant(1, P.dim, P.prime, cap)
-        for _ in range(J):
-            power = mul(power, minus_R, window_cap=window_cap)
-            if not power.terms:
-                break
-            series = series + power
+        series = _geometric_sum(-mul(g, rest, window_cap=None), J, cap, window_cap)
         result = mul(mul(inv_mono, series, window_cap=window_cap), g, window_cap=window_cap)
         _verify_residual(P, result, level, residual_exponent, cap)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so

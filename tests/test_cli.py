@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 from microdiff import cli
 from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA)
@@ -43,6 +44,17 @@ LITERAL_EXPRS = (
      "x2*d1 + 2/5*p*x1*x2*d2^2 - 7"],
     ["norm", "--k", "2", _LITERAL_PROD],
     ["order", "--k", "3", _LITERAL_PROD])
+# inverses by the geometric series: x coefficients at ek(1) to p^-60, a
+# Laurent unit at fkr(3, 1), a d = 2 unit, a p = 3 unit whose inverse has
+# denominators, and the fkr(3, 1) inverse again in JSON at --prec 20
+_FKR_UNIT = ["--level", "fkr", "--k", "3", "--r", "1", "1 + p^3*dinv + p^4*d"]
+INVERT_SERIES = (
+    ["invert", "--level", "ek", "--k", "1", "--residual", "60", "1 + p^4*x*d"],
+    ["invert", *_FKR_UNIT],
+    ["invert", "--dim", "2", "--level", "ek", "--k", "1", "1 + p^2*x1*d2 - p^3*d1"],
+    ["invert", "--prime", "3", "--level", "ek", "--k", "1", "--residual", "30",
+     "2 + 9*x*d + 3*dinv"],
+    ["invert", "--format", "json", "--prec", "20", *_FKR_UNIT])
 
 
 def run(args):
@@ -85,6 +97,11 @@ class TestGolden:
         # the smoke job in .github/workflows/tests.yml diffs the same six commands
         out = "".join(run(args)[1] for args in LITERAL_EXPRS)
         assert out == (GOLDEN / "literal_exprs.txt").read_text()
+
+    def test_invert_series(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same five commands
+        out = "".join(run(args)[1] for args in INVERT_SERIES)
+        assert out == (GOLDEN / "invert_series.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
@@ -183,6 +200,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.getvalue().strip().endswith("rerun with --window 10 or larger")
         assert run(["mul", "--window", "10", "d^10", "1"]) == (0, "d^10\n")
+
+
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "6", "-3", None])
+    def test_a_value_that_is_not_a_prime_is_refused(self, prime, monkeypatch):
+        # --prime 0 used to end in a ZeroDivisionError traceback, --prime 1
+        # in a loop that never ended; the environment is read the same way
+        args = ["mul", "d", "1"] if prime is None else ["mul", "--prime", prime, "d", "1"]
+        monkeypatch.setenv("MICRODIFF_PRIME", "9")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(args)
+        assert code == 1 and out == ""
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1
+        assert "Traceback" not in message
+
+    def test_a_composite_prime_gives_no_verdict(self):
+        # at --prime 4, 2 was a "unit" and this printed "invertible: false";
+        # the 4-adic completion of Q is Q_2, where the operator is a unit
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["check", "--prime", "4", "--level", "ek", "--k", "1", "1 + 2*x"])
+        assert (code, out, err.getvalue()) == (1, "", "error: 4 is not a prime\n")
+        code, out = run(["check", "--prime", "2", "--level", "ek", "--k", "1", "1 + 2*x"])
+        assert code == 0 and out.startswith("invertible: true")
 
 
 class TestWorkingRing:

@@ -335,3 +335,38 @@ def literal_exprs(draw):
 def test_folding_matches_the_unfolded_rules(case):
     ctx, node = case
     assert outcome(evaluate, node, ctx) == outcome(ref_evaluate, node, ctx)
+
+
+def _power_exponents():
+    small = st.integers(0, 3).map(Num)
+    return st.one_of(small, st.integers(1, 2).map(lambda e: Neg(Num(e))),
+                     st.builds(lambda a, b: Bin("^", Num(a), Num(b)),
+                               st.integers(1, 2), st.integers(1, 2)))
+
+
+def _expressions():
+    leaves = st.one_of(st.integers(0, 9).map(Num),
+                       st.sampled_from(("p", "x", "d", "dinv")).map(Sym))
+
+    def extend(child):
+        return st.one_of(child.map(Neg),
+                         st.builds(Bin, st.sampled_from("+-*"), child, child),
+                         st.builds(lambda a, b: Bin("/", Num(a), Num(b)),
+                                   st.integers(0, 9), st.integers(1, 9)),
+                         st.builds(lambda b, e: Bin("^", b, e), child, _power_exponents()))
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_expressions())
+@example(Bin("^", Bin("^", Sym("x"), Num(2)), Num(3)))
+@example(Bin("^", Bin("^", Num(2), Num(2)), Bin("^", Num(2), Num(2))))
+@example(Bin("^", Neg(Bin("^", Sym("d"), Num(2))), Neg(Num(1))))
+def test_printed_text_parses_back_to_an_equal_value(node):
+    # (x^2)^3 used to print as x^2^3, which parses as x^(2^3)
+    def value(node):  # a refusal's text names positions, which printing moves
+        got = outcome(evaluate, node, CTX)
+        return got[::2] if isinstance(got, tuple) and isinstance(got[0], type) else got
+    back = parse(to_text(node))
+    assert back == node
+    assert value(back) == value(node)

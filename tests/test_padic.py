@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff import DivisionByZero, PadicScalar, PrecisionExhausted, binomial
-from microdiff.padic import fraction_valuation, generalized_binomial, int_valuation
+from microdiff.padic import (check_prime, fraction_valuation, generalized_binomial,
+                             int_valuation)
 
 
 def F(x, prime=2):
@@ -305,3 +306,53 @@ def test_public_constructor_still_validates():
         PadicScalar(3, 0, 9, precision=2, exact=False)
     with pytest.raises(ValueError):
         PadicScalar(2, 0, Fraction(1), precision=0)
+
+
+class TestCheckPrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 3000):
+            is_prime = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+            if is_prime:
+                assert check_prime(n) == n
+            else:
+                with pytest.raises(ValueError):
+                    check_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        561, 2047, 3215031751,  # a Carmichael number; strong pseudoprimes to 2 and to 2..7
+        3825123056546413051,  # a strong pseudoprime to the bases 2..23
+        318665857834031151167461,  # ... and to 2..37, the first twelve primes
+    ])
+    def test_strong_pseudoprimes_are_refused(self, n):
+        with pytest.raises(ValueError, match="not a prime"):
+            check_prime(n)
+
+    def test_large_primes_pass_and_values_past_the_proven_bound_are_refused(self):
+        for p in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+            assert check_prime(p) == p
+        for n in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(ValueError, match="3.3e24"):
+                check_prime(n)
+
+    def test_every_constructor_refuses_a_composite_or_unit_prime(self):
+        for p in (0, 1, 4, 9):
+            with pytest.raises(ValueError):
+                PadicScalar.from_int(3, p)
+            with pytest.raises(ValueError):
+                PadicScalar.from_residue(0, 1, p, 4)
+            with pytest.raises(ValueError):
+                PadicScalar.zero(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("v", range(-3, 4))
+def test_from_fraction_fields(p, v):
+    # the v = 0 path skips the power and the division; every field is kept
+    for u in (Fraction(1), Fraction(-7), Fraction(3, 7), Fraction(-11, 13)):
+        if u.numerator % p == 0 or u.denominator % p == 0:
+            continue
+        q = u * Fraction(p) ** v
+        for arg in {q, int(q)} if q.denominator == 1 else {q}:
+            s = PadicScalar.from_fraction(arg, p, 20)
+            assert (s.prime, s.valuation, s.unit, s.precision, s.exact) == (p, v, u, 20, True)
+            assert type(s.unit) is Fraction

@@ -1,15 +1,22 @@
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotInvertible,
+from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, MicrodiffError,
+                       NotInvertible,
                        PadicScalar, TailCertificate, TateSeries,
                        UndecidableFiniteness, WindowOverflow,
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
                        slope_criterion_check, truncated_cofactor)
+from microdiff import diffop, tower
+from microdiff.diffop import _graded_weight
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
+from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.tower import RingLevel
 
 from conftest import rand_laurent_op, rand_positive_op, rand_series
@@ -347,3 +354,134 @@ class TestInvert:
 def parsed(text: str, dim: int = 1, cap: int = 32) -> MicroOp:
     ctx = EvalContext(dim=dim, degree_cap=cap)
     return _as_op(evaluate(parse(text), ctx), ctx)
+
+
+def series_the_old_way(Q: MicroOp, J: int, cap: int, window_cap):
+    """The geometric series as invert summed it on operators: one product
+    and one ``MicroOp.__add__`` per power."""
+    series = power = MicroOp.constant(1, Q.dim, Q.prime, cap)
+    for _ in range(J):
+        power = mul(power, Q, window_cap=window_cap)
+        if not power.terms:
+            break
+        series = series + power
+    return series
+
+
+def invert_outcome(P, level, window, target, series=None):
+    """Term order, caps and every scalar's fields of the inverse, or the
+    refusal's type, text and ``needed``; ``series`` replaces the row sum."""
+    with mock.patch.object(tower, "_geometric_sum", series or tower._geometric_sum):
+        try:
+            S = invert(P, level, window_cap=window, residual_exponent=target)
+        except MicrodiffError as exc:
+            return type(exc), str(exc), getattr(exc, "needed", None)
+    return [(a, f.degree_cap, f.exact, sorted((m, c.valuation, c.unit, c.precision, c.exact)
+                                              for m, c in f.coeffs.items()))
+            for a, f in S.terms.items()]
+
+
+@st.composite
+def invert_cases(draw):
+    """An operator built to be a unit at its level, mostly: a unit coefficient
+    at beta and every other term p-adically smaller than its recentred weight
+    asks.  d = 1 or 2, p = 2, 3 or 5, constant or polynomial coefficients,
+    D^-1 terms, scalars at precision 20 or 64 and caps 6 or 32, mixed over
+    the terms or not, and the window and degree caps low enough to refuse."""
+    rng = draw(st.randoms(use_true_random=False))
+    dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
+    level = rng.choice((RingLevel.ek(1), RingLevel.ek(2), RingLevel.fkr(2, 1),
+                        RingLevel.fkr(3, 1), RingLevel.finf()))
+    poly = rng.random() < 0.5
+    precisions = rng.choice(((64,), (20,), (20, 64)))
+    caps = rng.choice(((32,), (6,), (6, 32)))
+    low = 0 if level.tag == "finf" else -1
+    units = [u for u in (1, 3, 5, 7, -1, -3, F(1, 3), F(-5, 7)) if F(u).numerator % p
+             and F(u).denominator % p]
+
+    def coefficient(v):
+        scalars = {(0,) * dim: F(rng.choice(units)) * F(p) ** v}
+        if poly:
+            for _ in range(rng.randint(0, 2)):
+                m = tuple(rng.randint(0, 2) for _ in range(dim))
+                scalars[m] = F(rng.choice(units)) * F(p) ** (v + rng.randint(1 if any(m) else 0, 2))
+        n, cap = rng.choice(precisions), rng.choice(caps)
+        return TateSeries(dim, p, {m: PadicScalar.from_fraction(q, p, n)
+                                   for m, q in scalars.items() if sum(m) <= cap}, cap)
+    beta = tuple(rng.randint(low, 1) for _ in range(dim))
+    terms = {beta: coefficient(0)}
+    for _ in range(rng.randint(1, 3)):
+        alpha = tuple(rng.randint(low, 2) for _ in range(dim))
+        weight = _graded_weight(sum(alpha) - sum(beta), level.k or 1, level.r)
+        terms.setdefault(alpha, coefficient(max(0, weight) + rng.randint(1, 3)))
+    return (MicroOp(dim, p, terms), level, rng.choice((None, 64, 6)), rng.randint(4, 16))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(invert_cases())
+@example((parsed("1 + p^4*x*d"), RingLevel.ek(1), 64, 30))
+@example((parsed("1 + p^3*dinv + p^4*d"), RingLevel.fkr(3, 1), 64, 20))
+@example((parsed("1 + p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 64, 20))
+@example((parsed("1 + p*x + p^5*d"), RingLevel.ek(1), 64, 20))  # refused for the cap
+@example((parsed("1 - p*d"), RingLevel.ek(2), 64, 80))  # refused for the window
+def test_the_row_series_equals_the_operator_loop(case):
+    P, level, window, target = case
+    assert (invert_outcome(P, level, window, target)
+            == invert_outcome(P, level, window, target, series_the_old_way))
+
+
+@st.composite
+def series_operands(draw):
+    """A small operator whose powers cancel often, for the sum itself:
+    coefficients +-1, 2 and 1/3 on 1 and x, in d = 1 or 2 at p = 2 or 3,
+    precisions 20 and 64 and caps 2 and 32 mixed over the terms, a cap for
+    the 1, a window, and J = 0..5."""
+    rng = draw(st.randoms(use_true_random=False))
+    dim, p = rng.choice((1, 2)), rng.choice((2, 3))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        scalars = {tuple(rng.randint(0, 1) for _ in range(dim)): PadicScalar.from_fraction(
+            F(rng.choice((1, -1, 2, F(1, 3)))), p, rng.choice((20, 64)))
+            for _ in range(rng.randint(1, 2))}
+        terms[tuple(rng.randint(-1, 1) for _ in range(dim))] = TateSeries(
+            dim, p, scalars, rng.choice((2, 32)))
+    return MicroOp(dim, p, terms), rng.randint(0, 5), rng.choice((2, 32)), rng.choice((None, 2, 64))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(series_operands())
+@example((parsed("-1 + d"), 3, 32, 64))  # d^0 cancels, then comes back last
+@example((parsed("-1 + x*d - x*dinv"), 4, 32, 64))
+@example((MicroOp(1, 3, {(1,): TateSeries.constant(PadicScalar.from_fraction(1, 3, 64), 1, 3),
+                         (2,): TateSeries.constant(PadicScalar.from_fraction(1, 3, 20), 1, 3)}),
+          2, 32, 64))  # d^2 at precision 20 in Q, then at 64 in Q^2: the sum keeps 20
+def test_the_row_sum_keeps_each_terms_place_precision_and_cap(case):
+    Q, J, cap, window = case
+    outcomes = []
+    for series in (diffop._geometric_sum, series_the_old_way):
+        try:
+            S = series(Q, J, cap, window)
+            outcomes.append([(a, f.degree_cap, f.exact, sorted(
+                (m, c.valuation, c.unit, c.precision, c.exact) for m, c in f.coeffs.items()))
+                for a, f in S.terms.items()])
+        except MicrodiffError as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "needed", None)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_digit_mode_operand_keeps_the_operator_loop():
+    # p^4*x*d read back from JSON holds a residue: R has no integer rows, and
+    # the series is summed by MicroOp.__add__ as before (the unit 1 stays
+    # exact, as invert_unit of a residue cancels every known digit)
+    P = parsed("1") + operator_from_json(operator_to_json(parsed("p^4*x*d")))
+    outcomes = []
+    for series in (None, series_the_old_way):
+        sums, add = [], MicroOp.__add__
+        with mock.patch.object(diffop, "_kernel_sums", side_effect=AssertionError), \
+                mock.patch.object(MicroOp, "__add__", lambda S, T: sums.append(1) or add(S, T)):
+            outcomes.append((invert_outcome(P, RingLevel.ek(1), 64, 10, series), len(sums)))
+    assert outcomes[0] == outcomes[1]
+    (terms, adds) = outcomes[0]
+    assert [a for a, *_ in terms] == [(0,), (1,), (2,), (3,)] and adds >= 3
+    # 1 stays exact; every power of R is a residue
+    assert [all(c[-1] for c in coeffs) for *_, coeffs in terms] == [True, False, False, False]
