@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def rational(text: str) -> Fraction:
+    """A ``--mu`` weight a/b; a zero denominator is a bad value like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``--prime`` defaults per call in
@@ -66,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("norm", help="level norm of an operator")
     p.add_argument("expr")
     level_flags(p)
-    p.add_argument("--mu", type=str, default=None,
+    p.add_argument("--mu", type=rational, default=None,
                    help="rational weight a/b; overrides --level")
 
     p = add_parser("order", help="largest/smallest weighted order")
     p.add_argument("expr")
     level_flags(p, with_level=False)
-    p.add_argument("--mu", type=str, default=None)
+    p.add_argument("--mu", type=rational, default=None)
 
     p = add_parser("polygon", help="Newton polygon")
     p.add_argument("expr")
@@ -153,7 +161,7 @@ def _power_report(args, name: str, exponent) -> str:
 def _cmd_norm(args, ctx) -> int:
     P = _eval_operator(args.expr, ctx)
     if args.mu is not None:
-        e = diffop.norm_mu(P, Fraction(args.mu))
+        e = diffop.norm_mu(P, args.mu)
     else:
         level = _ring_level(args)
         if level.k is None:
@@ -167,7 +175,7 @@ def _cmd_order(args, ctx) -> int:
     if args.mu is None and args.k is None:
         raise UsageError("order needs --k or --mu")
     P = _eval_operator(args.expr, ctx)
-    mu = Fraction(args.mu) if args.mu is not None else Fraction(args.k)
+    mu = args.mu if args.mu is not None else Fraction(args.k)
     upper = diffop.order_Nmu(P, mu)
     lower = diffop.order_nmu(P, mu)
     if args.format == "json":
@@ -303,7 +311,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ExprSyntaxError, UnknownSymbol, ValueError) as exc:
+    except (ExprSyntaxError, UnknownSymbol, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InsufficientTruncation, NotCertifiable, UndecidableFiniteness,

@@ -398,7 +398,7 @@ def _int_rows(S: MicroOp):
     being the precision all scalars share, or None when they mix and each row
     carries its own.  None when a scalar is in digit mode."""
     zero = (0,) * S.dim
-    if len(S.terms) == 1:  # a monomial, as every literal is built: no rescaling
+    if len(S.terms) == 1:  # a monomial (invert's D^-beta or g, a mul operand): no rescaling
         (alpha, f), = S.terms.items()
         if len(f.coeffs) == 1:
             (m, c), = f.coeffs.items()
@@ -600,8 +600,9 @@ _last_rows: tuple = (lambda: None, None)
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
     """The coefficient-left terms of P*Q, and their integer sums: none for
-    two one-scalar monomials with nothing to commute, as literals multiply,
-    nor for digit-mode operands, which keep the series arithmetic whose
+    two one-scalar monomials with nothing to commute (a top-level ``mul`` of
+    monomials, or ``invert``'s ``D^-beta`` times a constant ``g``), nor for
+    digit-mode operands, which keep the series arithmetic whose
     caps, precisions, refusals and term order the kernel matches.  The
     kernel reads an operand's :func:`_int_rows`, or the kept sums if it is
     the last product (see :func:`_product`)."""
@@ -874,6 +875,8 @@ def _mu_max(P: MicroOp, mu: Fraction) -> tuple:
     """Certified (b * max, rows reaching it) of mu*n - v at mu = a/b: the
     max of a*n - b*v over the stored terms, in integers."""
     a, b = mu.numerator, mu.denominator
+    if a < 0:
+        raise ValueError("weight must be >= 0")
     return _stored_max(P, lambda m: a * m, tail_sup_exponent(P, mu), b)
 
 
@@ -885,8 +888,6 @@ def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
     """
     _require_positive(P, "norm_mu")
     mu = Fraction(mu)
-    if mu < 0:
-        raise ValueError("weight must be >= 0")
     return Fraction(_mu_max(P, mu)[0], mu.denominator)
 
 

@@ -9,28 +9,30 @@ derivation ``dinv``, parentheses, and the comprehensions
 appear in exponents.  An evaluation error names the position of its
 operator's token (of ``prod``/``sum`` for a range bound).
 
-Evaluation folds literals: numbers stay ``Fraction``, and a value built
-from coordinates and derivations stays exact data ``{alpha: {m: Fraction}}``
-until :func:`evaluate` returns, a product must commute (a D-exponent on the
-left meets an x on the right) or a power is not of a monomial; it then
-becomes a :class:`MicroOp` by the checked constructors at the context's
-precision and degree cap.  Folded steps keep the operator arithmetic's term
-order and refusals: the degree cap per term pair, the window on each
-product, and ``e * deg f`` up front for ``f^e``.
+Evaluation folds on the product kernel's integer sums.  A number stays a
+``Fraction``; an operator value is the tuple ``(sums, W, E, n, None)`` of
+:func:`microdiff.diffop._kernel_sums` in general form: integer sums over
+``p^W / E``, ``E`` prime to ``p``, at the context's precision ``n`` and
+degree cap.  A symbol or a number lifts to one row, a number scales the
+integers, two operators multiply in the kernel, and ``+`` merges over
+``p^min(W) / lcm(E)`` in ``MicroOp.__add__``'s term and monomial order.
+:func:`evaluate` builds one :class:`MicroOp` at the end.  Every step keeps
+the operator arithmetic's term order and refusals: the degree cap per term
+pair, the window on each product, and ``e * deg f`` up front for ``f^e``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
-from .diffop import DEFAULT_WINDOW_CAP, MicroOp, _window_cap_check
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _build_terms, _kernel_sums,
+                     _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
-from .microop import mul
-from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar, check_prime
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime, int_valuation
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 # -- AST ---------------------------------------------------------------------
@@ -259,7 +261,7 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
     zero = (0,) * ctx.dim
     if name == "dinv":
         _check_ring(ctx, 0)
-        return {(-1,) + zero[1:]: {zero: _ONE}}
+        return _term(_ONE, ctx, (-1,) + zero[1:])
     m = _AXIS_RE.match(name)
     if m:
         letter, axis = m[1], int(m[2])
@@ -267,47 +269,42 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
             raise UnknownSymbol(f"axis {axis} out of range for dim {ctx.dim}")
         e = zero[:axis - 1] + (1,) + zero[axis:]
         _check_ring(ctx, axis if letter == "x" else 0)
-        return {zero: {e: _ONE}} if letter == "x" else {e: {zero: _ONE}}
+        return _term(_ONE, ctx, m=e) if letter == "x" else _term(_ONE, ctx, e)
     raise UnknownSymbol(f"unknown symbol {name!r}")
 
 
 def _as_op(value, ctx: EvalContext) -> MicroOp:
-    """The operator of an evaluated value, built by the checked constructors
-    at the context's precision and degree cap."""
+    """The operator of an evaluated value, a number built by the checked
+    constructors at the context's precision and degree cap."""
     if isinstance(value, MicroOp):
         return value
-    if isinstance(value, dict):
-        p, n = ctx.prime, ctx.precision
-        return MicroOp(ctx.dim, p, {alpha: TateSeries(
-            ctx.dim, p, {m: PadicScalar.from_fraction(q, p, n) for m, q in f.items()},
-            ctx.degree_cap) for alpha, f in value.items()})
-    return MicroOp.constant(TateSeries.constant(Fraction(value), ctx.dim, ctx.prime,
+    return MicroOp.constant(TateSeries.constant(value, ctx.dim, ctx.prime,
                                                 ctx.degree_cap, ctx.precision))
 
 
 def _as_int(value, what: str, pos: int) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
-    if isinstance(value, int):
-        return value
     raise ExprSyntaxError(f"{what} must evaluate to an integer", pos)
 
 
 def evaluate(node, ctx: EvalContext, env: dict | None = None):
     """Evaluate to a MicroOp or a scalar Fraction (numbers stay numbers)."""
     value = _fold(node, ctx, env or {})
-    return _as_op(value, ctx) if isinstance(value, dict) else value
+    if isinstance(value, Fraction):
+        return value
+    return MicroOp(ctx.dim, ctx.prime, _build_terms(ctx.dim, ctx.prime, value))
 
 
 def _fold(node, ctx: EvalContext, env: dict):
-    """A Fraction, folded literal data or a MicroOp (see the module docstring)."""
+    """A Fraction or an operator's kernel sums (see the module docstring)."""
     if isinstance(node, Bin):
         lhs = _fold(node.lhs, ctx, env)
         rhs = _fold(node.rhs, ctx, env)
         if node.op == "+":
             return _add(lhs, rhs, ctx)
         if node.op == "-":
-            return _add(lhs, _neg(rhs), ctx)
+            return _add(lhs, _neg(rhs, ctx), ctx)
         if node.op == "*":
             return _mul(lhs, rhs, ctx)
         if node.op == "/":
@@ -322,7 +319,7 @@ def _fold(node, ctx: EvalContext, env: dict):
     if isinstance(node, Num):
         return Fraction(node.value)
     if isinstance(node, Neg):
-        return _neg(_fold(node.operand, ctx, env))
+        return _neg(_fold(node.operand, ctx, env), ctx)
     if isinstance(node, Compr):
         lo = _as_int(_fold(node.lo, ctx, env), "range bound", node.pos)
         hi = _as_int(_fold(node.hi, ctx, env), "range bound", node.pos)
@@ -334,78 +331,62 @@ def _fold(node, ctx: EvalContext, env: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _folded(value, dim: int) -> dict:
-    if isinstance(value, dict):
-        return value
-    zero = (0,) * dim
-    return {zero: {zero: value}} if value else {}
+def _scale(q: Fraction, a: tuple, ctx: EvalContext) -> tuple:
+    """q times the kernel sums a: q's numerator scales the integers, the
+    p-power of its denominator joins W and the rest joins E."""
+    sums, W, E, n, _ = a
+    if not q:
+        return {}, W, E, n, None
+    w, N = int_valuation(q.denominator, ctx.prime), q.numerator
+    return ({g: [{m: N * c for m, c in v.items()}, None, cap] for g, (v, _, cap) in sums.items()},
+            W - w, E * (q.denominator // ctx.prime**w), n, None)
 
 
-def _neg(value):
-    if isinstance(value, dict):
-        return {a: {m: -q for m, q in f.items()} for a, f in value.items()}
-    return -value
+def _term(q: Fraction, ctx: EvalContext, alpha=None, m=None) -> tuple:
+    """q x^m D^alpha (m and alpha 0 by default) as one row of kernel sums."""
+    zero = (0,) * ctx.dim
+    row = {alpha or zero: [{m or zero: 1}, None, ctx.degree_cap]}
+    return _scale(q, (row, 0, 1, ctx.precision, None), ctx)
+
+
+def _neg(value, ctx: EvalContext):
+    return -value if isinstance(value, Fraction) else _scale(-_ONE, value, ctx)
 
 
 def _add(a, b, ctx: EvalContext):
-    """a + b in ``MicroOp.__add__``'s term and monomial order."""
+    """a + b; operators merge over ``p^min(W) / lcm(E)`` in
+    ``MicroOp.__add__``'s term and monomial order."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    if isinstance(a, MicroOp) or isinstance(b, MicroOp):
-        return _as_op(a, ctx) + _as_op(b, ctx)
-    out = dict(_folded(a, ctx.dim))
-    for alpha, g in _folded(b, ctx.dim).items():
-        f = out.get(alpha)
+    (sa, wa, ea, n, _), (sb, wb, eb, _, _) = (
+        _term(v, ctx) if isinstance(v, Fraction) else v for v in (a, b))
+    p, W, E = ctx.prime, min(wa, wb), math.lcm(ea, eb)
+    ka, kb = p ** (wa - W) * (E // ea), p ** (wb - W) * (E // eb)
+    out = {g: [{m: c * ka for m, c in v.items()}, None, cap] for g, (v, _, cap) in sa.items()}
+    for g, (v, _, cap) in sb.items():
+        f = out.get(g)
         if f is None:
-            out[alpha] = g
-        elif s := {m: q for m in set(f) | set(g) if (q := f.get(m, 0) + g.get(m, 0))}:
-            out[alpha] = s
+            out[g] = [{m: c * kb for m, c in v.items()}, None, cap]
+        elif s := {m: c for m in set(f[0]) | set(v)
+                   if (c := f[0].get(m, 0) + v.get(m, 0) * kb)}:
+            f[0] = s
         else:
-            del out[alpha]
-    return out
-
-
-def _commutes(a: dict, b: dict) -> bool:
-    """Whether a*b has commutation terms: a D-exponent of a meets an x of b."""
-    return any(map(any, a)) and any(any(map(any, g)) for g in b.values())
+            del out[g]
+    return out, W, E, n, None
 
 
 def _mul(a, b, ctx: EvalContext):
-    """a*b; folded operands with nothing to commute stay folded."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if not (isinstance(a, MicroOp) or isinstance(b, MicroOp)):
-        a, b = _folded(a, ctx.dim), _folded(b, ctx.dim)
-        if not _commutes(a, b):
-            return _fold_product(a, b, ctx)
-    return mul(_as_op(a, ctx), _as_op(b, ctx), window_cap=ctx.window_cap)
-
-
-def _fold_product(a: dict, b: dict, ctx: EvalContext) -> dict:
-    """a*b with nothing to commute, in the kernel's pair order.  The kernel
-    forms a pair's product apart only when both coefficients have several
-    monomials; with nothing to commute, a then has one term, at D^0, so each
-    pair meets an empty sum and the two orders agree."""
-    cap, out = ctx.degree_cap, {}
-    right = [(beta, g, max(map(sum, g))) for beta, g in b.items()]
-    for alpha, f in a.items():
-        fdeg = max(map(sum, f))
-        for beta, g, gdeg in right:
-            if fdeg + gdeg > cap:
-                raise DegreeCapOverflow(fdeg + gdeg, cap)
-            gamma = tuple(map(add, alpha, beta))
-            total = out.setdefault(gamma, {})
-            for ma, ca in f.items():
-                for mb, cb in g.items():
-                    m, c = tuple(map(add, ma, mb)), ca * cb
-                    old = total.get(m)
-                    if old is None or (c := c + old):
-                        total[m] = c
-                    else:  # a sum that cancels leaves at once
-                        del total[m]
-            if not total:
-                del out[gamma]
-    _window_cap_check(out, ctx.window_cap)
+    """a*b: a number scales an operator, two operators multiply in the
+    product kernel, and each product meets the window cap."""
+    if isinstance(a, Fraction):
+        if isinstance(b, Fraction):
+            return a * b
+        out = _scale(a, b, ctx)
+    elif isinstance(b, Fraction):
+        out = _scale(b, a, ctx)
+    else:
+        out = _kernel_sums(_as_rows(a), _as_rows(b), ctx.dim)
+    _window_cap_check(out[0], ctx.window_cap)
     return out
 
 
@@ -414,13 +395,12 @@ def _power(base, e: int, ctx: EvalContext, pos: int):
         if base == 0 and e < 0:
             raise ExprSyntaxError("division by zero", pos)
         return base**e
-    if isinstance(base, MicroOp):  # read back, so a monomial takes the one-step rule
-        base = {a: {m: c.as_fraction() for m, c in f.coeffs.items()}
-                for a, f in base.terms.items()}
-    monomial = len(base) == 1 and len(next(iter(base.values()))) == 1
+    sums, W, E = base[:3]
+    monomial = len(sums) == 1 and len(next(iter(sums.values()))[0]) == 1
     if monomial:
-        (alpha, f), = base.items()
-        (m, c), = f.items()
+        (alpha, (f, _, _)), = sums.items()
+        (m, N), = f.items()
+        c = Fraction(N, E) * Fraction(ctx.prime) ** W
     if e < 0:
         if not monomial or any(m):
             raise ExprSyntaxError("negative powers need a monomial base", pos)
@@ -428,16 +408,16 @@ def _power(base, e: int, ctx: EvalContext, pos: int):
         alpha, c, e = tuple(-a for a in alpha), 1 / c, -e
         _window_cap_check({alpha: None}, ctx.window_cap)
     # commutation only lowers x-degrees, so f^e has degree exactly e * deg f
-    needed = e * max([sum(k) for g in base.values() for k in g], default=0)
+    needed = e * max([sum(k) for f, _, _ in sums.values() for k in f], default=0)
     if needed > ctx.degree_cap:
         raise DegreeCapOverflow(needed, ctx.degree_cap)
     if e and monomial and not (any(alpha) and any(m)):
         # nothing commutes: one step to c^e x^(e*m) D^(e*alpha), whose window
         # refusal names e*|alpha|
-        out = {tuple(e * a for a in alpha): {tuple(e * k for k in m): c**e}}
-        _window_cap_check(out, ctx.window_cap)
+        out = _term(c**e, ctx, tuple(e * a for a in alpha), tuple(e * k for k in m))
+        _window_cap_check(out[0], ctx.window_cap)
         return out
-    base, out = _as_op(base, ctx), _folded(_ONE, ctx.dim)
+    out = _term(_ONE, ctx)
     for _ in range(e):
         out = _mul(out, base, ctx)
     return out

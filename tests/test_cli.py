@@ -202,6 +202,30 @@ class TestExitCodes:
         assert run(["mul", "--window", "10", "d^10", "1"]) == (0, "d^10\n")
 
 
+    @pytest.mark.parametrize("args", [
+        ["norm", "--mu", "1/0", "d"],  # these two ended in a ZeroDivisionError
+        ["order", "--mu", "1/0", "d"],
+        ["order", "--k", "-1", "d"],  # answered "order N = 1"
+        ["norm", "--mu", "-1", "d"]])
+    def test_a_bad_weight_is_refused_in_one_line(self, args):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(args)
+        assert code == 1 and out == ""
+        message = err.getvalue()
+        assert message.count("\n") == 1 and "Traceback" not in message
+        assert message.startswith("usage error: " if "1/0" in args else "error: ")
+
+    def test_an_output_file_that_cannot_be_opened_is_refused(self, tmp_path):
+        # used to end in a FileNotFoundError traceback
+        target = tmp_path / "missing" / "norm.txt"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["norm", "--k", "1", "--out", str(target), "d"])
+        assert (code, out) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert str(target) in err.getvalue() and not target.parent.exists()
+
     @pytest.mark.parametrize("prime", ["0", "1", "4", "6", "-3", None])
     def test_a_value_that_is_not_a_prime_is_refused(self, prime, monkeypatch):
         # --prime 0 used to end in a ZeroDivisionError traceback, --prime 1

@@ -143,6 +143,15 @@ class TestNormMu:
         assert norm_mu(P, 2) == 1
         assert order_Nmu(P, 2) == 2 and order_nmu(P, 2) == 1
 
+    def test_a_negative_weight_is_refused_by_every_norm_and_order(self):
+        # the orders used to answer at a weight the norms refused
+        P = MicroOp.identity() + d()
+        for query, weight in ((norm_k, -1), (norm_mu, -1), (norm_mu, F(-1, 2)),
+                              (order_Nk, -1), (order_nk, -1),
+                              (order_Nmu, F(-1, 2)), (order_nmu, F(-1, 2))):
+            with pytest.raises(ValueError, match=">= 0"):
+                query(P, weight)
+
 
 class TestDefect:
     def test_optimal_pair(self):

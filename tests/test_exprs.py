@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff import (DegreeCapOverflow, ExprSyntaxError, MicroOp, MicrodiffError,
-                       PadicScalar, TateSeries, UnknownSymbol, mul, product_op)
+                       PadicScalar, TateSeries, UnknownSymbol, diffop, microop, mul,
+                       product_op)
 from microdiff.exprs import (Bin, Compr, EvalContext, Neg, Num, Sym, evaluate,
                              parse, to_text)
 
@@ -335,6 +336,27 @@ def literal_exprs(draw):
 def test_folding_matches_the_unfolded_rules(case):
     ctx, node = case
     assert outcome(evaluate, node, ctx) == outcome(ref_evaluate, node, ctx)
+
+
+def test_an_expression_builds_one_operator_and_no_operator_product_or_sum(monkeypatch):
+    # a product that commutes used to turn the fold into MicroOps, which then
+    # multiplied by diffop._product and added by MicroOp.__add__
+    node = parse("(x*d + p*x^2*dinv + 3)^4 - prod(n=1..5, 1 - p^n*d)")
+    want = outcome(ref_evaluate, node, CTX)
+    built, post_init = [], MicroOp.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("evaluation ran an operator product or sum")
+    monkeypatch.setattr(MicroOp, "__post_init__", counted)
+    monkeypatch.setattr(MicroOp, "__add__", refused)
+    monkeypatch.setattr(diffop, "_product", refused)
+    monkeypatch.setattr(microop, "_product", refused)
+    assert outcome(evaluate, node, CTX) == want
+    assert len(built) == 1
 
 
 def _power_exponents():
