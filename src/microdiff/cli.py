@@ -209,6 +209,8 @@ def _probed_check(P, level: RingLevel, probe_k: int | None) -> UnitVerdict:
     """
     if probe_k is None or level.tag not in ("fir", "finf", "dinf"):
         return tower.check_unit(P, level)
+    if probe_k < 0:
+        raise ValueError("the probe depth --k must be >= 0")
     cls = tower.classify_surconvergent(P)
     if cls.kind == "finite" and cls.order is not None and cls.order > 0:
         if diffop.order_Nk(P, probe_k) < cls.order:
@@ -304,6 +306,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.window < 0:  # it would refuse every product
+            raise UsageError(f"--window must be >= 0, got {args.window}")
         if args.prime is None:
             args.prime = int(os.environ.get("MICRODIFF_PRIME", padic.DEFAULT_PRIME))
         ctx = _context(args)  # refuses a --prime that is not a prime

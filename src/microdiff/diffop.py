@@ -42,7 +42,7 @@ once and re-inserted at the end if formed again.  Kept flat rows serve the
 next flat product as they are and a general one after conversion.  The
 geometric series of :func:`microdiff.tower.invert` stays on rows:
 :func:`_geometric_sum` adds each power's kernel sums into one integer
-accumulator and builds one operator at the end.
+accumulator, which ``invert`` multiplies on before it builds an operator.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -712,28 +712,19 @@ def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP)
     return _product(P, Q, window_cap)
 
 
-def _geometric_sum(Q: MicroOp, J: int, cap: int, window_cap: int | None) -> MicroOp:
-    """1 + Q + ... + Q^J (1 at the default precision and cap ``cap``) as the
-    loop below sums it: each power window-checked, the sum stopping at the
-    first empty one, each (gamma, monomial) at the place, precision and cap
-    ``MicroOp.__add__`` gives it.  On rows (digit mode has none) the powers
-    stay kernel sums, each the next one's left rows, added into one
-    accumulator over ``p^min(0, J*V) / D^J`` for Q's ``p^V / D``."""
-    one = MicroOp.constant(1, Q.dim, Q.prime, cap)
-    right = _int_rows(Q)
-    if right is None or J < 1:
-        S = power = one
-        for _ in range(J):
-            power = _product(power, Q, window_cap)
-            if not power.terms:
-                break
-            S = S + power
-        return S
-    p, zero, base, DJ = Q.prime, (0,) * Q.dim, min(0, J * right[1]), right[2] ** J
-    left = _int_rows(one)
-    acc = {zero: [{zero: p ** -base * DJ}, {zero: left[3]}, cap]}
+def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None) -> tuple:
+    """1 + Q + ... + Q^J as kernel sums, for Q's rows over ``p^V / D`` and
+    the flat rows ``one`` of the 1 (its precision and cap), summed as
+    ``MicroOp.__add__`` adds the powers: each power window-checked, the sum
+    stopping at the first empty one, each (gamma, monomial) at the place,
+    precision and cap the operator sum gives it.  The powers stay kernel
+    sums, each the next one's left rows, added into one accumulator over
+    ``p^min(0, J*V) / D^J``."""
+    left, zero = one, one[0][0][0]
+    base, DJ = min(0, J * Q[1]), Q[2] ** J
+    acc = {zero: [{zero: p ** -base * DJ}, {zero: one[3]}, one[4]]}
     for _ in range(J):
-        sums, W, E, n, flat_cap = kept = _kernel_sums(left, right, Q.dim)
+        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero))
         _window_cap_check(sums, window_cap)
         if not sums:
             break
@@ -749,7 +740,11 @@ def _geometric_sum(Q: MicroOp, J: int, cap: int, window_cap: int | None) -> Micr
             if not entry[0]:
                 del acc[gamma]
         left = _as_rows(kept)
-    return MicroOp(Q.dim, p, _build_terms(Q.dim, p, (acc, base, DJ, None, None)))
+    if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _int_rows reads it
+        precs, caps = {vp[zero] for _, vp, _ in acc.values()}, {c for *_, c in acc.values()}
+        if len(precs) == 1 == len(caps):
+            return {a: v[zero] for a, (v, _, _) in acc.items()}, base, DJ, precs.pop(), caps.pop()
+    return acc, base, DJ, None, None
 
 
 # -- level norms and orders ---------------------------------------------------

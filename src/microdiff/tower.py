@@ -22,9 +22,9 @@ weighted inequalities the coefficients must satisfy:
 
 Verdicts carry machine-checkable witnesses: the dominant exponent for a
 unit, or the violated clause and offending exponent for a non-unit.
-Inversion recentres around the dominant monomial and sums the geometric
-series to the certified residual target on the product kernel's integer
-rows, building it once, then multiplies back: the whole certificate.
+Inversion recentres around the dominant monomial, sums the geometric series
+to the certified residual target and multiplies back, the whole certificate,
+on the product kernel's integer rows; it builds one operator, the inverse.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _geometric_sum, _graded_weight,
-                     _level_exponent, _require_positive, floor_sum, is_finite)
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms,
+                     _geometric_sum, _graded_weight, _int_rows, _kernel_sums, _level_exponent,
+                     _require_positive, _window_cap_check, floor_sum, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, mul, tail_sup_exponent
+from .padic import PadicScalar, int_valuation
 
 _TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
 
@@ -280,8 +282,8 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     exact polynomial inverse of c_beta to within the target and R = g * (P -
     c_beta D^beta) D^-beta; the geometric series for (1 + R)^{-1} is summed
     until the contraction ratio pushes the residual below the target, and the
-    result is multiplied back to verify, all at P's degree cap.  Limit levels
-    delegate to the concrete (k, r) in the verdict.
+    result is multiplied back to verify, all at P's largest cap and precision.
+    Limit levels delegate to the concrete (k, r) in the verdict.
     """
     verdict = check_unit(P, level)
     if not verdict.invertible:
@@ -291,14 +293,17 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
     beta, cap = verdict.beta, max(c.degree_cap for c in P.terms.values())
     c_beta = P.terms[beta]
-    rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c
+    # c_beta D^beta - P recentred, so that -R = g * rest
+    rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): -c
                                     for a, c in P.terms.items() if a != beta})
     # the contraction ratio: the level norm of R, whose valuations are
     # v(c_alpha) - v(c_beta), and of the recentred tail
     rho = [e + c_beta.spectral_valuation() for e in
            (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, floor_sum(beta)))
            if e is not None]
-    inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime, cap)
+    unit = PadicScalar.one(P.prime, max(c.precision for f in P.terms.values()
+                                        for c in f.coeffs.values()))
+    inv_mono = MicroOp.monomial(tuple(-b for b in beta), unit, P.dim, P.prime, cap)
     if not rho:  # a monomial: c_beta * g = 1 - u^(J+1) is the residual
         return mul(inv_mono, MicroOp.constant(c_beta.invert_unit(residual_exponent)),
                    window_cap=window_cap)
@@ -312,9 +317,20 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
     try:
         g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
-        series = _geometric_sum(-mul(g, rest, window_cap=None), J, cap, window_cap)
-        result = mul(mul(inv_mono, series, window_cap=window_cap), g, window_cap=window_cap)
-        _verify_residual(P, result, level, residual_exponent, cap)
+        one = MicroOp.constant(unit, P.dim, P.prime, cap)
+        rows = [_int_rows(op) for op in (P, g, rest, inv_mono, one)]
+        if None not in rows:
+            S, back = _invert_on_rows(P, rows, max(J, 0), window_cap)
+        else:  # digit-mode scalars (read from JSON) have no rows: the same steps on operators
+            Q, S = mul(g, rest, window_cap=None), one
+            power = one
+            for _ in range(J):
+                power = mul(power, Q, window_cap=window_cap)
+                if not power.terms:
+                    break
+                S = S + power
+            S, back = mul(mul(inv_mono, S, window_cap=window_cap), g, window_cap=window_cap), None
+        _verify_residual(P, S, level, residual_exponent, one, back)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above
         needed = max(c.degree() for c in P.terms.values()) + deg_g + J * deg_R
@@ -327,16 +343,40 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
             max((abs(x) for a in rest.terms for x in a), default=0) + 2 * deg_R)
         raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
                              f"within {needed}") from None
-    return result
+    return S
 
 
-def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel,
-                     residual_exponent: int, cap: int):
-    # verification multiplies back exactly; the window cap binds only the
-    # inverse itself, not this internal product
-    stored = MicroOp(P.dim, P.prime, dict(P.terms))
-    res = mul(stored, S, window_cap=None) - MicroOp.constant(1, P.dim, P.prime, cap)
-    measured = level.norm_exponent(res)
+def _invert_on_rows(P: MicroOp, rows: list, J: int, window_cap: int | None) -> tuple:
+    """The inverse on the kernel's integer rows: the series of -R = g * rest,
+    times D^-beta and then g, each product window-checked as ``mul`` checks
+    it; one operator is built.  Returns it and the multiply-back's rows."""
+    P_rows, g, rest, inv_mono, one = rows
+    S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim)), J, one, P.prime, window_cap)
+    S = _kernel_sums(inv_mono, _as_rows(S), P.dim)
+    _window_cap_check(S[0], window_cap)
+    S = _kernel_sums(_as_rows(S), g, P.dim)
+    _window_cap_check(S[0], window_cap)
+    return MicroOp(P.dim, P.prime, _build_terms(P.dim, P.prime, S)), (P_rows, _as_rows(S))
+
+
+def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent: int,
+                     one: MicroOp, rows: tuple | None):
+    """Refuse unless ||P*S - 1||, with P's discarded mass times S, reaches the
+    target.  On P's and S's ``rows`` (none in digit mode) P*S stays sums over
+    ``p^W / E``, E prime to p: a coefficient's valuation is W + v(gcd of its
+    integers), and 1 leaves the constant integer over ``p^min(W, 0) / E``."""
+    if rows is None:  # the window cap binds only the inverse, not this product
+        back = mul(MicroOp(P.dim, P.prime, dict(P.terms)), S, window_cap=None)
+        measured = level.norm_exponent(back - one)
+    else:
+        sums, W, E, _, cap = _kernel_sums(*rows, P.dim)
+        p, zero, low = P.prime, (0,) * P.dim, min(W, 0)
+        coeffs = {a: {zero: s} if cap is not None else s[0] for a, s in sums.items()}
+        constant = {m: N * p ** (W - low) for m, N in coeffs.pop(zero, {}).items()}
+        constant[zero] = constant.get(zero, 0) - E * p ** -low
+        exps = [(-low, math.gcd(*constant.values()))] + [
+            (level.weight(sum(a)) - W, math.gcd(*v.values())) for a, v in coeffs.items()]
+        measured = max((e - int_valuation(c, p) for e, c in exps if c), default=None)
     sup = tail_sup_exponent(P, level.k, level.r)
     if sup is not None:  # discarded mass of P also multiplies S
         sup += level.norm_exponent(S)

@@ -103,6 +103,17 @@ class TestGolden:
         out = "".join(run(args)[1] for args in INVERT_SERIES)
         assert out == (GOLDEN / "invert_series.txt").read_text()
 
+    def test_invert_precision(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same command;
+        # the 1 of the series and D^-beta used to cap every term at 64 digits
+        code, out = run(["invert", "--prec", "100", "--format", "json", "--level", "ek",
+                         "--k", "2", "--residual", "10", "1 - p*d"])
+        assert code == 0
+        assert out == (GOLDEN / "invert_precision.txt").read_text()
+        scalars = [t["coeff"] for term in json.loads(out)["terms"] for t in term["coeff"]["terms"]]
+        assert len(scalars) == 10 and all(
+            c["prec"] == 100 and c["unit"] == str(2**100 - 1) for c in scalars)
+
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
         assert code == 0
@@ -215,6 +226,18 @@ class TestExitCodes:
         message = err.getvalue()
         assert message.count("\n") == 1 and "Traceback" not in message
         assert message.startswith("usage error: " if "1/0" in args else "error: ")
+
+    @pytest.mark.parametrize("args, prefix", [
+        (["norm", "--k", "1", "--window", "-1", "d"], "usage error: "),  # answered "norm = p^1"
+        (["mul", "--window", "-1", "d", "1"], "usage error: "),  # asked for --window 1
+        (["check", "--level", "finf", "--k", "-1", "1+p*d"], "error: the probe depth --k")])
+    def test_a_negative_window_or_probe_depth_is_refused_in_one_line(self, args, prefix):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(args)
+        assert code == 1 and out == ""
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.startswith(prefix)
 
     def test_an_output_file_that_cannot_be_opened_is_refused(self, tmp_path):
         # used to end in a FileNotFoundError traceback

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -13,8 +14,8 @@ from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, Micro
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
                        slope_criterion_check, truncated_cofactor)
-from microdiff import diffop, tower
-from microdiff.diffop import _graded_weight
+from microdiff import diffop, microop, tower
+from microdiff.diffop import _graded_weight, tail_sup_exponent
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
 from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.tower import RingLevel
@@ -368,14 +369,66 @@ def series_the_old_way(Q: MicroOp, J: int, cap: int, window_cap):
     return series
 
 
-def invert_outcome(P, level, window, target, series=None):
+def invert_the_old_way(P, level, window_cap=64, residual_exponent=20):
+    """invert as it ran on operators, the reference for the row pipeline: R
+    by ``mul`` and ``MicroOp.__neg__``, the series by the operator loop,
+    ``mul`` by D^-beta and by g, and the multiply-back an operator product
+    less the operator 1; the 1 and D^-beta at the default precision."""
+    verdict = check_unit(P, level)
+    if not verdict.invertible:
+        raise NotInvertible(f"not a unit at {level}: {verdict.violated}")
+    if level.tag in ("fir", "finf", "dinf"):
+        k, r = verdict.delegate
+        return invert_the_old_way(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
+    beta, cap = verdict.beta, max(c.degree_cap for c in P.terms.values())
+    c_beta = P.terms[beta]
+    rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c
+                                    for a, c in P.terms.items() if a != beta})
+    rho = [e + c_beta.spectral_valuation() for e in
+           (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, sum(beta)))
+           if e is not None]
+    inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime, cap)
+    if not rho:
+        return mul(inv_mono, MicroOp.constant(c_beta.invert_unit(residual_exponent)),
+                   window_cap=window_cap)
+    if max(rho) >= 0:
+        raise NotInvertible("recentred series does not contract")
+    J = math.ceil(F(residual_exponent) / -max(rho)) - 1
+    deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
+    deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
+    try:
+        g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
+        series = series_the_old_way(-mul(g, rest, window_cap=None), J, cap, window_cap)
+        S = mul(mul(inv_mono, series, window_cap=window_cap), g, window_cap=window_cap)
+        stored = MicroOp(P.dim, P.prime, dict(P.terms))
+        res = mul(stored, S, window_cap=None) - MicroOp.constant(1, P.dim, P.prime, cap)
+        measured = level.norm_exponent(res)
+        sup = tail_sup_exponent(P, level.k, level.r)
+        if sup is not None:
+            sup += level.norm_exponent(S)
+            measured = sup if measured is None else max(measured, sup)
+        if measured is not None and measured > -residual_exponent:
+            raise InsufficientTruncation(
+                f"residual p-norm p^{measured} exceeds the target p^{-residual_exponent}")
+    except DegreeCapOverflow:
+        needed = max(c.degree() for c in P.terms.values()) + deg_g + J * deg_R
+        raise DegreeCapOverflow(needed, cap, f"the inverse and its multiply-back reach "
+                                f"coefficient degree at most {needed}, past the degree cap") from None
+    except WindowOverflow as e:
+        needed = max(map(abs, beta)) + deg_g + J * (
+            max((abs(x) for a in rest.terms for x in a), default=0) + 2 * deg_R)
+        raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
+                             f"within {needed}") from None
+    return S
+
+
+def invert_outcome(P, level, window, target, inverse=invert):
     """Term order, caps and every scalar's fields of the inverse, or the
-    refusal's type, text and ``needed``; ``series`` replaces the row sum."""
-    with mock.patch.object(tower, "_geometric_sum", series or tower._geometric_sum):
-        try:
-            S = invert(P, level, window_cap=window, residual_exponent=target)
-        except MicrodiffError as exc:
-            return type(exc), str(exc), getattr(exc, "needed", None)
+    refusal's type, text and ``needed``."""
+    try:
+        S = inverse(P, level, window_cap=window, residual_exponent=target)
+    except MicrodiffError as exc:
+        return type(exc), str(exc), getattr(exc, "needed", None)
     return [(a, f.degree_cap, f.exact, sorted((m, c.valuation, c.unit, c.precision, c.exact)
                                               for m, c in f.coeffs.items()))
             for a, f in S.terms.items()]
@@ -424,10 +477,11 @@ def invert_cases(draw):
 @example((parsed("1 + p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 64, 20))
 @example((parsed("1 + p*x + p^5*d"), RingLevel.ek(1), 64, 20))  # refused for the cap
 @example((parsed("1 - p*d"), RingLevel.ek(2), 64, 80))  # refused for the window
+@example((parsed("1 + p^5*d"), RingLevel.ek(1), 64, 3))  # J = 0: the series is the 1
 def test_the_row_series_equals_the_operator_loop(case):
     P, level, window, target = case
     assert (invert_outcome(P, level, window, target)
-            == invert_outcome(P, level, window, target, series_the_old_way))
+            == invert_outcome(P, level, window, target, invert_the_old_way))
 
 
 @st.composite
@@ -448,6 +502,13 @@ def series_operands(draw):
     return MicroOp(dim, p, terms), rng.randint(0, 5), rng.choice((2, 32)), rng.choice((None, 2, 64))
 
 
+def row_sum(Q: MicroOp, J: int, cap: int, window_cap):
+    """The geometric series summed on Q's integer rows, built once."""
+    one = diffop._int_rows(MicroOp.constant(1, Q.dim, Q.prime, cap))
+    sums = diffop._geometric_sum(diffop._int_rows(Q), J, one, Q.prime, window_cap)
+    return MicroOp(Q.dim, Q.prime, diffop._build_terms(Q.dim, Q.prime, sums))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(series_operands())
 @example((parsed("-1 + d"), 3, 32, 64))  # d^0 cancels, then comes back last
@@ -458,7 +519,7 @@ def series_operands(draw):
 def test_the_row_sum_keeps_each_terms_place_precision_and_cap(case):
     Q, J, cap, window = case
     outcomes = []
-    for series in (diffop._geometric_sum, series_the_old_way):
+    for series in (row_sum, series_the_old_way):
         try:
             S = series(Q, J, cap, window)
             outcomes.append([(a, f.degree_cap, f.exact, sorted(
@@ -475,13 +536,46 @@ def test_a_digit_mode_operand_keeps_the_operator_loop():
     # exact, as invert_unit of a residue cancels every known digit)
     P = parsed("1") + operator_from_json(operator_to_json(parsed("p^4*x*d")))
     outcomes = []
-    for series in (None, series_the_old_way):
+    for inverse in (invert, invert_the_old_way):
         sums, add = [], MicroOp.__add__
         with mock.patch.object(diffop, "_kernel_sums", side_effect=AssertionError), \
+                mock.patch.object(tower, "_kernel_sums", side_effect=AssertionError), \
                 mock.patch.object(MicroOp, "__add__", lambda S, T: sums.append(1) or add(S, T)):
-            outcomes.append((invert_outcome(P, RingLevel.ek(1), 64, 10, series), len(sums)))
+            outcomes.append((invert_outcome(P, RingLevel.ek(1), 64, 10, inverse), len(sums)))
     assert outcomes[0] == outcomes[1]
     (terms, adds) = outcomes[0]
     assert [a for a, *_ in terms] == [(0,), (1,), (2,), (3,)] and adds >= 3
     # 1 stays exact; every power of R is a residue
     assert [all(c[-1] for c in coeffs) for *_, coeffs in terms] == [True, False, False, False]
+
+
+def from_json(text: str, dim: int = 1) -> MicroOp:
+    """The operator of ``text`` read back from JSON: every scalar a residue."""
+    return operator_from_json(operator_to_json(parsed(text, dim)))
+
+
+@pytest.mark.parametrize("P, level, target", [
+    # the multiply-back of residues cancels every known digit: both refuse
+    (parsed("1") + from_json("p^3*dinv + p^4*d"), RingLevel.fkr(3, 1), 20),
+    (parsed("1", dim=2) + from_json("p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 20),
+    # c_beta = 1 + p^5*x with a residue at x: g = 1 and R are exact, P is not
+    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 5),
+    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30)])  # refused for the cap
+def test_a_digit_mode_operand_answers_as_the_operator_pipeline(P, level, target):
+    assert invert_outcome(P, level, 64, target) == invert_outcome(P, level, 64, target,
+                                                                  invert_the_old_way)
+
+
+def test_an_exact_operand_builds_one_operator_and_no_operator_product_or_sum():
+    P, level = parsed("1 + p^4*x*d"), RingLevel.ek(1)
+    expected = invert_outcome(P, level, 64, 30, invert_the_old_way)
+    builds, build = [], diffop._build_terms
+    counted = lambda *args: builds.append(1) or build(*args)  # noqa: E731
+    with mock.patch.object(diffop, "_build_terms", counted), \
+            mock.patch.object(tower, "_build_terms", counted), \
+            mock.patch.object(diffop, "_product", side_effect=AssertionError), \
+            mock.patch.object(microop, "_product", side_effect=AssertionError), \
+            mock.patch.object(MicroOp, "__add__", side_effect=AssertionError), \
+            mock.patch.object(MicroOp, "__neg__", side_effect=AssertionError):
+        assert invert_outcome(P, level, 64, 30) == expected
+    assert len(builds) == 1 and isinstance(expected, list)
