@@ -17,8 +17,10 @@ order queries are certified, never heuristic: a query either proves its
 answer against the certificate or raises
 :class:`~microdiff.errors.InsufficientTruncation`.  The constructor refuses
 a coefficient that is not an exact polynomial.  One product body serves
-:func:`compose`, :func:`microdiff.microop.mul` and ``*``: an integer kernel
-for exact scalars, series arithmetic for digit-mode ones (read from JSON).
+:func:`compose`, :func:`microdiff.microop.mul` and ``*``: an integer
+kernel, for exact and digit-mode scalars (read from JSON) alike.  A residue
+enters it as its numerator over 1, and a monomial it reaches is known to
+the least absolute precision of its products (see :func:`_add_term`).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
@@ -30,8 +32,8 @@ very operator skips converting it; an equal copy, a clipped or a folded
 result is converted anew, and no operator holds rows of its own.
 Precision: when every scalar of each operand shares one precision, every
 output scalar has the smaller of the two and no per-monomial precision is
-tracked; an operand that mixes precisions switches on the per-monomial
-bookkeeping of the series arithmetic.  Constant coefficients: when every
+tracked; an operand that mixes precisions or holds a residue switches on
+the per-monomial bookkeeping of the series arithmetic.  Constant coefficients: when every
 coefficient of both operands is one exact constant, and each operand's
 scalars share one precision and one degree cap, nothing commutes and the
 product is one of Laurent polynomials over Z, flat rows ``(alpha, N)``
@@ -60,8 +62,8 @@ from operator import add, attrgetter, ge, sub
 from typing import Iterable, Mapping
 
 from .errors import (DegreeCapOverflow, DivisionByZero, InsufficientTruncation,
-                     NotCertifiable, WindowOverflow, ZeroOperator)
-from .padic import DEFAULT_PRIME, generalized_binomial, int_binomial, int_valuation
+                     NotCertifiable, PrecisionExhausted, WindowOverflow, ZeroOperator)
+from .padic import DEFAULT_PRIME, int_binomial, int_valuation
 from .padic import _make as _scalar
 from .tate import DEFAULT_DEGREE_CAP, TateSeries, monomial_text
 from .tate import _make as _series
@@ -316,46 +318,6 @@ def _fold_beyond(terms: dict, cert: TailCertificate | None,
 # -- multiplication ---------------------------------------------------------
 
 
-def _term_product(alpha: Exponent, f: TateSeries, beta: Exponent, g: TateSeries,
-                  prime: int) -> Iterable[tuple[Exponent, TateSeries]]:
-    """Expand (f * D^alpha) . (g * D^beta) into coefficient-left terms.
-
-    Moving D^alpha past g uses, axis by axis, the commutation law valid for
-    any integer power a of a derivation: D^a g = sum_j C(a, j) D^j(g) D^(a-j),
-    which stops at j = a for a >= 0 and once D^j(g) vanishes.  Binomials are
-    exact scalars at the largest precision of g's coefficients, so they never
-    cap a product's; ``s`` is ``None`` while it is still the exact one.
-    """
-    pending = [(g, None, (0,) * len(alpha))]  # (D^j g, C(alpha, j) or None, j)
-    precision = max(c.precision for c in g.coeffs.values())
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        expanded = []
-        for h, s, j in pending:
-            dh, jj = h, 0
-            while True:  # dh is nonzero and C(a, jj) too, as jj <= a for a >= 0
-                factor = generalized_binomial(a, jj, prime, precision)
-                sj = s if jj == 0 else factor if s is None else s * factor
-                expanded.append((dh, sj, j[:i] + (jj,) + j[i + 1:]))
-                jj += 1
-                if 0 <= a < jj:
-                    break
-                dh = dh.derive(i + 1)
-                if dh.is_zero:
-                    break
-        pending = expanded
-    for h, s, j in pending:
-        gamma = tuple(a + b - c for a, b, c in zip(alpha, beta, j))
-        coeff = f * h
-        if not coeff.exact:
-            raise DegreeCapOverflow(f.degree() + h.degree(), coeff.degree_cap)
-        if s is not None:
-            coeff = coeff.scale(s)
-        if not coeff.is_zero:
-            yield gamma, coeff
-
-
 def _capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
     """f + g, refused where the degree cap drops a monomial."""
     s = f + g
@@ -374,29 +336,15 @@ def _window_cap_check(terms: dict, cap: int | None):
                 f"product exponent {a} exceeds the window cap {cap}", needed)
 
 
-def _series_product_terms(P: MicroOp, Q: MicroOp) -> dict[Exponent, TateSeries]:
-    """The product terms by series arithmetic, one term pair at a time."""
-    out: dict[Exponent, TateSeries] = {}
-    for alpha, f in P.terms.items():
-        for beta, g in Q.terms.items():
-            for gamma, coeff in _term_product(alpha, f, beta, g, P.prime):
-                prev = out.get(gamma)
-                coeff = coeff if prev is None else _capped_sum(prev, coeff)
-                if coeff.is_zero:
-                    out.pop(gamma, None)
-                else:
-                    out[gamma] = coeff
-    return out
-
-
 def _int_rows(S: MicroOp):
     """S as integer rows over p^V / D, with V the least valuation and D the
-    lcm of the unit denominators: (rows, V, D, n, cap).  When every
-    coefficient is one exact constant, n is their one precision and cap their
-    one degree cap, the rows are flat, [(alpha, N)]; otherwise cap is None and
-    each row is (alpha, [(m, N)], {m: precision} or None, cap, degree), n
-    being the precision all scalars share, or None when they mix and each row
-    carries its own.  None when a scalar is in digit mode."""
+    lcm of the unit denominators: (rows, V, D, n, cap).  A digit-mode
+    scalar's residue is its numerator over 1.  When every coefficient is one
+    exact constant, n is their one precision and cap their one degree cap,
+    the rows are flat, [(alpha, N)]; otherwise cap is None and each row is
+    (alpha, [(m, N)], {m: precision} or None, cap, degree), n being the
+    precision all scalars share, or None when they mix or one is a residue
+    and each row carries its own, a residue's negated."""
     zero = (0,) * S.dim
     if len(S.terms) == 1:  # a monomial (invert's D^-beta or g, a mul operand): no rescaling
         (alpha, f), = S.terms.items()
@@ -407,12 +355,11 @@ def _int_rows(S: MicroOp):
                 return ([(alpha, N)] if flat else [(alpha, [(m, N)], None, cap, sum(m))],
                         c.valuation, c.unit.denominator, c.precision, cap if flat else None)
     scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
-    if not all(c.exact for c in scalars):
-        return None
     p, V = S.prime, min((c.valuation for c in scalars), default=0)
     D = math.lcm(*{c.unit.denominator for c in scalars})
     precisions = set(map(attrgetter("precision"), scalars))
-    n = precisions.pop() if len(precisions) == 1 else None
+    exact = all(c.exact for c in scalars)
+    n = precisions.pop() if len(precisions) == 1 and exact else None
     align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
     flat = n and len(scalars) == len(S.terms) and all(zero in f.coeffs for f in S.terms.values())
     caps = {f.degree_cap for f in S.terms.values()} if flat else ()
@@ -421,7 +368,8 @@ def _int_rows(S: MicroOp):
                  for alpha, c in zip(S.terms, scalars)], V, D, n, caps.pop())
     return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
                       for m, c in f.coeffs.items()],
-              None if n else {m: c.precision for m, c in f.coeffs.items()},
+              None if n else {m: c.precision if c.exact else -c.precision
+                              for m, c in f.coeffs.items()},
               f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
             V, D, n, None)
 
@@ -446,8 +394,10 @@ def _flat_product(lrows: list, rrows: list, d1: bool) -> dict:
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
                   cache: dict) -> list:
     """(beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for each j
-    of the law in :func:`_term_product`, in its order; ``cache`` keeps g's
-    derivatives, and the precisions are None when ``gp`` is."""
+    of the commutation law D^a g = sum_j C(a, j) D^j(g) D^(a-j), valid axis
+    by axis for any integer power a (it stops at j = a for a >= 0 and once
+    D^j(g) vanishes), in the order of j; ``cache`` keeps g's derivatives,
+    and the precisions are None when ``gp`` is."""
     out = []
     for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1)
                                  for a, t in zip(alpha, map(max, zip(*[m for m, _ in g])))]):
@@ -472,11 +422,12 @@ def _meet_cap(acc: list, cap: int, degree: int):
         raise DegreeCapOverflow(needed, low)
 
 
-def _general_product(lrows: list, rrows: list, n: int | None) -> dict:
+def _general_product(lrows: list, rrows: list, n: int | None, p: int) -> dict:
     """The general pair loop: gamma -> [{monomial: int}, precisions or None,
-    cap], the precisions per monomial unless ``n`` is the rows' one.  A pair
-    in which either coefficient is one monomial adds straight into the sum;
-    any other is formed on its own first, as ``TateSeries.__mul__`` does."""
+    cap], the precisions per monomial (see :func:`_add_term`) unless ``n`` is
+    the rows' one.  A pair in which either coefficient is one monomial adds
+    straight into the sum; any other is formed on its own first, as
+    ``TateSeries.__mul__`` does."""
     caches: dict = {}  # beta -> {j: D^j of its coefficient}
     out: dict = {}  # gamma -> [values, precisions or None, cap]
     for alpha, fv, fp, fcap, fdeg in lrows:
@@ -502,15 +453,19 @@ def _general_product(lrows: list, rrows: list, n: int | None) -> dict:
                 for ma, ca in fv:
                     if b != 1:
                         ca *= b
+                    if precs is not None:  # a product with a residue is known to its
+                        for mb, cb in hv:  # valuation plus the smaller relative precision
+                            x, qa, qb = ca * cb, fp[ma], hp[mb]
+                            q = min(qa, qb) if qa > 0 < qb else (
+                                -int_valuation(x, p) - min(abs(qa), abs(qb)))
+                            _add_term(vals, precs, tuple(map(add, ma, mb)), x, q, p)
+                        continue
                     for mb, cb in hv:
                         m = tuple(map(add, ma, mb))
                         old = vals.get(m)  # stored values are nonzero
                         c = ca * cb + old if old else ca * cb
-                        if c:  # a cancelled monomial drops its precision with it
+                        if c:
                             vals[m] = c
-                            if precs is not None:
-                                q = min(fp[ma], hp[mb])
-                                precs[m] = min(precs[m], q) if old else q
                         else:
                             del vals[m]
                 if not direct:
@@ -521,34 +476,61 @@ def _general_product(lrows: list, rrows: list, n: int | None) -> dict:
                         continue
                     if acc[2] != cap:
                         _meet_cap(acc, cap, max(map(sum, vals)))
-                    _add_into(acc, vals, precs, n, 1)
+                    _add_into(acc, vals, precs, n, 1, p)
                 if not acc[0]:
                     del out[gamma]
     return out
 
 
-def _add_into(acc: list, vals: dict, precs: dict | None, n: int | None, scale: int):
+def _add_term(total: dict, precs: dict, m, x: int, q: int, p: int):
+    """Add ``x`` at precision ``q`` into monomial ``m`` of a sum.  Exact
+    terms (q > 0, relative) keep the smaller precision, and a monomial they
+    cancel leaves.  A residue (q < 0, minus its absolute precision) makes the
+    monomial one, known to the least absolute precision of its terms (an
+    exact term's is its valuation plus its precision); it stays when its
+    sum cancels, as only :func:`_build_terms` can tell if a digit is left."""
+    old = total.get(m)
+    if old is None:
+        total[m], precs[m] = x, q
+        return
+    qo, c = precs[m], old + x
+    if qo > 0 < q:
+        if c:
+            total[m], precs[m] = c, min(qo, q)
+        else:
+            del total[m]
+        return
+    total[m] = c
+    precs[m] = -min(-qo if qo < 0 else int_valuation(old, p) + qo,
+                    -q if q < 0 else int_valuation(x, p) + q)
+
+
+def _add_into(acc: list, vals: dict, precs: dict | None, n: int | None, scale: int, p: int):
     """Add ``scale`` times ``vals`` into the sum ``acc`` as ``TateSeries.__add__``
-    adds: a monomial in both takes the smaller precision, one that cancels
-    leaves (its stale precision is overwritten if it forms again)."""
+    adds: a monomial that cancels leaves, and per monomial precisions meet
+    by :func:`_add_term`, a residue's absolute one raised by the scale's
+    valuation."""
     total, aprec = acc[0], acc[1]
+    if aprec is not None:
+        for m, c in vals.items():
+            q = n if precs is None else precs[m]
+            _add_term(total, aprec, m, c * scale, q - int_valuation(scale, p) if q < 0 else q, p)
+        return
     for m, c in vals.items():
         old = total.get(m)
         c = c * scale + old if old else c * scale
         if c:
             total[m] = c
-            if aprec is not None:
-                q = n if precs is None else precs[m]
-                aprec[m] = min(aprec[m], q) if old else q
         else:
             del total[m]
 
 
-def _kernel_sums(left: tuple, right: tuple, dim: int) -> tuple:
+def _kernel_sums(left: tuple, right: tuple, dim: int, p: int) -> tuple:
     """(sums, W, E, n, cap): the integer sums over ``p^W / E`` of the product
     of rows ``left`` and ``right`` (as :func:`_int_rows` gives them), flat at
     precision n and cap ``cap`` when both sides are; otherwise general, at
-    the smaller precision n, or per monomial when an operand mixes them."""
+    the smaller precision n, or per monomial when an operand mixes them or
+    holds a residue."""
     (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
     if lcap is not None and rcap is not None:
         return _flat_product(lrows, rrows, dim == 1), lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
@@ -561,25 +543,43 @@ def _kernel_sums(left: tuple, right: tuple, dim: int) -> tuple:
         lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
                          for a, v, vp, cap, deg in side]
                         for side, prec in ((lrows, ln), (rrows, rn))]
-    return _general_product(lrows, rrows, n), lv + rv, ld * rd, n, None
+    return _general_product(lrows, rrows, n, p), lv + rv, ld * rd, n, None
 
 
-def _as_rows(kept: tuple) -> tuple:
+def _known(N: int, absolute: int, W: int, p: int) -> tuple:
+    """(v(N), the digits known past it) of a residue sum over ``p^W``, known
+    modulo ``p^absolute``; refused where every known digit cancels."""
+    if N % p ** absolute == 0:
+        raise PrecisionExhausted(
+            f"sum is 0 modulo p^{W + absolute}; no digit of the result is known")
+    v = int_valuation(N, p)
+    return v, absolute - v
+
+
+def _as_rows(kept: tuple, p: int) -> tuple:
     """Kernel sums as the rows of the operator they build: flat sums are
-    flat rows already; general ones become :func:`_int_rows`' general rows."""
+    flat rows already; general ones become :func:`_int_rows`' general rows,
+    a residue's absolute precision turned into its relative one."""
     sums, W, E, n, cap = kept
     if cap is not None:
         return list(sums.items()), W, E, n, cap
-    return ([(a, list(v.items()), vp, c, max(map(sum, v))) for a, (v, vp, c) in sums.items()],
-            W, E, n, None)
+    return ([(a, list(v.items()), vp if vp is None or min(vp.values()) > 0 else {
+        m: q if (q := vp[m]) > 0 else -_known(N, -q, W, p)[1] for m, N in v.items()},
+        c, max(map(sum, v))) for a, (v, vp, c) in sums.items()], W, E, n, None)
 
 
 def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
     """The one output builder: each integer sum over ``p^W / E`` becomes an
-    exact scalar, its valuation extracted once, at precision n or its own."""
+    exact scalar, its valuation extracted once, at precision n or its own;
+    a residue sum becomes a digit-mode scalar, reduced modulo its absolute
+    precision."""
     sums, W, E, n, cap = kept
 
     def scalar(N: int, precision: int):
+        if precision < 0:
+            v, digits = _known(N, -precision, W, p)
+            mod = p ** digits
+            return _scalar(p, W + v, N // p ** v * pow(E, -1, mod) % mod, digits, False)
         v = int_valuation(N, p)
         u = N >> v if p == 2 else N // p ** v if v else N
         return _scalar(p, W + v, Fraction(u) if E == 1 else Fraction(u, E), precision, True)
@@ -600,12 +600,12 @@ _last_rows: tuple = (lambda: None, None)
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
     """The coefficient-left terms of P*Q, and their integer sums: none for
-    two one-scalar monomials with nothing to commute (a top-level ``mul`` of
-    monomials, or ``invert``'s ``D^-beta`` times a constant ``g``), nor for
-    digit-mode operands, which keep the series arithmetic whose
-    caps, precisions, refusals and term order the kernel matches.  The
-    kernel reads an operand's :func:`_int_rows`, or the kept sums if it is
-    the last product (see :func:`_product`)."""
+    two exact one-scalar monomials with nothing to commute (a top-level
+    ``mul`` of monomials, or ``invert``'s ``D^-beta`` times a constant
+    ``g``).  The kernel reads an operand's :func:`_int_rows`, digit-mode
+    scalars included, or the kept sums if it is the last product (see
+    :func:`_product`); it keeps the series arithmetic's caps, precisions,
+    refusals and term order."""
     if len(P.terms) == 1 == len(Q.terms):
         ((alpha, f),), ((beta, g),) = P.terms.items(), Q.terms.items()
         if len(f.coeffs) == 1 == len(g.coeffs):
@@ -621,12 +621,10 @@ def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], 
     ref, kept = _last_rows
     last = ref()
     if last is P or last is Q:  # the last product's sums, as rows
-        kept = _as_rows(kept)
+        kept = _as_rows(kept, P.prime)
     left = kept if last is P else _int_rows(P)
     right = kept if last is Q else _int_rows(Q)
-    if left is None or right is None:
-        return _series_product_terms(P, Q), None
-    sums = _kernel_sums(left, right, P.dim)
+    sums = _kernel_sums(left, right, P.dim, P.prime)
     return _build_terms(P.dim, P.prime, sums), sums
 
 
@@ -724,7 +722,7 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     base, DJ = min(0, J * Q[1]), Q[2] ** J
     acc = {zero: [{zero: p ** -base * DJ}, {zero: one[3]}, one[4]]}
     for _ in range(J):
-        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero))
+        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p)
         _window_cap_check(sums, window_cap)
         if not sums:
             break
@@ -736,13 +734,13 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
                 entry = acc[gamma] = [{}, {}, gcap]
             elif entry[2] != gcap:
                 _meet_cap(entry, gcap, max(map(sum, vals)))
-            _add_into(entry, vals, precs, n, scale)
+            _add_into(entry, vals, precs, n, scale, p)
             if not entry[0]:
                 del acc[gamma]
-        left = _as_rows(kept)
+        left = _as_rows(kept, p)
     if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _int_rows reads it
         precs, caps = {vp[zero] for _, vp, _ in acc.values()}, {c for *_, c in acc.values()}
-        if len(precs) == 1 == len(caps):
+        if len(precs) == 1 == len(caps) and min(precs) > 0:  # no residue
             return {a: v[zero] for a, (v, _, _) in acc.items()}, base, DJ, precs.pop(), caps.pop()
     return acc, base, DJ, None, None
 

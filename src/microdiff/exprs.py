@@ -385,7 +385,7 @@ def _mul(a, b, ctx: EvalContext):
     elif isinstance(b, Fraction):
         out = _scale(b, a, ctx)
     else:
-        out = _kernel_sums(_as_rows(a), _as_rows(b), ctx.dim)
+        out = _kernel_sums(_as_rows(a, ctx.prime), _as_rows(b, ctx.prime), ctx.dim, ctx.prime)
     _window_cap_check(out[0], ctx.window_cap)
     return out
 

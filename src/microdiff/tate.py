@@ -228,7 +228,9 @@ class TateSeries:
         c0_inv = self.coeffs[_zero_exp(self.dim)].inv()
         out = power = TateSeries.constant(PadicScalar.one(self.prime, c0_inv.precision),
                                           self.dim, self.prime, self.degree_cap)
-        u = out - self.scale(c0_inv)
+        # u = -c0^-1 * (f - c0) from the other terms: 1 - c0^-1 * c0 would
+        # cancel every known digit of a residue c0
+        u = self._like({m: c * -c0_inv for m, c in self.coeffs.items() if any(m)}, self.exact)
         for _ in range(J):
             power = power * u
             out = out + power

@@ -39,7 +39,7 @@ from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_ter
                      _require_positive, _window_cap_check, floor_sum, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
-from .microop import _stored_max, mul, tail_sup_exponent
+from .microop import _stored_max, tail_sup_exponent
 from .padic import PadicScalar, int_valuation
 
 _TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
@@ -301,36 +301,24 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     rho = [e + c_beta.spectral_valuation() for e in
            (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, floor_sum(beta)))
            if e is not None]
-    unit = PadicScalar.one(P.prime, max(c.precision for f in P.terms.values()
-                                        for c in f.coeffs.values()))
-    inv_mono = MicroOp.monomial(tuple(-b for b in beta), unit, P.dim, P.prime, cap)
-    if not rho:  # a monomial: c_beta * g = 1 - u^(J+1) is the residual
-        return mul(inv_mono, MicroOp.constant(c_beta.invert_unit(residual_exponent)),
-                   window_cap=window_cap)
-    if max(rho) >= 0:
+    if rho and max(rho) >= 0:
         raise NotInvertible("recentred series does not contract")
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
-    # geometric series already sits below the residual target
-    J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1
+    # geometric series already sits below the residual target; a monomial
+    # has no series, and S = g D^-beta is checked like any inverse
+    J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
     # coefficient degrees of g and of R = g * rest bound both refusals' hints
     deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
     deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
+    unit = PadicScalar.one(P.prime, max(c.precision for f in P.terms.values()
+                                        for c in f.coeffs.values()))
+    inv_mono = MicroOp.monomial(tuple(-b for b in beta), unit, P.dim, P.prime, cap)
     try:
         g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
         one = MicroOp.constant(unit, P.dim, P.prime, cap)
-        rows = [_int_rows(op) for op in (P, g, rest, inv_mono, one)]
-        if None not in rows:
-            S, back = _invert_on_rows(P, rows, max(J, 0), window_cap)
-        else:  # digit-mode scalars (read from JSON) have no rows: the same steps on operators
-            Q, S = mul(g, rest, window_cap=None), one
-            power = one
-            for _ in range(J):
-                power = mul(power, Q, window_cap=window_cap)
-                if not power.terms:
-                    break
-                S = S + power
-            S, back = mul(mul(inv_mono, S, window_cap=window_cap), g, window_cap=window_cap), None
-        _verify_residual(P, S, level, residual_exponent, one, back)
+        S, back = _invert_on_rows(P, [_int_rows(op) for op in (P, g, rest, inv_mono, one)],
+                                  max(J, 0), window_cap)
+        _verify_residual(P, S, level, residual_exponent, back)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above
         needed = max(c.degree() for c in P.terms.values()) + deg_g + J * deg_R
@@ -350,33 +338,38 @@ def _invert_on_rows(P: MicroOp, rows: list, J: int, window_cap: int | None) -> t
     """The inverse on the kernel's integer rows: the series of -R = g * rest,
     times D^-beta and then g, each product window-checked as ``mul`` checks
     it; one operator is built.  Returns it and the multiply-back's rows."""
-    P_rows, g, rest, inv_mono, one = rows
-    S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim)), J, one, P.prime, window_cap)
-    S = _kernel_sums(inv_mono, _as_rows(S), P.dim)
+    (P_rows, g, rest, inv_mono, one), p = rows, P.prime
+    S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), J, one, p, window_cap)
+    S = _kernel_sums(inv_mono, _as_rows(S, p), P.dim, p)
     _window_cap_check(S[0], window_cap)
-    S = _kernel_sums(_as_rows(S), g, P.dim)
+    S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
     _window_cap_check(S[0], window_cap)
-    return MicroOp(P.dim, P.prime, _build_terms(P.dim, P.prime, S)), (P_rows, _as_rows(S))
+    return MicroOp(P.dim, p, _build_terms(P.dim, p, S)), (P_rows, _as_rows(S, p))
 
 
 def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent: int,
-                     one: MicroOp, rows: tuple | None):
+                     rows: tuple):
     """Refuse unless ||P*S - 1||, with P's discarded mass times S, reaches the
-    target.  On P's and S's ``rows`` (none in digit mode) P*S stays sums over
-    ``p^W / E``, E prime to p: a coefficient's valuation is W + v(gcd of its
-    integers), and 1 leaves the constant integer over ``p^min(W, 0) / E``."""
-    if rows is None:  # the window cap binds only the inverse, not this product
-        back = mul(MicroOp(P.dim, P.prime, dict(P.terms)), S, window_cap=None)
-        measured = level.norm_exponent(back - one)
-    else:
-        sums, W, E, _, cap = _kernel_sums(*rows, P.dim)
-        p, zero, low = P.prime, (0,) * P.dim, min(W, 0)
-        coeffs = {a: {zero: s} if cap is not None else s[0] for a, s in sums.items()}
-        constant = {m: N * p ** (W - low) for m, N in coeffs.pop(zero, {}).items()}
-        constant[zero] = constant.get(zero, 0) - E * p ** -low
-        exps = [(-low, math.gcd(*constant.values()))] + [
-            (level.weight(sum(a)) - W, math.gcd(*v.values())) for a, v in coeffs.items()]
-        measured = max((e - int_valuation(c, p) for e, c in exps if c), default=None)
+    target.  On P's and S's ``rows`` P*S stays sums over ``p^W / E``, E prime
+    to p: a coefficient's valuation is W + v(gcd of its integers), at most
+    the least absolute precision of its residue monomials (a bound where
+    their known digits cancel), and 1 leaves the constant integer over
+    ``p^min(W, 0) / E``."""
+    p, zero = P.prime, (0,) * P.dim
+    sums, W, E, _, cap = _kernel_sums(*rows, P.dim, p)
+    coeffs = {a: ({zero: s}, None) if cap is not None else s[:2] for a, s in sums.items()}
+    low = min(W, 0)
+    constant, cprecs = coeffs.pop(zero, ({}, None))
+    constant = {m: N * p ** (W - low) for m, N in constant.items()}
+    constant[zero] = constant.get(zero, 0) - E * p ** -low
+
+    def valuation(vals: dict, precs: dict | None, shift: int):
+        c = math.gcd(*vals.values())
+        known = [shift - q for q in precs.values() if q < 0] if precs else []
+        return min(known + [int_valuation(c, p)] if c else known, default=None)
+    exps = [(-low, valuation(constant, cprecs, W - low))] + [
+        (level.weight(sum(a)) - W, valuation(v, vp, 0)) for a, (v, vp) in coeffs.items()]
+    measured = max((e - v for e, v in exps if v is not None), default=None)
     sup = tail_sup_exponent(P, level.k, level.r)
     if sup is not None:  # discarded mass of P also multiplies S
         sup += level.norm_exponent(S)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -8,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, MicrodiffError,
-                       NotInvertible,
-                       PadicScalar, TailCertificate, TateSeries,
+                       NotInvertible, PadicScalar, PrecisionExhausted, TailCertificate, TateSeries,
                        UndecidableFiniteness, WindowOverflow,
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
@@ -21,6 +21,7 @@ from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.tower import RingLevel
 
 from conftest import rand_laurent_op, rand_positive_op, rand_series
+from test_diffop import from_json as round_trip, read_back, relift, series_product_terms
 
 F = Fraction
 
@@ -530,40 +531,96 @@ def test_the_row_sum_keeps_each_terms_place_precision_and_cap(case):
     assert outcomes[0] == outcomes[1]
 
 
+def series_products():
+    """The product body on the series arithmetic: the digit-mode reference."""
+    return mock.patch.object(diffop, "_product_terms",
+                             lambda P, Q: (series_product_terms(P, Q), None))
+
+
+def assert_relifted_residual(P: MicroOp, S: MicroOp, level: RingLevel, target: int):
+    """||P'*S' - 1|| <= p^-target, exactly, for relifts P' and S' of P and S
+    (each residue plus a random multiple of p^precision)."""
+    if level.k is None:  # a limit level: the inverse is certified at its delegate
+        level = RingLevel.fkr(*check_unit(P, level).delegate)
+    rng = random.Random(0)
+    for _ in range(3):
+        back = mul(relift(P, rng), relift(S, rng), window_cap=None)
+        e = level.norm_exponent(back - MicroOp.identity(P.dim, P.prime))
+        assert e is None or e <= -target
+
+
 def test_a_digit_mode_operand_keeps_the_operator_loop():
-    # p^4*x*d read back from JSON holds a residue: R has no integer rows, and
-    # the series is summed by MicroOp.__add__ as before (the unit 1 stays
-    # exact, as invert_unit of a residue cancels every known digit)
+    # p^4*x*d read back from JSON holds a residue: invert sums its series on
+    # the kernel's rows as for exact operands, and the inverse equals the
+    # operator loop's on the series arithmetic (the unit 1 stays exact)
     P = parsed("1") + operator_from_json(operator_to_json(parsed("p^4*x*d")))
-    outcomes = []
-    for inverse in (invert, invert_the_old_way):
-        sums, add = [], MicroOp.__add__
-        with mock.patch.object(diffop, "_kernel_sums", side_effect=AssertionError), \
-                mock.patch.object(tower, "_kernel_sums", side_effect=AssertionError), \
-                mock.patch.object(MicroOp, "__add__", lambda S, T: sums.append(1) or add(S, T)):
-            outcomes.append((invert_outcome(P, RingLevel.ek(1), 64, 10, inverse), len(sums)))
-    assert outcomes[0] == outcomes[1]
-    (terms, adds) = outcomes[0]
-    assert [a for a, *_ in terms] == [(0,), (1,), (2,), (3,)] and adds >= 3
+    with series_products():
+        want = invert_outcome(P, RingLevel.ek(1), 64, 10, invert_the_old_way)
+    terms = invert_outcome(P, RingLevel.ek(1), 64, 10)
+    assert terms == want
+    assert [a for a, *_ in terms] == [(0,), (1,), (2,), (3,)]
     # 1 stays exact; every power of R is a residue
     assert [all(c[-1] for c in coeffs) for *_, coeffs in terms] == [True, False, False, False]
 
 
-def from_json(text: str, dim: int = 1) -> MicroOp:
-    """The operator of ``text`` read back from JSON: every scalar a residue."""
-    return operator_from_json(operator_to_json(parsed(text, dim)))
+def from_json(text: str, dim: int = 1, digits: int | None = None) -> MicroOp:
+    """The operator of ``text`` read back from JSON: every scalar a residue,
+    known to at most ``digits`` digits when given."""
+    return round_trip(parsed(text, dim), digits)
 
 
 @pytest.mark.parametrize("P, level, target", [
-    # the multiply-back of residues cancels every known digit: both refuse
+    # the operator pipeline's multiply-back cancels every known digit; the
+    # row multiply-back bounds those coefficients by their known digits
     (parsed("1") + from_json("p^3*dinv + p^4*d"), RingLevel.fkr(3, 1), 20),
     (parsed("1", dim=2) + from_json("p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 20),
     # c_beta = 1 + p^5*x with a residue at x: g = 1 and R are exact, P is not
     (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 5),
     (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30)])  # refused for the cap
 def test_a_digit_mode_operand_answers_as_the_operator_pipeline(P, level, target):
-    assert invert_outcome(P, level, 64, target) == invert_outcome(P, level, 64, target,
-                                                                  invert_the_old_way)
+    with series_products():
+        want = invert_outcome(P, level, 64, target, invert_the_old_way)
+    got = invert_outcome(P, level, 64, target)
+    if isinstance(want, tuple) and want[0] is PrecisionExhausted:
+        assert isinstance(got, list)
+        assert_relifted_residual(P, invert(P, level, residual_exponent=target), level, target)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("P, level, target", [
+    (parsed("1") + from_json("p^4*d"), RingLevel.ek(1), 20),
+    (from_json("1 + p^4*x*d"), RingLevel.ek(1), 60),
+    (from_json("3 + p^2*x*d"), RingLevel.ek(1), 20),
+    (from_json("1 + p^3*dinv + p^4*d"), RingLevel.fkr(3, 1), 20)])
+def test_a_digit_mode_inverse_the_operator_pipeline_refused_meets_its_target(P, level, target):
+    # the pipeline refused in its multiply-back, or before its series: 1 -
+    # c0^-1 * c0 cancelled every known digit of a residue constant c0
+    with series_products():
+        assert invert_outcome(P, level, 64, target, invert_the_old_way)[0] is PrecisionExhausted
+    assert_relifted_residual(P, invert(P, level, residual_exponent=target), level, target)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(invert_cases(), st.sampled_from((1, 2)), st.sampled_from((None, 6, 12)))
+def test_a_digit_mode_inverse_meets_its_target_on_relifted_operands(case, way, digits):
+    # residues known to 6 or 12 digits bound the multiply-back near the target
+    P, level, window, target = case
+    P = read_back(P, way, random.Random(target), digits)
+    try:
+        S = invert(P, level, window_cap=window, residual_exponent=target)
+    except MicrodiffError:
+        return
+    assert_relifted_residual(P, S, level, target)
+
+
+def test_a_residue_bounds_the_multiply_back_by_its_known_digits():
+    # 1 + p^4*x*d known to 8 digits: the constant of P*S - 1 is known to
+    # p^-8 only, though its integers cancel exactly
+    P, level = from_json("1 + p^4*x*d", digits=8), RingLevel.ek(1)
+    with pytest.raises(InsufficientTruncation, match=r"p\^-8 exceeds the target p\^-20"):
+        invert(P, level, residual_exponent=20)
+    assert_relifted_residual(P, invert(P, level, residual_exponent=8), level, 8)
 
 
 def test_an_exact_operand_builds_one_operator_and_no_operator_product_or_sum():
