@@ -45,6 +45,9 @@ next flat product as they are and a general one after conversion.  The
 geometric series of :func:`microdiff.tower.invert` stays on rows:
 :func:`_geometric_sum` adds each power's kernel sums into one integer
 accumulator, which ``invert`` multiplies on before it builds an operator.
+Every power meets the same right operand, so one commutation table, made
+per call and dropped with it (no module-level cache), forms each D^j(g) and
+(alpha, beta) list once, and powers at the 1's precision add without one.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -339,12 +342,13 @@ def _window_cap_check(terms: dict, cap: int | None):
 def _int_rows(S: MicroOp):
     """S as integer rows over p^V / D, with V the least valuation and D the
     lcm of the unit denominators: (rows, V, D, n, cap).  A digit-mode
-    scalar's residue is its numerator over 1.  When every coefficient is one
-    exact constant, n is their one precision and cap their one degree cap,
-    the rows are flat, [(alpha, N)]; otherwise cap is None and each row is
-    (alpha, [(m, N)], {m: precision} or None, cap, degree), n being the
-    precision all scalars share, or None when they mix or one is a residue
-    and each row carries its own, a residue's negated."""
+    scalar's residue is its numerator over 1, taken in (-p^prec/2, p^prec/2]
+    so that -1 stays small.  When every coefficient is one exact constant, n
+    is their one precision and cap their one degree cap, the rows are flat,
+    [(alpha, N)]; otherwise cap is None and each row is (alpha, [(m, N)],
+    {m: precision} or None, cap, degree), n being the precision all scalars
+    share, or None when they mix or one is a residue and each row carries
+    its own, a residue's negated."""
     zero = (0,) * S.dim
     if len(S.terms) == 1:  # a monomial (invert's D^-beta or g, a mul operand): no rescaling
         (alpha, f), = S.terms.items()
@@ -360,14 +364,18 @@ def _int_rows(S: MicroOp):
     precisions = set(map(attrgetter("precision"), scalars))
     exact = all(c.exact for c in scalars)
     n = precisions.pop() if len(precisions) == 1 and exact else None
-    align = (lambda N, k: N << k) if p == 2 else (lambda N, k: N * p ** k)
+
+    def scaled(c):  # c's integer over p^V / D
+        u = c.unit
+        if not c.exact and 2 * u > p ** c.precision:
+            u -= p ** c.precision
+        N, k = u.numerator * (D // u.denominator), c.valuation - V
+        return N << k if p == 2 else N * p ** k
     flat = n and len(scalars) == len(S.terms) and all(zero in f.coeffs for f in S.terms.values())
     caps = {f.degree_cap for f in S.terms.values()} if flat else ()
     if len(caps) == 1:  # one constant per coefficient, one precision, one cap
-        return ([(alpha, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
-                 for alpha, c in zip(S.terms, scalars)], V, D, n, caps.pop())
-    return ([(alpha, [(m, align(c.unit.numerator * (D // c.unit.denominator), c.valuation - V))
-                      for m, c in f.coeffs.items()],
+        return [(alpha, scaled(c)) for alpha, c in zip(S.terms, scalars)], V, D, n, caps.pop()
+    return ([(alpha, [(m, scaled(c)) for m, c in f.coeffs.items()],
               None if n else {m: c.precision if c.exact else -c.precision
                               for m, c in f.coeffs.items()},
               f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
@@ -392,13 +400,13 @@ def _flat_product(lrows: list, rrows: list, d1: bool) -> dict:
 
 
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
-                  cache: dict) -> list:
+                  table: dict) -> list:
     """(beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for each j
     of the commutation law D^a g = sum_j C(a, j) D^j(g) D^(a-j), valid axis
     by axis for any integer power a (it stops at j = a for a >= 0 and once
-    D^j(g) vanishes), in the order of j; ``cache`` keeps g's derivatives,
-    and the precisions are None when ``gp`` is."""
-    out = []
+    D^j(g) vanishes), in the order of j; ``table`` keeps g's derivatives
+    under beta, and the precisions are None when ``gp`` is."""
+    out, cache = [], table.setdefault(beta, {})
     for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1)
                                  for a, t in zip(alpha, map(max, zip(*[m for m, _ in g])))]):
         if j not in cache:
@@ -422,20 +430,22 @@ def _meet_cap(acc: list, cap: int, degree: int):
         raise DegreeCapOverflow(needed, low)
 
 
-def _general_product(lrows: list, rrows: list, n: int | None, p: int) -> dict:
+def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dict) -> dict:
     """The general pair loop: gamma -> [{monomial: int}, precisions or None,
     cap], the precisions per monomial (see :func:`_add_term`) unless ``n`` is
     the rows' one.  A pair in which either coefficient is one monomial adds
     straight into the sum; any other is formed on its own first, as
-    ``TateSeries.__mul__`` does."""
-    caches: dict = {}  # beta -> {j: D^j of its coefficient}
+    ``TateSeries.__mul__`` does.  ``table`` maps the right rows' beta to {j:
+    D^j of its coefficient} and (alpha, beta) to :func:`_commutations`' list."""
     out: dict = {}  # gamma -> [values, precisions or None, cap]
     for alpha, fv, fp, fcap, fdeg in lrows:
         for beta, gv, gp, gcap, gdeg in rrows:
             cap = fcap if fcap < gcap else gcap
-            for bj, hv, hp, hdeg, b in (
-                    _commutations(alpha, beta, gv, gp, caches.setdefault(beta, {}))
-                    if gdeg and any(alpha) else ((beta, gv, gp, gdeg, 1),)):
+            if not (gdeg and any(alpha)):
+                terms = ((beta, gv, gp, gdeg, 1),)
+            elif (terms := table.get((alpha, beta))) is None:
+                terms = table[alpha, beta] = _commutations(alpha, beta, gv, gp, table)
+            for bj, hv, hp, hdeg, b in terms:
                 if fdeg + hdeg > cap:
                     raise DegreeCapOverflow(fdeg + hdeg, cap)
                 gamma = tuple(map(add, alpha, bj))
@@ -525,12 +535,13 @@ def _add_into(acc: list, vals: dict, precs: dict | None, n: int | None, scale: i
             del total[m]
 
 
-def _kernel_sums(left: tuple, right: tuple, dim: int, p: int) -> tuple:
+def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None = None) -> tuple:
     """(sums, W, E, n, cap): the integer sums over ``p^W / E`` of the product
     of rows ``left`` and ``right`` (as :func:`_int_rows` gives them), flat at
     precision n and cap ``cap`` when both sides are; otherwise general, at
     the smaller precision n, or per monomial when an operand mixes them or
-    holds a residue."""
+    holds a residue.  ``table`` is the one the caller keeps for ``right``'s
+    rows over one computation; rows rebuilt below get a table of their own."""
     (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
     if lcap is not None and rcap is not None:
         return _flat_product(lrows, rrows, dim == 1), lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
@@ -543,7 +554,8 @@ def _kernel_sums(left: tuple, right: tuple, dim: int, p: int) -> tuple:
         lrows, rrows = [[(a, v, {m: prec for m, _ in v} if vp is None else vp, cap, deg)
                          for a, v, vp, cap, deg in side]
                         for side, prec in ((lrows, ln), (rrows, rn))]
-    return _general_product(lrows, rrows, n, p), lv + rv, ld * rd, n, None
+    table = {} if table is None or n is None and rn is not None else table
+    return _general_product(lrows, rrows, n, p, table), lv + rv, ld * rd, n, None
 
 
 def _known(N: int, absolute: int, W: int, p: int) -> tuple:
@@ -717,12 +729,15 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     stopping at the first empty one, each (gamma, monomial) at the place,
     precision and cap the operator sum gives it.  The powers stay kernel
     sums, each the next one's left rows, added into one accumulator over
-    ``p^min(0, J*V) / D^J``."""
-    left, zero = one, one[0][0][0]
+    ``p^min(0, J*V) / D^J``, through one commutation table of Q's.  When
+    Q's scalars share a precision no smaller than the 1's, so does every
+    power, and the accumulator keeps no precision per monomial."""
+    left, zero, table = one, one[0][0][0], {}
     base, DJ = min(0, J * Q[1]), Q[2] ** J
-    acc = {zero: [{zero: p ** -base * DJ}, {zero: one[3]}, one[4]]}
+    shared = Q[3] is not None and Q[3] >= one[3]
+    acc = {zero: [{zero: p ** -base * DJ}, None if shared else {zero: one[3]}, one[4]]}
     for _ in range(J):
-        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p)
+        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p, table)
         _window_cap_check(sums, window_cap)
         if not sums:
             break
@@ -731,7 +746,7 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
             vals, precs, gcap = ({zero: s}, None, flat_cap) if flat_cap is not None else s
             entry = acc.get(gamma)
             if entry is None:
-                entry = acc[gamma] = [{}, {}, gcap]
+                entry = acc[gamma] = [{}, None if shared else {}, gcap]
             elif entry[2] != gcap:
                 _meet_cap(entry, gcap, max(map(sum, vals)))
             _add_into(entry, vals, precs, n, scale, p)
@@ -739,10 +754,11 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
                 del acc[gamma]
         left = _as_rows(kept, p)
     if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _int_rows reads it
-        precs, caps = {vp[zero] for _, vp, _ in acc.values()}, {c for *_, c in acc.values()}
+        precs = {one[3]} if shared else {vp[zero] for _, vp, _ in acc.values()}
+        caps = {c for *_, c in acc.values()}
         if len(precs) == 1 == len(caps) and min(precs) > 0:  # no residue
             return {a: v[zero] for a, (v, _, _) in acc.items()}, base, DJ, precs.pop(), caps.pop()
-    return acc, base, DJ, None, None
+    return acc, base, DJ, one[3] if shared else None, None
 
 
 # -- level norms and orders ---------------------------------------------------

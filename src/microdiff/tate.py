@@ -222,10 +222,12 @@ class TateSeries:
         """
         if not self.is_unit():
             raise NotCertifiable("not a certified unit")
+        c0_inv = self.coeffs[_zero_exp(self.dim)].inv()
+        if len(self.coeffs) == 1:  # a constant: g = c0^-1, with no series
+            return self._like({_zero_exp(self.dim): c0_inv}, True)
         J = self.inverse_length(target)
         if J * self.degree() > self.degree_cap:
             raise DegreeCapOverflow(J * self.degree(), self.degree_cap)
-        c0_inv = self.coeffs[_zero_exp(self.dim)].inv()
         out = power = TateSeries.constant(PadicScalar.one(self.prime, c0_inv.precision),
                                           self.dim, self.prime, self.degree_cap)
         # u = -c0^-1 * (f - c0) from the other terms: 1 - c0^-1 * c0 would

@@ -353,8 +353,8 @@ def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent
     target.  On P's and S's ``rows`` P*S stays sums over ``p^W / E``, E prime
     to p: a coefficient's valuation is W + v(gcd of its integers), at most
     the least absolute precision of its residue monomials (a bound where
-    their known digits cancel), and 1 leaves the constant integer over
-    ``p^min(W, 0) / E``."""
+    their known digits cancel, named by a refusal it binds: only a larger
+    ``prec`` lifts it), and 1 leaves the constant integer over ``p^min(W, 0) / E``."""
     p, zero = P.prime, (0,) * P.dim
     sums, W, E, _, cap = _kernel_sums(*rows, P.dim, p)
     coeffs = {a: ({zero: s}, None) if cap is not None else s[:2] for a, s in sums.items()}
@@ -363,17 +363,23 @@ def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent
     constant = {m: N * p ** (W - low) for m, N in constant.items()}
     constant[zero] = constant.get(zero, 0) - E * p ** -low
 
-    def valuation(vals: dict, precs: dict | None, shift: int):
+    def valuation(vals: dict, precs: dict | None, shift: int):  # (v, digits of a residue at v)
         c = math.gcd(*vals.values())
-        known = [shift - q for q in precs.values() if q < 0] if precs else []
-        return min(known + [int_valuation(c, p)] if c else known, default=None)
-    exps = [(-low, valuation(constant, cprecs, W - low))] + [
-        (level.weight(sum(a)) - W, valuation(v, vp, 0)) for a, (v, vp) in coeffs.items()]
-    measured = max((e - v for e, v in exps if v is not None), default=None)
+        q = max((q for q in precs.values() if q < 0), default=0) if precs else 0
+        v = int_valuation(c, p) if c else None
+        if q and (v is None or shift - q < v):
+            return shift - q, W - q
+        return v, None
+    exps = [(-low, *valuation(constant, cprecs, W - low))] + [
+        (level.weight(sum(a)) - W, *valuation(v, vp, 0)) for a, (v, vp) in coeffs.items()]
+    bounds = [(e - v, digits) for e, v, digits in exps if v is not None]
     sup = tail_sup_exponent(P, level.k, level.r)
     if sup is not None:  # discarded mass of P also multiplies S
-        sup += level.norm_exponent(S)
-        measured = sup if measured is None else max(measured, sup)
+        bounds.append((sup + level.norm_exponent(S), None))
+    # at one bound, a valuation or the tail binds before a residue's digits
+    measured, digits = max(bounds, key=lambda t: (t[0], t[1] is None), default=(None, None))
     if measured is not None and measured > -residual_exponent:
         raise InsufficientTruncation(
-            f"residual p-norm p^{measured} exceeds the target p^{-residual_exponent}")
+            f"residual p-norm p^{measured} exceeds the target p^{-residual_exponent}" + (
+                "" if digits is None else f"; the operand is known only to {digits} digits "
+                "there, and only a larger prec in its JSON can fix that"))

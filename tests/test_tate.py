@@ -105,6 +105,24 @@ class TestUnits:
         assert g.coefficient((0,)).as_fraction() == Fraction(1, 6)
         assert const(6) * g == const(1)
 
+    @pytest.mark.parametrize("c0, dim, cap", [
+        (PadicScalar.from_fraction(Fraction(6), 2), 1, 32),
+        (PadicScalar.from_fraction(Fraction(-5, 9), 3, 20), 2, 8),
+        (PadicScalar.from_residue(-2, 7, 5, 12), 1, 4)])
+    def test_a_constant_inverts_as_its_series_did(self, c0, dim, cap):
+        # the J = 0 series: the 1 at c0^-1's precision, scaled by c0^-1
+        f, c0_inv = TateSeries.constant(c0, dim, c0.prime, cap), c0.inv()
+        series = TateSeries.constant(PadicScalar.one(c0.prime, c0_inv.precision), dim,
+                                     c0.prime, cap).scale(c0_inv)
+        g = f.invert_unit(10)
+        assert (g.degree_cap, g.exact) == (series.degree_cap, series.exact) == (cap, True)
+        assert [(m, c.valuation, type(c.unit), c.unit, c.precision, c.exact)
+                for m, c in g.coeffs.items()] == [
+            (m, c.valuation, type(c.unit), c.unit, c.precision, c.exact)
+            for m, c in series.coeffs.items()]
+        with pytest.raises(NotCertifiable):
+            TateSeries(dim, c0.prime, dict(f.coeffs), cap, exact=False).invert_unit(10)
+
     def test_multiply_back(self):
         # 1 - 4x^2 = 1 - u with v(u) = 2: (J + 1) * 2 >= 7 gives J = 3
         u = coord().scale(PadicScalar.from_int(4)) * coord()

@@ -636,3 +636,64 @@ def test_an_exact_operand_builds_one_operator_and_no_operator_product_or_sum():
             mock.patch.object(MicroOp, "__neg__", side_effect=AssertionError):
         assert invert_outcome(P, level, 64, 30) == expected
     assert len(builds) == 1 and isinstance(expected, list)
+
+
+def test_a_refusal_bound_by_a_residues_digits_names_them():
+    # the constant of P*S - 1 is known to p^8 only: more digits of the input
+    # fix it, a longer truncation does not
+    P, level = from_json("1 + p^4*x*d", digits=8), RingLevel.ek(1)
+    with pytest.raises(InsufficientTruncation, match=r"p\^-8 exceeds the target p\^-20; the "
+                       r"operand is known only to 8 digits there, and only a larger prec"):
+        invert(P, level, residual_exponent=20)
+    # a tail bound binds: no digits are named
+    P = MicroOp(1, 2, dict(parsed("1 + p^4*d").terms), TailCertificate(1, F(5), F(1)))
+    with pytest.raises(InsufficientTruncation) as refusal:
+        invert(P, level, residual_exponent=20)
+    assert str(refusal.value) == "residual p-norm p^-5 exceeds the target p^-20"
+
+
+def test_a_residue_enters_the_rows_as_its_balanced_representative():
+    # rest = -p^4*x*d read back holds the residue 2^64 - 1, that is -1
+    rows, int_rows = [], diffop._int_rows
+    with mock.patch.object(tower, "_int_rows", lambda S: rows.append(int_rows(S)) or rows[-1]):
+        invert(from_json("1 + p^4*x*d"), RingLevel.ek(1), residual_exponent=20)
+    rest = rows[2]
+    assert rest[:3] == ([((1,), [((1,), -1)], {(1,): -64}, 32, 1)], 4, 1)
+
+
+def test_the_series_forms_each_commutation_once():
+    # every power is multiplied by the same Q = -R: one commutation table
+    # serves them all, so no (alpha, beta) is formed twice in the sum
+    formed, in_series = [], []
+    commutations, geometric_sum = diffop._commutations, tower._geometric_sum
+
+    def counted(alpha, beta, *args):
+        if in_series:
+            formed.append((alpha, beta))
+        return commutations(alpha, beta, *args)
+
+    def series(*args):
+        in_series.append(True)
+        try:
+            return geometric_sum(*args)
+        finally:
+            in_series.clear()
+    with mock.patch.object(diffop, "_commutations", counted), \
+            mock.patch.object(tower, "_geometric_sum", series):
+        invert(parsed("1 + p^4*x*d"), RingLevel.ek(1), residual_exponent=60)
+    assert formed and len(formed) == len(set(formed))
+
+
+def test_a_series_below_the_ones_precision_keeps_each_monomials_precision():
+    # every non-dominant scalar at precision 20 and the dominant one at 64:
+    # Q's powers hold 20 where the 1 holds 64, so the sum tracks precisions
+    # per monomial, and d^0, which no power reaches, keeps 64
+    def coefficient(scalars, n):
+        return TateSeries(1, 2, {m: PadicScalar.from_fraction(q, 2, n) for m, q in scalars.items()})
+    P = MicroOp(1, 2, {(0,): coefficient({(0,): 1}, 64),
+                       (1,): coefficient({(1,): 16, (0,): F(48, 5)}, 20),
+                       (2,): coefficient({(2,): F(-64, 3)}, 20)})
+    for level, target in ((RingLevel.ek(1), 30), (RingLevel.fkr(2, 1), 20)):
+        got = invert_outcome(P, level, 64, target)
+        assert got == invert_outcome(P, level, 64, target, invert_the_old_way)
+        assert {c[-2] for *_, coeffs in got for c in coeffs} == {20, 64}
