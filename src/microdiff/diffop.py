@@ -24,12 +24,11 @@ the least absolute precision of its products (see :func:`_add_term`).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
-Three rules keep chains of exact products cheap.  Row reuse: the kernel's
-output sums are the integer rows of the product itself, and the rows of
-the last exact, unfolded product of two or more terms are kept in one
-entry keyed by a weak reference to it, so a product whose operand is that
-very operator skips converting it; an equal copy, a clipped or a folded
-result is converted anew, and no operator holds rows of its own.
+Three rules keep chains of exact products cheap.  Kept sums: an exact,
+unfolded product without a residue, and an evaluated expression, hold the
+kernel's sums as ``terms`` (:class:`_KernelTerms`), whose ``TateSeries``
+are built on the first value read; the next product takes its rows from
+the sums, and queries read valuations and units off the integers.
 Precision: when every scalar of each operand shares one precision, every
 output scalar has the smaller of the two and no per-monomial precision is
 tracked; an operand that mixes precisions or holds a residue switches on
@@ -57,12 +56,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, attrgetter, ge, sub
-from typing import Iterable, Mapping
 
 from .errors import (DegreeCapOverflow, DivisionByZero, InsufficientTruncation,
                      NotCertifiable, PrecisionExhausted, WindowOverflow, ZeroOperator)
@@ -126,6 +124,8 @@ class MicroOp:
     neg_tail: TailCertificate | None = None
 
     def __post_init__(self):
+        if type(self.terms) is _KernelTerms and self.terms.ring == (self.dim, self.prime):
+            return  # the kernel's sums are exact, nonzero and within the cap
         for a, c in self.terms.items():
             if len(a) != self.dim:
                 raise ValueError(f"exponent {a} has wrong arity for dim {self.dim}")
@@ -197,10 +197,14 @@ class MicroOp:
         """(alpha, |alpha|, fl(alpha), v(c_alpha)) per stored term, in storage order.
 
         Every norm, order, polygon and unit query reads these rows, so the
-        valuations are computed once per operator.
+        valuations are computed once, off kept sums as W + v(gcd of integers).
         """
-        return tuple((a, length(a), floor_sum(a), c.spectral_valuation())
-                     for a, c in self.terms.items())
+        if type(self.terms) is not _KernelTerms:
+            return tuple((a, length(a), floor_sum(a), c.spectral_valuation())
+                         for a, c in self.terms.items())
+        (sums, W, _, _, cap), p = self.terms.kept, self.prime
+        return tuple((a, length(a), floor_sum(a), W + int_valuation(
+            N if cap is not None else math.gcd(*N[0].values()), p)) for a, N in sums.items())
 
     @cached_property
     def _polygon(self):
@@ -329,14 +333,14 @@ def _capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
     return s
 
 
-def _window_cap_check(terms: dict, cap: int | None):
-    if cap is None:
+def _window_cap_check(terms: Iterable, cap: int | None):
+    """Refuse exponents past ``cap``, naming the first and the largest |entry|."""
+    if cap is None or not terms:
         return
-    for a in terms:
-        if any(abs(e) > cap for e in a):
-            needed = max(abs(e) for b in terms for e in b)
-            raise WindowOverflow(
-                f"product exponent {a} exceeds the window cap {cap}", needed)
+    needed = max(map(abs, itertools.chain.from_iterable(terms)))
+    if needed > cap:
+        a = next(a for a in terms if any(abs(e) > cap for e in a))
+        raise WindowOverflow(f"product exponent {a} exceeds the window cap {cap}", needed)
 
 
 def _int_rows(S: MicroOp):
@@ -543,8 +547,10 @@ def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None
     holds a residue.  ``table`` is the one the caller keeps for ``right``'s
     rows over one computation; rows rebuilt below get a table of their own."""
     (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
-    if lcap is not None and rcap is not None:
-        return _flat_product(lrows, rrows, dim == 1), lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
+    if lcap is not None and rcap is not None:  # one pair (two literals) needs no loop
+        sums = ({tuple(map(add, lrows[0][0], rrows[0][0])): lrows[0][1] * rrows[0][1]}
+                if len(lrows) == 1 == len(rrows) else _flat_product(lrows, rrows, dim == 1))
+        return sums, lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
     if lcap is not None or rcap is not None:  # flat rows, as general ones
         zero = (0,) * dim
         lrows, rrows = [side if cap is None else [(a, [(zero, N)], None, cap, 0) for a, N in side]
@@ -603,41 +609,60 @@ def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
             for g, (vals, aprec, gcap) in sums.items()}
 
 
-# (weak reference to the last exact, unfolded product, its kernel sums as
-# :func:`_kernel_sums` returns them): a product with that very operator as an
-# operand takes its rows from the sums.  The entry is read and replaced as one
-# tuple, so threads only miss each other's reuse.
-_last_rows: tuple = (lambda: None, None)
+class _KernelTerms(Mapping):
+    """Terms as the kernel's sums ``(sums, W, E, n, cap)``, free of residues,
+    in the sums' order; :func:`_build_terms` makes the values on the first
+    read, and they are kept (threads that race build equal ones)."""
+
+    __slots__ = ("ring", "kept", "_built")
+
+    def __init__(self, dim: int, p: int, kept: tuple):
+        self.ring, self.kept, self._built = (dim, p), kept, None
+
+    def _terms(self) -> dict:
+        if (built := self._built) is None:
+            built = self._built = _build_terms(*self.ring, self.kept)
+        return built
+
+    def __getitem__(self, alpha):
+        return self._terms()[alpha]
+
+    def __iter__(self):
+        return iter(self.kept[0])
+
+    def __len__(self):
+        return len(self.kept[0])
+
+    def items(self):
+        return self._terms().items()
+
+    def values(self):
+        return self._terms().values()
 
 
-def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[dict[Exponent, TateSeries], tuple | None]:
-    """The coefficient-left terms of P*Q, and their integer sums: none for
-    two exact one-scalar monomials with nothing to commute (a top-level
-    ``mul`` of monomials, or ``invert``'s ``D^-beta`` times a constant
-    ``g``).  The kernel reads an operand's :func:`_int_rows`, digit-mode
-    scalars included, or the kept sums if it is the last product (see
-    :func:`_product`); it keeps the series arithmetic's caps, precisions,
-    refusals and term order."""
-    if len(P.terms) == 1 == len(Q.terms):
-        ((alpha, f),), ((beta, g),) = P.terms.items(), Q.terms.items()
-        if len(f.coeffs) == 1 == len(g.coeffs):
-            ((ma, a),), ((mb, c),) = f.coeffs.items(), g.coeffs.items()
-            if a.exact and c.exact and not (any(alpha) and any(mb)):
-                m, cap = tuple(map(add, ma, mb)), min(f.degree_cap, g.degree_cap)
-                if sum(m) > cap:
-                    raise DegreeCapOverflow(sum(m), cap)
-                s = _scalar(P.prime, a.valuation + c.valuation, a.unit * c.unit,
-                            min(a.precision, c.precision), True)
-                return {tuple(map(add, alpha, beta)): _series(P.dim, P.prime, {m: s}, cap,
-                                                              True)}, None
-    ref, kept = _last_rows
-    last = ref()
-    if last is P or last is Q:  # the last product's sums, as rows
-        kept = _as_rows(kept, P.prime)
-    left = kept if last is P else _int_rows(P)
-    right = kept if last is Q else _int_rows(Q)
+def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
+    """``P.terms[alpha].is_unit()``, read off kept sums without building: the
+    constant's valuation lies strictly below every other monomial's."""
+    if type(P.terms) is not _KernelTerms:
+        return P.terms[alpha].is_unit()
+    sums, *_, cap = P.terms.kept
+    if cap is not None:  # one constant
+        return True
+    v = {m: int_valuation(N, P.prime) for m, N in sums[alpha][0].items()}
+    v0 = v.pop((0,) * P.dim, None)
+    return v0 is not None and min(v.values(), default=v0 + 1) > v0
+
+
+def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[Mapping[Exponent, TateSeries], tuple]:
+    """The coefficient-left terms of P*Q and their sums, from each operand's
+    kept sums or :func:`_int_rows`, as the series arithmetic forms them; terms
+    with a residue are built at once, so that lost digits are refused here."""
+    left, right = (_as_rows(S.terms.kept, S.prime) if type(S.terms) is _KernelTerms
+                   else _int_rows(S) for S in (P, Q))
     sums = _kernel_sums(left, right, P.dim, P.prime)
-    return _build_terms(P.dim, P.prime, sums), sums
+    if sums[3] is None and any(min(vp.values()) < 0 for _, vp, _ in sums[0].values()):
+        return _build_terms(P.dim, P.prime, sums), sums
+    return _KernelTerms(P.dim, P.prime, sums), sums
 
 
 def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
@@ -703,16 +728,11 @@ def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
     if not (P.is_exact and Q.is_exact or P.positive and Q.positive):
         raise InsufficientTruncation(
             "tail certificates cannot be combined across mixed sectors")
-    global _last_rows
-    terms, sums = _product_terms(P, Q)
+    terms, _ = _product_terms(P, Q)
     _window_cap_check(terms, window_cap)
-    tail = _fold_beyond(terms, _product_tail(P, Q), positive_sector=True)
-    S = MicroOp(P.dim, P.prime, terms, tail)
-    # exact and unfolded, the sums match the terms; one term converts as
-    # cheaply as it would be reused
-    if sums is not None and tail is None and len(terms) > 1:
-        _last_rows = weakref.ref(S), sums
-    return S
+    tail = _product_tail(P, Q)
+    terms = terms if tail is None else dict(terms)  # a fold drops built terms
+    return MicroOp(P.dim, P.prime, terms, _fold_beyond(terms, tail, positive_sector=True))
 
 
 def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP) -> "MicroOp":

@@ -16,7 +16,7 @@ Evaluation folds on the product kernel's integer sums.  A number stays a
 degree cap.  A symbol or a number lifts to one row, a number scales the
 integers, two operators multiply in the kernel, and ``+`` merges over
 ``p^min(W) / lcm(E)`` in ``MicroOp.__add__``'s term and monomial order.
-:func:`evaluate` builds one :class:`MicroOp` at the end.  Every step keeps
+:func:`evaluate` wraps them in one :class:`MicroOp`.  Every step keeps
 the operator arithmetic's term order and refusals: the degree cap per term
 pair, the window on each product, and ``e * deg f`` up front for ``f^e``.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _build_terms, _kernel_sums,
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _kernel_sums, _KernelTerms,
                      _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime, int_valuation
@@ -293,7 +293,7 @@ def evaluate(node, ctx: EvalContext, env: dict | None = None):
     value = _fold(node, ctx, env or {})
     if isinstance(value, Fraction):
         return value
-    return MicroOp(ctx.dim, ctx.prime, _build_terms(ctx.dim, ctx.prime, value))
+    return MicroOp(ctx.dim, ctx.prime, _KernelTerms(ctx.dim, ctx.prime, value))
 
 
 def _fold(node, ctx: EvalContext, env: dict):

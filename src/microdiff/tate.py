@@ -100,10 +100,6 @@ class TateSeries:
 
     # -- norms -----------------------------------------------------------
 
-    def gauss_norm(self) -> Fraction:
-        """max |c_m| over stored coefficients; 0 for the zero element."""
-        return max((c.norm() for c in self.coeffs.values()), default=Fraction(0))
-
     def spectral_valuation(self):
         """Integer v with |f| = p**(-v); +infinity for 0."""
         if self.is_zero:
@@ -204,8 +200,7 @@ class TateSeries:
         c0 = self.coeffs.get(zero)
         if c0 is None:
             return False
-        n0 = c0.norm()
-        return all(c.norm() < n0 for m, c in self.coeffs.items() if m != zero)
+        return all(c.valuation > c0.valuation for m, c in self.coeffs.items() if m != zero)
 
     def inverse_length(self, target: int) -> int:
         """The J of :meth:`invert_unit`: the least J >= 0 with (J + 1) * v(u) >= target."""

@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import newton
 from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms,
                      _geometric_sum, _graded_weight, _int_rows, _kernel_sums, _level_exponent,
-                     _require_positive, _window_cap_check, floor_sum, is_finite)
+                     _require_positive, _unit_at, _window_cap_check, floor_sum, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
@@ -165,7 +165,7 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
         clause, alpha = "order_positive", max(top, key=lambda row: row[1])[0]
     elif len(top) > 1:
         clause, alpha = "max_coefficient_not_unique", max(a for a, _, _, _ in top)
-    elif not P.terms[beta].is_unit():
+    elif not _unit_at(P, beta):
         clause = "constant_not_unit" if level.tag == "dkq" else "max_coefficient_not_unit"
         alpha = beta
     elif level.tag != "fkr":
@@ -212,7 +212,7 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
         if q > 0:
             return UnitVerdict(False, level, violated="order_positive",
                                alpha=max(a for a, _, _, _ in top))
-        if not P.terms[zero].is_unit():
+        if not _unit_at(P, zero):
             return UnitVerdict(False, level, violated="constant_not_unit",
                                alpha=zero)
         return UnitVerdict(True, level, beta=zero, delegate=(1, 1))
@@ -222,7 +222,7 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     if ties:
         return UnitVerdict(False, level, violated="top_order_not_dominated",
                            alpha=max(ties))
-    if not P.terms[beta].is_unit():
+    if not _unit_at(P, beta):
         return UnitVerdict(False, level, violated="dominant_not_unit", alpha=beta)
     # the r-weighted inequalities v(c_alpha) > v(c_beta) - r(q - |alpha|) below
     # the top hold exactly from r_min on; fkr(r, r) then realizes the inverse

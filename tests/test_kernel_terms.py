@@ -1,0 +1,234 @@
+"""Operators that hold the product kernel's sums and build scalars when read.
+
+An exact, unfolded product (and an evaluated expression) keeps its integer
+sums as ``terms``.  These properties check that such an operator reads,
+prints, serializes, queries and multiplies exactly as the same operator
+built from its ``TateSeries``, and that queries build no scalar.
+"""
+
+import contextlib
+import random
+import sys
+import threading
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from microdiff import (MicroOp, PadicScalar, PrecisionExhausted, TailCertificate, TateSeries,
+                       check_unit, compose, mul, norm_k, order_Nk, polygon)
+from microdiff import diffop
+from microdiff.errors import MicrodiffError
+from microdiff.exprs import EvalContext, evaluate, parse
+from microdiff.jsonio import dumps, operator_to_json
+from microdiff.tower import RingLevel
+
+from test_diffop import from_json, operator_snapshot, series_product_terms, terms_snapshot
+
+MODES = ("flat", "general", "laurent", "d2")
+
+
+def is_kept(S: MicroOp) -> bool:
+    return type(S.terms) is diffop._KernelTerms
+
+
+def rebuilt(S: MicroOp) -> MicroOp:
+    """S with its terms built, as an operator that holds no sums."""
+    return MicroOp(S.dim, S.prime, dict(S.terms), S.tail, S.neg_tail)
+
+
+def outcome(fn, *args):
+    """fn's answer, or its refusal as (type, text)."""
+    try:
+        return fn(*args)
+    except (MicrodiffError, ValueError) as e:
+        return type(e), str(e)
+
+
+def make_operator(rng: random.Random, mode: str, p: int, precisions=(64,)) -> MicroOp:
+    """One operator of the mode: constant coefficients at one precision and
+    cap (flat), x coefficients on positive exponents (general), either on
+    exponents of both signs (laurent), or x1, x2 coefficients in d = 2."""
+    dim = 2 if mode == "d2" else 1
+    lo = -2 if mode == "laurent" else 0
+    flat = mode == "flat" or mode == "laurent" and rng.random() < 0.5
+    cap = rng.choice((6, 32))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        alpha = tuple(rng.randint(lo, 2) for _ in range(dim))
+        monomials = [(0,) * dim] if flat else [
+            tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+        coeffs = {m: PadicScalar.from_fraction(
+            F(rng.choice((1, -1, 3, -5)), rng.choice((1, 7))) * F(p) ** rng.randint(-1, 2),
+            p, rng.choice(precisions)) for m in monomials}
+        terms[alpha] = TateSeries(dim, p, coeffs, cap)
+    return MicroOp(dim, p, terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(mode, P, Q); a quarter of the left operands mix precisions 20 and 64."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode, p = rng.choice(MODES), rng.choice((2, 3, 5))
+    mixed = (20, 64) if rng.random() < 0.25 else (64,)
+    return mode, make_operator(rng, mode, p, mixed), make_operator(rng, mode, p)
+
+
+def fresh_product(P: MicroOp, Q: MicroOp):
+    """P*Q through ``*``, or its refusal."""
+    return outcome(lambda: P * Q)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(operand_pairs())
+def test_a_kept_product_reads_like_its_built_operator(operands):
+    _, P, Q = operands
+    S = fresh_product(P, Q)
+    want = outcome(series_product_terms, P, Q)
+    if isinstance(S, tuple):  # a refusal, as the series arithmetic's
+        assert isinstance(want, tuple) and S[0] is want[0]
+        return
+    assert is_kept(S)
+    table = S.term_table  # off the sums, before any value is read
+    R = MicroOp(S.dim, S.prime, dict(S.terms))
+    assert list(S.terms) == list(want) == list(R.terms)
+    assert terms_snapshot(S.terms) == terms_snapshot(want)
+    assert [list(c.coeffs) for c in S.terms.values()] == [list(c.coeffs) for c in R.terms.values()]
+    assert table == R.term_table
+    assert str(S) == str(R)
+    assert dumps(operator_to_json(S)) == dumps(operator_to_json(R))
+    assert S == R and len(S.terms) == len(R.terms)
+
+
+@st.composite
+def chains(draw):
+    """A start, and steps that multiply the running value on the left, on
+    the right or by itself, at one mode and prime."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode, p = rng.choice(MODES), rng.choice((2, 3, 5))
+    kinds = [rng.choice(("left", "right")) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.5:  # at most one square, so that sizes stay small
+        kinds.insert(rng.randint(0, len(kinds)), "square")
+    steps = [(kind, make_operator(rng, mode, p)) for kind in kinds]
+    return make_operator(rng, mode, p), steps
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(chains())
+def test_a_chain_on_kept_sums_equals_the_chain_on_built_operators(chain):
+    start, steps = chain
+    kept, built = start, start
+    for kind, operand in steps:
+        results = []
+        for acc in (kept, rebuilt(built)):
+            pair = {"left": (acc, operand), "right": (operand, acc), "square": (acc, acc)}[kind]
+            results.append(outcome(mul, *pair))
+        if isinstance(results[0], tuple) or isinstance(results[1], tuple):
+            assert results[0] == results[1]
+            return
+        assert is_kept(results[0])
+        assert operator_snapshot(results[0]) == operator_snapshot(results[1])
+        kept, built = results
+
+
+@contextlib.contextmanager
+def counted_builds():
+    builds, build = [], diffop._build_terms
+    with mock.patch.object(diffop, "_build_terms",
+                           lambda *args: builds.append(1) or build(*args)):
+        yield builds
+
+
+def queries(S: MicroOp, k: int) -> list:
+    """Norm, order, polygon and unit verdicts, each an answer or a refusal."""
+    levels = [RingLevel.ek(k), RingLevel.fkr(k + 1, k)]
+    out = []
+    if S.positive:
+        levels += [RingLevel.dkq(k), RingLevel.fir(k), RingLevel.finf(), RingLevel.dinf()]
+        out += [outcome(norm_k, S, k), outcome(order_Nk, S, k),
+                outcome(lambda: polygon(S).vertices)]
+    return out + [outcome(check_unit, S, level) for level in levels]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(operand_pairs(), st.integers(1, 3))
+def test_queries_on_a_fresh_product_build_no_scalars(operands, k):
+    _, P, Q = operands
+    with counted_builds() as builds:
+        S = fresh_product(P, Q)
+        if isinstance(S, tuple):
+            return
+        got = queries(S, k)
+    assert builds == [] and is_kept(S)
+    assert got == queries(rebuilt(S), k)
+
+
+@pytest.mark.parametrize("text", ["prod(n=1..4, 1 - p^n*d1*d2) * (x1*d2 + 3) - 2/9*x2^2*d1",
+                                  "(1 + p*x1)*(3 + p^2*x2) + p^3*d1 - p^4*x2*d2^2"])
+def test_an_evaluated_expression_keeps_its_sums_until_read(text):
+    ctx = EvalContext(prime=3, dim=2)
+    with counted_builds() as builds:
+        S = evaluate(parse(text), ctx)
+        got = queries(S, 1)
+        assert builds == [] and is_kept(S)
+        R = rebuilt(S)
+        assert builds == [1]
+    assert got == queries(R, 1) and str(S) == str(R)
+    assert any(getattr(v, "invertible", False) for v in got) == ("x1)*(3" in text)
+
+
+def test_a_digit_mode_product_whose_known_digits_cancel_is_refused_by_the_product():
+    # (d + 1) read back from JSON times (d - 1): the d^1 sum cancels to 0
+    # modulo p^64, so no digit of it is known
+    P = from_json(MicroOp(1, 2, {(1,): TateSeries.constant(1), (0,): TateSeries.constant(1)}))
+    Q = MicroOp(1, 2, {(1,): TateSeries.constant(1), (0,): TateSeries.constant(-1)})
+    with pytest.raises(PrecisionExhausted, match="no digit of the result is known"):
+        compose(P, Q)
+    with pytest.raises(PrecisionExhausted):
+        diffop._product_terms(P, Q)
+    # a digit-mode product that keeps a digit is built at once
+    S = compose(P, P)
+    assert not is_kept(S) and not all(c.exact for f in S.terms.values()
+                                      for c in f.coeffs.values())
+
+
+def test_a_truncated_product_folds_its_stored_terms_into_its_tail():
+    rng, dropped = random.Random(7), 0
+    for _ in range(40):
+        P, Q = (make_operator(rng, "general", 2) for _ in range(2))
+        T = MicroOp(P.dim, P.prime, dict(P.terms), TailCertificate(1, F(2), F(1)))
+        S, exact = compose(T, Q), compose(P, Q)
+        terms = dict(exact.terms)
+        tail = diffop._fold_beyond(terms, diffop._product_tail(T, Q), positive_sector=True)
+        assert type(S.terms) is dict and S.terms == terms and S.tail == tail
+        assert all(diffop.length(a) <= tail.start for a in S.terms)
+        dropped += len(exact.terms) - len(S.terms)
+    assert dropped
+
+
+def test_threads_reading_one_kept_product_get_equal_terms():
+    rng = random.Random(11)
+    P, Q = make_operator(rng, "d2", 3), make_operator(rng, "d2", 3)
+    want = terms_snapshot(rebuilt(P * Q).terms)
+    for _ in range(5):
+        S = P * Q
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def read(i):
+            start.wait(timeout=10)
+            results[i] = terms_snapshot(dict(S.terms))
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8

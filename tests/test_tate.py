@@ -18,24 +18,29 @@ def coord(axis=1, dim=1):
     return TateSeries.coordinate(axis, dim)
 
 
+def gauss_norm(f: TateSeries) -> Fraction:
+    """max |c_m| over the stored coefficients; 0 for the zero element."""
+    return max((c.norm() for c in f.coeffs.values()), default=Fraction(0))
+
+
 class TestGaussNorm:
     def test_x_plus_p(self):
-        assert (coord() + const(2)).gauss_norm() == 1
+        assert gauss_norm(coord() + const(2)) == 1
 
     def test_zero(self):
-        assert TateSeries.zero().gauss_norm() == 0
+        assert gauss_norm(TateSeries.zero()) == 0
 
     def test_direct_max(self):
         # p^2 x^3 + p^5
         f = coord() * coord() * coord()
         f = f.scale(PadicScalar.from_int(4)) + const(32)
-        assert f.gauss_norm() == Fraction(1, 4)
+        assert gauss_norm(f) == Fraction(1, 4)
 
     def test_multiplicative_on_random_pairs(self, rng):
         for _ in range(200):
             f = rand_series(rng, poly=True)
             g = rand_series(rng, poly=True)
-            assert (f * g).gauss_norm() == f.gauss_norm() * g.gauss_norm()
+            assert gauss_norm(f * g) == gauss_norm(f) * gauss_norm(g)
 
 
 class TestSpectralValuation:
@@ -70,7 +75,7 @@ class TestDerive:
     def test_norm_never_increases(self, rng):
         for _ in range(100):
             f = rand_series(rng, dim=2, poly=True)
-            assert f.derive(1).gauss_norm() <= f.gauss_norm()
+            assert gauss_norm(f.derive(1)) <= gauss_norm(f)
 
 
 class TestUnits:
@@ -144,7 +149,7 @@ class TestUnits:
             if not h.is_unit():
                 continue
             g = h.invert_unit(20)
-            assert g.gauss_norm() == 1 / h.gauss_norm()
+            assert gauss_norm(g) == 1 / gauss_norm(h)
             u = const(1) - h.scale(h.coefficient((0,)).inv())
             J = h.inverse_length(20)
             if not u.is_zero:  # the least J with (J + 1) * v(u) >= 20
