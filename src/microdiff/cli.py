@@ -308,6 +308,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.window < 0:  # it would refuse every product
             raise UsageError(f"--window must be >= 0, got {args.window}")
+        if args.format == "svg" and args.command != "polygon":  # only a polygon renders
+            raise UsageError(f"--format svg is for polygon only, not {args.command}")
         if args.prime is None:
             args.prime = int(os.environ.get("MICRODIFF_PRIME", padic.DEFAULT_PRIME))
         ctx = _context(args)  # refuses a --prime that is not a prime

@@ -24,29 +24,28 @@ the least absolute precision of its products (see :func:`_add_term`).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
-Three rules keep chains of exact products cheap.  Kept sums: an exact,
-unfolded product without a residue, and an evaluated expression, hold the
-kernel's sums as ``terms`` (:class:`_KernelTerms`), whose ``TateSeries``
-are built on the first value read; the next product takes its rows from
-the sums, and queries read valuations and units off the integers.
-Precision: when every scalar of each operand shares one precision, every
-output scalar has the smaller of the two and no per-monomial precision is
-tracked; an operand that mixes precisions or holds a residue switches on
-the per-monomial bookkeeping of the series arithmetic.  Constant coefficients: when every
-coefficient of both operands is one exact constant, and each operand's
-scalars share one precision and one degree cap, nothing commutes and the
-product is one of Laurent polynomials over Z, flat rows ``(alpha, N)``
-summed into one ``int`` per exponent; every output takes the smaller
-precision and cap.  Its term order is the pair loop's: left terms in
-storage order, then right terms, an exponent whose sum cancels dropped at
-once and re-inserted at the end if formed again.  Kept flat rows serve the
-next flat product as they are and a general one after conversion.  The
-geometric series of :func:`microdiff.tower.invert` stays on rows:
-:func:`_geometric_sum` adds each power's kernel sums into one integer
-accumulator, which ``invert`` multiplies on before it builds an operator.
-Every power meets the same right operand, so one commutation table, made
-per call and dropped with it (no module-level cache), forms each D^j(g) and
-(alpha, beta) list once, and powers at the 1's precision add without one.
+One store.  Every sum, product and query reads an operator as the
+kernel's integer sums ``(sums, W, E, n, cap)`` over ``p^W / E``, ``E`` prime
+to p (``MicroOp._sums``): the ones an exact, unfolded product, a sum or an
+evaluated expression keeps as ``terms`` (:class:`_KernelTerms`, whose
+``TateSeries`` are built on the first value read), or its series'
+converted once (:func:`_series_sums`).  One sum, :func:`_sum`, serves
+``+``, ``-`` and the expression fold in the series arithmetic's term order,
+precisions, caps and refusals; a result holding a residue is built at
+once.  Precision: when every scalar of each operand shares one precision,
+every output scalar has the smaller of the two and no per-monomial
+precision is tracked; one that mixes precisions or holds a residue switches
+on the per-monomial bookkeeping (:func:`_add_term`).  Constant
+coefficients: when every coefficient is one exact constant at one
+precision and degree cap, the sums are flat, ``{alpha: N}``: a product is
+one of Laurent polynomials over Z, each output at the smaller precision
+and cap, in the pair loop's term order (left terms in storage order, then
+right terms, an exponent whose sum cancels dropped at once and re-inserted
+at the end if formed again).  The geometric series of
+:func:`microdiff.tower.invert` stays on rows: :func:`_geometric_sum` adds
+each power's sums into one accumulator, through one commutation table per
+call (no module-level cache) that forms each D^j(g) and (alpha, beta) list
+once.
 
 Values are immutable and every operation is pure, so operators can be shared
 freely across threads.
@@ -149,11 +148,8 @@ class MicroOp:
     @classmethod
     def constant(cls, value, dim: int = 1, prime: int = DEFAULT_PRIME,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> "MicroOp":
-        f = value if isinstance(value, TateSeries) else TateSeries.constant(
-            value, dim, prime, degree_cap)
-        if f.is_zero:
-            return cls.zero(f.dim, f.prime)
-        return cls(f.dim, f.prime, {(0,) * f.dim: f})
+        dim = value.dim if isinstance(value, TateSeries) else dim
+        return cls.monomial((0,) * dim, value, dim, prime, degree_cap)
 
     @classmethod
     def monomial(cls, alpha: Iterable[int], coeff, dim: int | None = None,
@@ -197,14 +193,19 @@ class MicroOp:
         """(alpha, |alpha|, fl(alpha), v(c_alpha)) per stored term, in storage order.
 
         Every norm, order, polygon and unit query reads these rows, so the
-        valuations are computed once, off kept sums as W + v(gcd of integers).
+        valuations are computed once, off the kernel sums as W + v(gcd of integers).
         """
-        if type(self.terms) is not _KernelTerms:
-            return tuple((a, length(a), floor_sum(a), c.spectral_valuation())
-                         for a, c in self.terms.items())
-        (sums, W, _, _, cap), p = self.terms.kept, self.prime
+        (sums, W, _, _, cap), p = self._sums, self.prime
         return tuple((a, length(a), floor_sum(a), W + int_valuation(
             N if cap is not None else math.gcd(*N[0].values()), p)) for a, N in sums.items())
+
+    @cached_property
+    def _sums(self) -> tuple:
+        """The kernel sums ``(sums, W, E, n, cap)`` every sum, product and
+        query reads: the ones the terms keep, or the series' converted once
+        by :func:`_series_sums`."""
+        terms = self.terms
+        return terms.kept if type(terms) is _KernelTerms else _series_sums(terms, self.prime)
 
     @cached_property
     def _polygon(self):
@@ -235,21 +236,15 @@ class MicroOp:
 
     def __add__(self, other: "MicroOp") -> "MicroOp":
         self._check_compatible(other)
-        out: dict[Exponent, TateSeries] = dict(self.terms)
-        for a, c in other.terms.items():
-            s = _capped_sum(out[a], c) if a in out else c
-            if s.is_zero:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        tail = _fold_beyond(out, _min_tail(self.tail, other.tail), positive_sector=True)
-        neg_tail = _fold_beyond(out, _min_tail(self.neg_tail, other.neg_tail),
-                                positive_sector=False)
-        return MicroOp(self.dim, self.prime, out, tail, neg_tail)
+        terms = _as_terms(self.dim, self.prime, _sum(self._sums, other._sums, self.dim, self.prime))
+        tail, neg_tail = _min_tail(self.tail, other.tail), _min_tail(self.neg_tail, other.neg_tail)
+        terms = dict(terms) if tail or neg_tail else terms  # a fold drops built terms
+        return MicroOp(self.dim, self.prime, terms, _fold_beyond(terms, tail, positive_sector=True),
+                       _fold_beyond(terms, neg_tail, positive_sector=False))
 
     def __neg__(self) -> "MicroOp":
-        return MicroOp(self.dim, self.prime, {a: -c for a, c in self.terms.items()},
-                       self.tail, self.neg_tail)
+        terms = _as_terms(self.dim, self.prime, _scaled(self._sums, -1, self.prime))
+        return MicroOp(self.dim, self.prime, terms, self.tail, self.neg_tail)
 
     def __sub__(self, other: "MicroOp") -> "MicroOp":
         return self + (-other)
@@ -325,14 +320,6 @@ def _fold_beyond(terms: dict, cert: TailCertificate | None,
 # -- multiplication ---------------------------------------------------------
 
 
-def _capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
-    """f + g, refused where the degree cap drops a monomial."""
-    s = f + g
-    if not s.exact:
-        raise DegreeCapOverflow(max(f.degree(), g.degree()), s.degree_cap)
-    return s
-
-
 def _window_cap_check(terms: Iterable, cap: int | None):
     """Refuse exponents past ``cap``, naming the first and the largest |entry|."""
     if cap is None or not terms:
@@ -343,27 +330,15 @@ def _window_cap_check(terms: Iterable, cap: int | None):
         raise WindowOverflow(f"product exponent {a} exceeds the window cap {cap}", needed)
 
 
-def _int_rows(S: MicroOp):
-    """S as integer rows over p^V / D, with V the least valuation and D the
-    lcm of the unit denominators: (rows, V, D, n, cap).  A digit-mode
-    scalar's residue is its numerator over 1, taken in (-p^prec/2, p^prec/2]
-    so that -1 stays small.  When every coefficient is one exact constant, n
-    is their one precision and cap their one degree cap, the rows are flat,
-    [(alpha, N)]; otherwise cap is None and each row is (alpha, [(m, N)],
-    {m: precision} or None, cap, degree), n being the precision all scalars
-    share, or None when they mix or one is a residue and each row carries
-    its own, a residue's negated."""
-    zero = (0,) * S.dim
-    if len(S.terms) == 1:  # a monomial (invert's D^-beta or g, a mul operand): no rescaling
-        (alpha, f), = S.terms.items()
-        if len(f.coeffs) == 1:
-            (m, c), = f.coeffs.items()
-            if c.exact:
-                N, cap, flat = c.unit.numerator, f.degree_cap, m == zero
-                return ([(alpha, N)] if flat else [(alpha, [(m, N)], None, cap, sum(m))],
-                        c.valuation, c.unit.denominator, c.precision, cap if flat else None)
-    scalars = [c for f in S.terms.values() for c in f.coeffs.values()]
-    p, V = S.prime, min((c.valuation for c in scalars), default=0)
+def _series_sums(terms: Mapping[Exponent, TateSeries], p: int) -> tuple:
+    """Series terms as kernel sums (sums, V, D, n, cap) over p^V / D: V the
+    least valuation, D the lcm of the unit denominators, a residue its
+    numerator over 1 in (-p^prec/2, p^prec/2].  Flat, {alpha: N}, when every
+    coefficient is one exact constant at one precision n and cap; else each
+    sum is [{m: N}, {m: precision} or None, cap], n None where precisions
+    mix or a residue holds minus its absolute one (see :func:`_add_term`)."""
+    scalars = [c for f in terms.values() for c in f.coeffs.values()]
+    V = min((c.valuation for c in scalars), default=0)
     D = math.lcm(*{c.unit.denominator for c in scalars})
     precisions = set(map(attrgetter("precision"), scalars))
     exact = all(c.exact for c in scalars)
@@ -375,15 +350,15 @@ def _int_rows(S: MicroOp):
             u -= p ** c.precision
         N, k = u.numerator * (D // u.denominator), c.valuation - V
         return N << k if p == 2 else N * p ** k
-    flat = n and len(scalars) == len(S.terms) and all(zero in f.coeffs for f in S.terms.values())
-    caps = {f.degree_cap for f in S.terms.values()} if flat else ()
+    flat = n and len(scalars) == len(terms) and not any(any(m) for f in terms.values()
+                                                        for m in f.coeffs)
+    caps = {f.degree_cap for f in terms.values()} if flat else ()
     if len(caps) == 1:  # one constant per coefficient, one precision, one cap
-        return [(alpha, scaled(c)) for alpha, c in zip(S.terms, scalars)], V, D, n, caps.pop()
-    return ([(alpha, [(m, scaled(c)) for m, c in f.coeffs.items()],
-              None if n else {m: c.precision if c.exact else -c.precision
-                              for m, c in f.coeffs.items()},
-              f.degree_cap, max(map(sum, f.coeffs))) for alpha, f in S.terms.items()],
-            V, D, n, None)
+        return {alpha: scaled(c) for alpha, c in zip(terms, scalars)}, V, D, n, caps.pop()
+    return ({alpha: [{m: scaled(c) for m, c in f.coeffs.items()},
+                     None if n else {m: c.precision if c.exact else V - c.valuation - c.precision
+                                     for m, c in f.coeffs.items()},
+                     f.degree_cap] for alpha, f in terms.items()}, V, D, n, None)
 
 
 def _flat_product(lrows: list, rrows: list, d1: bool) -> dict:
@@ -429,7 +404,7 @@ def _meet_cap(acc: list, cap: int, degree: int):
     """Lower a sum's cap to the smaller one, refused where a monomial of the
     sum so far or of degree ``degree`` would pass it."""
     acc[2] = low = min(acc[2], cap)
-    needed = max(max(map(sum, acc[0])), degree)
+    needed = max([degree, *map(sum, acc[0])])
     if needed > low:
         raise DegreeCapOverflow(needed, low)
 
@@ -541,7 +516,7 @@ def _add_into(acc: list, vals: dict, precs: dict | None, n: int | None, scale: i
 
 def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None = None) -> tuple:
     """(sums, W, E, n, cap): the integer sums over ``p^W / E`` of the product
-    of rows ``left`` and ``right`` (as :func:`_int_rows` gives them), flat at
+    of rows ``left`` and ``right`` (as :func:`_as_rows` gives them), flat at
     precision n and cap ``cap`` when both sides are; otherwise general, at
     the smaller precision n, or per monomial when an operand mixes them or
     holds a residue.  ``table`` is the one the caller keeps for ``right``'s
@@ -575,9 +550,10 @@ def _known(N: int, absolute: int, W: int, p: int) -> tuple:
 
 
 def _as_rows(kept: tuple, p: int) -> tuple:
-    """Kernel sums as the rows of the operator they build: flat sums are
-    flat rows already; general ones become :func:`_int_rows`' general rows,
-    a residue's absolute precision turned into its relative one."""
+    """Kernel sums as the product's rows (rows, W, E, n, cap): flat sums are
+    flat rows [(alpha, N)] already; a general sum becomes the row (alpha,
+    [(m, N)], {m: precision} or None, cap, degree), a residue's absolute
+    precision turned into its relative one, negated."""
     sums, W, E, n, cap = kept
     if cap is not None:
         return list(sums.items()), W, E, n, cap
@@ -640,12 +616,66 @@ class _KernelTerms(Mapping):
         return self._terms().values()
 
 
+def _as_terms(dim: int, p: int, kept: tuple) -> Mapping[Exponent, TateSeries]:
+    """Kernel sums as an operator's terms: kept, or built at once where a sum
+    holds a residue, so that lost digits are refused where they are lost."""
+    if kept[3] is None and any(min(vp.values()) < 0 for _, vp, _ in kept[0].values()):
+        return _build_terms(dim, p, kept)
+    return _KernelTerms(dim, p, kept)
+
+
+def _scaled(kept: tuple, q: Fraction | int, p: int) -> tuple:
+    """q times kernel sums: q's numerator scales the integers, and its
+    valuation the digits a residue is known to; the p-power of q's
+    denominator joins W and the rest joins E."""
+    sums, W, E, n, cap = kept
+    if not q:
+        return {}, W, E, n, cap
+    N, w = q.numerator, int_valuation(q.denominator, p)
+    W, E, k = W - w, E * (q.denominator // p ** w), int_valuation(N, p)
+    if cap is not None:
+        return {g: N * c for g, c in sums.items()}, W, E, n, cap
+    return ({g: [{m: N * c for m, c in v.items()}, vp and {m: x - k if x < 0 else x
+                                                          for m, x in vp.items()}, c]
+             for g, (v, vp, c) in sums.items()}, W, E, n, None)
+
+
+def _sum(a: tuple, b: tuple, dim: int, p: int) -> tuple:
+    """a + b on kernel sums over ``p^min(W) / lcm(E)``, as ``TateSeries`` add
+    term by term: a's terms, then b's new ones, a term that cancels dropped.
+    A shared term's monomials take the order of ``set(a's) | set(b's)`` and
+    meet precisions by :func:`_add_term`; a residue whose known digits all
+    cancel is refused there, then a monomial past the smaller cap.  Flat
+    sums at one precision and cap stay flat; other pairs add as general."""
+    (sa, wa, ea, na, capa), (sb, wb, eb, nb, capb) = a, b
+    W, E = min(wa, wb), math.lcm(ea, eb)
+    ka, kb = p ** (wa - W) * (E // ea), p ** (wb - W) * (E // eb)
+    n, zero, out = na if na == nb else None, (0,) * dim, {}
+    for sums, k, q, cap in ((sa, ka, na, capa), (sb, kb, nb, capb)):
+        for g, s in sums.items():
+            vals, precs, gcap = ({zero: s}, None, cap) if cap is not None else s
+            if (entry := out.get(g)) is None:
+                _add_into(out.setdefault(g, [{}, None if n else {}, gcap]), vals, precs, q, k, p)
+                continue
+            keys, total, aprec = set(entry[0]) | set(vals), entry[0], entry[1]
+            _add_into(entry, vals, precs, q, k, p)
+            entry[0] = {m: total[m] for m in keys if m in total}
+            for m in entry[0] if aprec else ():
+                if aprec[m] < 0:
+                    _known(total[m], -aprec[m], W, p)
+            if gcap != entry[2]:
+                _meet_cap(entry, gcap, max(map(sum, keys)))
+            if not entry[0]:
+                del out[g]
+    if capa is not None and capa == capb and n is not None:  # flat sums stay flat
+        return {g: v[zero] for g, (v, _, _) in out.items()}, W, E, n, capa
+    return out, W, E, n, None
+
+
 def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
-    """``P.terms[alpha].is_unit()``, read off kept sums without building: the
-    constant's valuation lies strictly below every other monomial's."""
-    if type(P.terms) is not _KernelTerms:
-        return P.terms[alpha].is_unit()
-    sums, *_, cap = P.terms.kept
+    """``P.terms[alpha].is_unit()``, read off the kernel sums without building:
+    the constant's valuation lies strictly below every other monomial's."""
+    sums, *_, cap = P._sums
     if cap is not None:  # one constant
         return True
     v = {m: int_valuation(N, P.prime) for m, N in sums[alpha][0].items()}
@@ -654,15 +684,9 @@ def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
 
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[Mapping[Exponent, TateSeries], tuple]:
-    """The coefficient-left terms of P*Q and their sums, from each operand's
-    kept sums or :func:`_int_rows`, as the series arithmetic forms them; terms
-    with a residue are built at once, so that lost digits are refused here."""
-    left, right = (_as_rows(S.terms.kept, S.prime) if type(S.terms) is _KernelTerms
-                   else _int_rows(S) for S in (P, Q))
-    sums = _kernel_sums(left, right, P.dim, P.prime)
-    if sums[3] is None and any(min(vp.values()) < 0 for _, vp, _ in sums[0].values()):
-        return _build_terms(P.dim, P.prime, sums), sums
-    return _KernelTerms(P.dim, P.prime, sums), sums
+    """The coefficient-left terms of P*Q (see :func:`_as_terms`) and their sums."""
+    sums = _kernel_sums(*(_as_rows(S._sums, S.prime) for S in (P, Q)), P.dim, P.prime)
+    return _as_terms(P.dim, P.prime, sums), sums
 
 
 def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
@@ -744,12 +768,12 @@ def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP)
 
 def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None) -> tuple:
     """1 + Q + ... + Q^J as kernel sums, for Q's rows over ``p^V / D`` and
-    the flat rows ``one`` of the 1 (its precision and cap), summed as
-    ``MicroOp.__add__`` adds the powers: each power window-checked, the sum
-    stopping at the first empty one, each (gamma, monomial) at the place,
-    precision and cap the operator sum gives it.  The powers stay kernel
+    the flat rows ``one`` of the 1 (its precision and cap): each power
+    window-checked and added as :func:`_sum` adds it, but keeping a residue
+    monomial whose known digits cancel (a later power may restore them),
+    the sum stopping at the first empty power.  The powers stay kernel
     sums, each the next one's left rows, added into one accumulator over
-    ``p^min(0, J*V) / D^J``, through one commutation table of Q's.  When
+    ``p^min(0, J*V) / D^J`` through one commutation table of Q's.  When
     Q's scalars share a precision no smaller than the 1's, so does every
     power, and the accumulator keeps no precision per monomial."""
     left, zero, table = one, one[0][0][0], {}
@@ -773,7 +797,7 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
             if not entry[0]:
                 del acc[gamma]
         left = _as_rows(kept, p)
-    if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _int_rows reads it
+    if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _series_sums reads it
         precs = {one[3]} if shared else {vp[zero] for _, vp, _ in acc.values()}
         caps = {c for *_, c in acc.values()}
         if len(precs) == 1 == len(caps) and min(precs) > 0:  # no residue

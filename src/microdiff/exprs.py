@@ -9,30 +9,28 @@ derivation ``dinv``, parentheses, and the comprehensions
 appear in exponents.  An evaluation error names the position of its
 operator's token (of ``prod``/``sum`` for a range bound).
 
-Evaluation folds on the product kernel's integer sums.  A number stays a
-``Fraction``; an operator value is the tuple ``(sums, W, E, n, None)`` of
-:func:`microdiff.diffop._kernel_sums` in general form: integer sums over
-``p^W / E``, ``E`` prime to ``p``, at the context's precision ``n`` and
-degree cap.  A symbol or a number lifts to one row, a number scales the
-integers, two operators multiply in the kernel, and ``+`` merges over
-``p^min(W) / lcm(E)`` in ``MicroOp.__add__``'s term and monomial order.
-:func:`evaluate` wraps them in one :class:`MicroOp`.  Every step keeps
-the operator arithmetic's term order and refusals: the degree cap per term
-pair, the window on each product, and ``e * deg f`` up front for ``f^e``.
+Evaluation folds on the operator store: a number stays a ``Fraction``, an
+operator is the kernel's general sums ``(sums, W, E, n, None)`` over
+``p^W / E`` at the context's precision ``n`` and degree cap.  A symbol or
+a number lifts to one row, a number scales the integers, two operators
+multiply in the kernel, and ``+`` and ``-`` are the operator sum
+(:func:`microdiff.diffop._sum`); :func:`evaluate` wraps the result in one
+:class:`MicroOp`.  Every step keeps the operator arithmetic's term order
+and refusals: the degree cap per term pair, the window on each product,
+and ``e * deg f`` up front for ``f^e``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _kernel_sums, _KernelTerms,
-                     _window_cap_check)
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _kernel_sums, _scaled,
+                     _sum, _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
-from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime, int_valuation
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
 
 # -- AST ---------------------------------------------------------------------
@@ -293,7 +291,7 @@ def evaluate(node, ctx: EvalContext, env: dict | None = None):
     value = _fold(node, ctx, env or {})
     if isinstance(value, Fraction):
         return value
-    return MicroOp(ctx.dim, ctx.prime, _KernelTerms(ctx.dim, ctx.prime, value))
+    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, value))
 
 
 def _fold(node, ctx: EvalContext, env: dict):
@@ -331,48 +329,23 @@ def _fold(node, ctx: EvalContext, env: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _scale(q: Fraction, a: tuple, ctx: EvalContext) -> tuple:
-    """q times the kernel sums a: q's numerator scales the integers, the
-    p-power of its denominator joins W and the rest joins E."""
-    sums, W, E, n, _ = a
-    if not q:
-        return {}, W, E, n, None
-    w, N = int_valuation(q.denominator, ctx.prime), q.numerator
-    return ({g: [{m: N * c for m, c in v.items()}, None, cap] for g, (v, _, cap) in sums.items()},
-            W - w, E * (q.denominator // ctx.prime**w), n, None)
-
-
 def _term(q: Fraction, ctx: EvalContext, alpha=None, m=None) -> tuple:
     """q x^m D^alpha (m and alpha 0 by default) as one row of kernel sums."""
     zero = (0,) * ctx.dim
     row = {alpha or zero: [{m or zero: 1}, None, ctx.degree_cap]}
-    return _scale(q, (row, 0, 1, ctx.precision, None), ctx)
+    return _scaled((row, 0, 1, ctx.precision, None), q, ctx.prime)
 
 
 def _neg(value, ctx: EvalContext):
-    return -value if isinstance(value, Fraction) else _scale(-_ONE, value, ctx)
+    return -value if isinstance(value, Fraction) else _scaled(value, -1, ctx.prime)
 
 
 def _add(a, b, ctx: EvalContext):
-    """a + b; operators merge over ``p^min(W) / lcm(E)`` in
-    ``MicroOp.__add__``'s term and monomial order."""
+    """a + b; operators add by the operator sum, :func:`microdiff.diffop._sum`."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    (sa, wa, ea, n, _), (sb, wb, eb, _, _) = (
-        _term(v, ctx) if isinstance(v, Fraction) else v for v in (a, b))
-    p, W, E = ctx.prime, min(wa, wb), math.lcm(ea, eb)
-    ka, kb = p ** (wa - W) * (E // ea), p ** (wb - W) * (E // eb)
-    out = {g: [{m: c * ka for m, c in v.items()}, None, cap] for g, (v, _, cap) in sa.items()}
-    for g, (v, _, cap) in sb.items():
-        f = out.get(g)
-        if f is None:
-            out[g] = [{m: c * kb for m, c in v.items()}, None, cap]
-        elif s := {m: c for m in set(f[0]) | set(v)
-                   if (c := f[0].get(m, 0) + v.get(m, 0) * kb)}:
-            f[0] = s
-        else:
-            del out[g]
-    return out, W, E, n, None
+    return _sum(*(_term(v, ctx) if isinstance(v, Fraction) else v for v in (a, b)),
+                ctx.dim, ctx.prime)
 
 
 def _mul(a, b, ctx: EvalContext):
@@ -381,9 +354,9 @@ def _mul(a, b, ctx: EvalContext):
     if isinstance(a, Fraction):
         if isinstance(b, Fraction):
             return a * b
-        out = _scale(a, b, ctx)
+        out = _scaled(b, a, ctx.prime)
     elif isinstance(b, Fraction):
-        out = _scale(b, a, ctx)
+        out = _scaled(a, b, ctx.prime)
     else:
         out = _kernel_sums(_as_rows(a, ctx.prime), _as_rows(b, ctx.prime), ctx.dim, ctx.prime)
     _window_cap_check(out[0], ctx.window_cap)

@@ -13,7 +13,8 @@ representation:
   within a single sector.
 
 Products of Laurent terms reduce to the same commutation law as positive
-composition, with generalized binomials supplying the negative-power case;
+composition, with the signed integer binomials of
+:func:`microdiff.padic.int_binomial` supplying the negative-power case;
 with polynomial coefficients every expansion is finite, so exact operands
 give exact products.
 """

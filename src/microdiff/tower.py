@@ -35,12 +35,12 @@ from fractions import Fraction
 
 from . import newton
 from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms,
-                     _geometric_sum, _graded_weight, _int_rows, _kernel_sums, _level_exponent,
-                     _require_positive, _unit_at, _window_cap_check, floor_sum, is_finite)
+                     _geometric_sum, _graded_weight, _kernel_sums, _level_exponent, _scaled,
+                     _require_positive, _series_sums, _unit_at, _window_cap_check, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
-from .padic import PadicScalar, int_valuation
+from .padic import int_valuation
 
 _TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
 
@@ -291,16 +291,22 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     if level.tag in ("fir", "finf", "dinf"):
         k, r = verdict.delegate
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
-    beta, cap = verdict.beta, max(c.degree_cap for c in P.terms.values())
-    c_beta = P.terms[beta]
+    beta, p, zero = verdict.beta, P.prime, (0,) * P.dim
+    sums, W, E, n, flat_cap = kept = P._sums
+    P_rows = _as_rows(kept, p)
+    # P's terms as general rows: (alpha, [(m, N)], precisions or None, cap, degree)
+    rows = P_rows[0] if flat_cap is None else [(a, None, None, flat_cap, 0) for a in sums]
+    cap, degrees = max(r[3] for r in rows), {r[0]: r[4] for r in rows}
+    precision = n or max(abs(q) for r in rows for q in r[2].values())
     # c_beta D^beta - P recentred, so that -R = g * rest
-    rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): -c
-                                    for a, c in P.terms.items() if a != beta})
-    # the contraction ratio: the level norm of R, whose valuations are
-    # v(c_alpha) - v(c_beta), and of the recentred tail
-    rho = [e + c_beta.spectral_valuation() for e in
-           (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, floor_sum(beta)))
-           if e is not None]
+    rest = _as_rows(_scaled(({tuple(x - y for x, y in zip(a, beta)): s for a, s in sums.items()
+                              if a != beta}, W, E, n, flat_cap), -1, p), p)
+    # the contraction ratio: the level norm of R, whose exponents are
+    # weight(fl(alpha) - fl(beta)) - v(c_alpha) + v(c_beta), and of the recentred tail
+    _, _, fl_beta, v_beta = next(row for row in P.term_table if row[0] == beta)
+    rho = [e + v_beta for e in (
+        max((level.weight(fl - fl_beta) - v for a, _, fl, v in P.term_table if a != beta),
+            default=None), tail_sup_exponent(P, level.k, level.r, fl_beta)) if e is not None]
     if rho and max(rho) >= 0:
         raise NotInvertible("recentred series does not contract")
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
@@ -308,43 +314,36 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     # has no series, and S = g D^-beta is checked like any inverse
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
     # coefficient degrees of g and of R = g * rest bound both refusals' hints
+    c_beta = P.terms[beta]
     deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
-    deg_R = max((c.degree() for c in rest.terms.values()), default=0) + deg_g
-    unit = PadicScalar.one(P.prime, max(c.precision for f in P.terms.values()
-                                        for c in f.coeffs.values()))
-    inv_mono = MicroOp.monomial(tuple(-b for b in beta), unit, P.dim, P.prime, cap)
+    deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
     try:
-        g = MicroOp.constant(c_beta.invert_unit(residual_exponent))
-        one = MicroOp.constant(unit, P.dim, P.prime, cap)
-        S, back = _invert_on_rows(P, [_int_rows(op) for op in (P, g, rest, inv_mono, one)],
-                                  max(J, 0), window_cap)
+        g = _as_rows(_series_sums({zero: c_beta.invert_unit(residual_exponent)}, p), p)
+        one, inv_mono = (([(a, 1)], 0, 1, precision, cap) for a in (zero, tuple(-b for b in beta)))
+        # the series of -R = g * rest, times D^-beta and then g, each product
+        # window-checked as mul checks it; one operator is built
+        S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0), one, p,
+                           window_cap)
+        S = _kernel_sums(inv_mono, _as_rows(S, p), P.dim, p)
+        _window_cap_check(S[0], window_cap)
+        S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
+        _window_cap_check(S[0], window_cap)
+        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _build_terms(P.dim, p, S))
         _verify_residual(P, S, level, residual_exponent, back)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above
-        needed = max(c.degree() for c in P.terms.values()) + deg_g + J * deg_R
+        needed = max(degrees.values()) + deg_g + J * deg_R
         raise DegreeCapOverflow(needed, cap, f"the inverse and its multiply-back reach "
                                 f"coefficient degree at most {needed}, past the degree cap") from None
     except WindowOverflow as e:  # a product lowers a D-exponent by at most its
         # right factor's coefficient degree: J*deg R over the powers of -R,
         # J*deg R more past D^-beta and deg g past g
         needed = max(map(abs, beta)) + deg_g + J * (
-            max((abs(x) for a in rest.terms for x in a), default=0) + 2 * deg_R)
+            max((abs(x - y) for a in sums if a != beta for x, y in zip(a, beta)), default=0)
+            + 2 * deg_R)
         raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
                              f"within {needed}") from None
     return S
-
-
-def _invert_on_rows(P: MicroOp, rows: list, J: int, window_cap: int | None) -> tuple:
-    """The inverse on the kernel's integer rows: the series of -R = g * rest,
-    times D^-beta and then g, each product window-checked as ``mul`` checks
-    it; one operator is built.  Returns it and the multiply-back's rows."""
-    (P_rows, g, rest, inv_mono, one), p = rows, P.prime
-    S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), J, one, p, window_cap)
-    S = _kernel_sums(inv_mono, _as_rows(S, p), P.dim, p)
-    _window_cap_check(S[0], window_cap)
-    S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
-    _window_cap_check(S[0], window_cap)
-    return MicroOp(P.dim, p, _build_terms(P.dim, p, S)), (P_rows, _as_rows(S, p))
 
 
 def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent: int,

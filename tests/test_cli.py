@@ -239,6 +239,17 @@ class TestExitCodes:
         message = err.getvalue()
         assert message.count("\n") == 1 and message.startswith(prefix)
 
+    @pytest.mark.parametrize("args", [  # each printed its text answer and exited 0
+        ["norm", "--k", "1", "d"], ["order", "--k", "1", "d"],
+        ["check", "--level", "finf", "1 + p*d"], ["invert", "--level", "ek", "--k", "1", "1 + p*d"],
+        ["defect", "--k", "1", "d", "x"], ["mul", "d", "x"], ["catalog", "product_op", "--M", "3"]])
+    def test_svg_output_is_refused_for_all_but_the_polygon(self, args):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run([*args, "--format", "svg"])
+        assert code == 1 and out == ""
+        assert err.getvalue() == f"usage error: --format svg is for polygon only, not {args[0]}\n"
+
     def test_an_output_file_that_cannot_be_opened_is_refused(self, tmp_path):
         # used to end in a FileNotFoundError traceback
         target = tmp_path / "missing" / "norm.txt"

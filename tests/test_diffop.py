@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotCertifiable,
@@ -18,6 +18,7 @@ from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotCe
                        order_nk, order_Nmu, order_nmu, product_op,
                        quasi_abelian_defect)
 from microdiff import diffop
+from microdiff.errors import MicrodiffError
 from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.microop import mul
 from microdiff.padic import fraction_valuation
@@ -482,6 +483,14 @@ def term_product(alpha, f: TateSeries, beta, g: TateSeries, prime: int):
             yield gamma, coeff
 
 
+def capped_sum(f: TateSeries, g: TateSeries) -> TateSeries:
+    """f + g, refused where the degree cap drops a monomial."""
+    s = f + g
+    if not s.exact:
+        raise DegreeCapOverflow(max(f.degree(), g.degree()), s.degree_cap)
+    return s
+
+
 def series_product_terms(P: MicroOp, Q: MicroOp) -> dict:
     """The product terms by series arithmetic, one term pair at a time: the
     reference the integer kernel keeps values, term order, caps, exact
@@ -491,7 +500,7 @@ def series_product_terms(P: MicroOp, Q: MicroOp) -> dict:
         for beta, g in Q.terms.items():
             for gamma, coeff in term_product(alpha, f, beta, g, P.prime):
                 prev = out.get(gamma)
-                coeff = coeff if prev is None else diffop._capped_sum(prev, coeff)
+                coeff = coeff if prev is None else capped_sum(prev, coeff)
                 if coeff.is_zero:
                     out.pop(gamma, None)
                 else:
@@ -702,6 +711,117 @@ def test_chained_products_equal_the_series_arithmetic(chains):
         assert operator_snapshot(results[0]) == operator_snapshot(results[1])
         if isinstance(results[0], MicroOp):
             got[which], want[which] = results
+
+
+# -- the operator sum against the series arithmetic ---------------------------------
+
+
+def series_sum(P: MicroOp, Q: MicroOp) -> MicroOp:
+    """P + Q by series arithmetic, one term at a time: Q's terms added into
+    P's in Q's order, a term that cancels dropped, and the stored terms
+    past the smaller certificate of each sector folded into it."""
+    out = dict(P.terms)
+    for a, c in Q.terms.items():
+        s = capped_sum(out[a], c) if a in out else c
+        if s.is_zero:
+            out.pop(a, None)
+        else:
+            out[a] = s
+    tail = diffop._fold_beyond(out, diffop._min_tail(P.tail, Q.tail), positive_sector=True)
+    neg_tail = diffop._fold_beyond(out, diffop._min_tail(P.neg_tail, Q.neg_tail),
+                                   positive_sector=False)
+    return MicroOp(P.dim, P.prime, out, tail, neg_tail)
+
+
+def series_neg(P: MicroOp) -> MicroOp:
+    return MicroOp(P.dim, P.prime, {a: -c for a, c in P.terms.items()}, P.tail, P.neg_tail)
+
+
+SUMS = {"P + Q": (lambda P, Q: P + Q, series_sum),
+        "P - Q": (lambda P, Q: P - Q, lambda P, Q: series_sum(P, series_neg(Q))),
+        "-P": (lambda P, Q: -P, lambda P, Q: series_neg(P))}
+
+
+def sum_snapshot(fn, P: MicroOp, Q: MicroOp):
+    """Term order, monomial order, values, precisions, caps and tails of a
+    sum, or its refusal's type, text and ``needed``."""
+    try:
+        S = fn(P, Q)
+    except MicrodiffError as e:
+        return type(e), str(e), getattr(e, "needed", None)
+    return (terms_snapshot(S.terms), [list(c.coeffs) for c in S.terms.values()],
+            S.tail, S.neg_tail)
+
+
+@st.composite
+def sum_operands(draw):
+    """Two operators for the sum, in one mode of the product operands above
+    ("general": d = 1 or 2, Laurent exponents, mixed precisions and caps;
+    "cancel"; "caps") or "flat" (one exact constant per coefficient, at one
+    precision and cap per operator).  Q shares some of P's terms, as they
+    are, negated or doubled, so that monomials and terms cancel.  Either
+    operand may be read back from JSON, whole or in part (digit mode), and
+    either may carry a certificate in one sector or both (tails)."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode = rng.choice(("general", "cancel", "caps", "flat"))
+    if mode == "flat":
+        dim, p = rng.choice((1, 2)), rng.choice((2, 3, 5))
+
+        def flat():
+            n, cap = rng.choice((20, 64)), rng.choice((3, 32))
+            return MicroOp(dim, p, {tuple(rng.randint(-2, 3) for _ in range(dim)):
+                                    TateSeries.constant(PadicScalar.from_fraction(
+                                        F(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 3, 7)))
+                                        * F(p) ** rng.randint(-2, 3), p, n), dim, p, cap)
+                                    for _ in range(rng.randint(1, 4))})
+        P, Q = flat(), flat()
+    else:
+        P, Q = operands(rng, mode)
+    shared = {a: rng.choice((c, -c, c + c)) for a, c in P.terms.items() if rng.random() < 0.5}
+    Q = MicroOp(Q.dim, Q.prime, {**dict(Q.terms), **shared} if rng.random() < 0.5
+                else {**shared, **dict(Q.terms)})
+    if rng.random() < 0.5:  # digit mode
+        ways = rng.choice([(w, v) for w in range(3) for v in range(3) if w or v])
+        digits = rng.choice((None, 6))
+        P, Q = (read_back(S, way, rng, digits) for S, way in zip((P, Q), ways))
+
+    def tails(S):
+        def cert():
+            return rng.choice((None, TailCertificate(rng.randint(0, 3), F(rng.randint(-2, 2)),
+                                                     F(rng.randint(0, 4), 2), rng.random() < 0.5)))
+        return MicroOp(S.dim, S.prime, dict(S.terms), cert(), cert())
+    if rng.random() < 0.25:
+        P, Q = (tails(S) if rng.random() < 0.75 else S for S in (P, Q))
+    return P, Q
+
+
+def json_at_20(text: str, dim: int = 1, p: int = 2) -> MicroOp:
+    from microdiff.exprs import EvalContext, evaluate, parse
+    return from_json(evaluate(parse(text), EvalContext(prime=p, dim=dim, precision=20)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(sum_operands())
+@example((-json_at_20("1 + p*x*d"), json_at_20("1 + p*x*d + p^3*d^2")))  # every digit cancels
+@example((MicroOp(1, 2, {(1,): TateSeries(1, 2, {(3,): PadicScalar.one()}, 32)}),
+          MicroOp(1, 2, {(1,): TateSeries(1, 2, {(1,): PadicScalar.one()}, 2)})))  # x^3 past cap 2
+def test_the_operator_sum_equals_the_series_arithmetic(operands):
+    """P + Q, P - Q and -P keep the series sum's terms, term and monomial
+    order, precisions, caps and tails, and its refusals with their text."""
+    P, Q = operands
+    for name, (got, want) in SUMS.items():
+        assert sum_snapshot(got, P, Q) == sum_snapshot(want, P, Q), name
+
+
+def test_a_sum_refuses_as_the_series_arithmetic():
+    P, Q = -json_at_20("1 + p*x*d"), json_at_20("1 + p*x*d + p^3*d^2")
+    with pytest.raises(PrecisionExhausted, match=r"sum is 0 modulo p\^20"):
+        P + Q
+    P = MicroOp(1, 2, {(1,): TateSeries(1, 2, {(3,): PadicScalar.one()}, 32)})
+    Q = MicroOp(1, 2, {(1,): TateSeries(1, 2, {(1,): PadicScalar.one()}, 2)})
+    with pytest.raises(DegreeCapOverflow) as refusal:
+        P - Q
+    assert refusal.value.needed == 3
 
 
 P64 = 3 ** 64  # residues below are modulo p^precision at p = 3

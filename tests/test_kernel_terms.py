@@ -232,3 +232,68 @@ def test_threads_reading_one_kept_product_get_equal_terms():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * 8
+
+
+# -- the one store: sums and inverses read the kernel's sums ------------------------
+
+
+def test_a_sum_of_evaluated_operators_builds_no_scalar_and_adds_no_series():
+    ctx = EvalContext(prime=3)
+    P, Q = (evaluate(parse(text), ctx) for text in ("x*d + p*d^2", "x^2 + p*x*d"))
+    with counted_builds() as builds, \
+            mock.patch.object(TateSeries, "__add__", side_effect=AssertionError):
+        S, D, N = P + Q, P - Q, -P
+        got = [norm_k(T, 1) for T in (S, D, N)]
+        assert builds == [] and all(is_kept(T) for T in (S, D, N))
+    assert got == [norm_k(rebuilt(T), 1) for T in (S, D, N)]
+
+
+def test_a_sum_of_series_operators_adds_no_series():
+    # operators that hold TateSeries, truncated or read back from JSON, are
+    # added on their kernel sums, which each converts once
+    rng = random.Random(3)
+    P, Q = make_operator(rng, "general", 3), make_operator(rng, "laurent", 3)
+    T = MicroOp(P.dim, P.prime, dict(P.terms), TailCertificate(1, F(2), F(1)))
+    with mock.patch.object(TateSeries, "__add__", side_effect=AssertionError), \
+            mock.patch.object(diffop, "_series_sums", wraps=diffop._series_sums) as converted:
+        for A, B in ((P, Q), (T, Q), (from_json(P), Q), (P, P)):
+            A + B
+            A - B
+    assert converted.call_count == 4  # P, Q, T and P read back, once each
+
+
+def test_a_quasi_abelian_defect_of_evaluated_operators_builds_no_scalar():
+    # both products and their difference stay kernel sums
+    ctx = EvalContext(prime=3)
+    P, Q = (evaluate(parse(text), ctx) for text in ("x*d + p*d^2", "1 + p*x*d^2"))
+    with counted_builds() as builds:
+        e = diffop._defect_exponent(P, Q, 1)
+    assert builds == [] and e == diffop._defect_exponent(rebuilt(P), rebuilt(Q), 1)
+
+
+def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
+    # the operand's series are never converted back to sums: only g, the
+    # inverse of c_beta, enters the kernel from a series
+    from microdiff import tower
+    P, level = evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()), RingLevel.ek(1)
+    want = terms_snapshot(tower.invert(rebuilt(P), level).terms)
+    made = []
+    post_init = MicroOp.__post_init__
+    with mock.patch.object(diffop, "_series_sums", side_effect=AssertionError), \
+            mock.patch.object(tower, "_series_sums", wraps=tower._series_sums) as g, \
+            mock.patch.object(MicroOp, "__post_init__",
+                              lambda S: made.append(S) or post_init(S)):
+        S = tower.invert(P, level)
+    assert made == [S] and terms_snapshot(S.terms) == want
+    (terms, _), = [call.args for call in g.call_args_list]
+    assert list(terms) == [(0,)]
+
+
+@pytest.mark.parametrize("q", [F(4), F(1, 2), F(-3, 8), F(6, 5), -1])
+def test_scaled_sums_equal_the_scaled_series(q):
+    # a residue stays known to its digits past its valuation, which q moves
+    rng = random.Random(5)
+    for P in (from_json(make_operator(rng, "general", 2), 12), make_operator(rng, "flat", 2)):
+        got = diffop._build_terms(P.dim, 2, diffop._scaled(P._sums, q, 2))
+        want = {a: c.scale(PadicScalar.from_fraction(q, 2)) for a, c in P.terms.items()}
+        assert terms_snapshot(got) == terms_snapshot(want)

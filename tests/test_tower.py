@@ -505,8 +505,9 @@ def series_operands(draw):
 
 def row_sum(Q: MicroOp, J: int, cap: int, window_cap):
     """The geometric series summed on Q's integer rows, built once."""
-    one = diffop._int_rows(MicroOp.constant(1, Q.dim, Q.prime, cap))
-    sums = diffop._geometric_sum(diffop._int_rows(Q), J, one, Q.prime, window_cap)
+    one, Q_rows = (diffop._as_rows(S._sums, Q.prime)
+                   for S in (MicroOp.constant(1, Q.dim, Q.prime, cap), Q))
+    sums = diffop._geometric_sum(Q_rows, J, one, Q.prime, window_cap)
     return MicroOp(Q.dim, Q.prime, diffop._build_terms(Q.dim, Q.prime, sums))
 
 
@@ -653,12 +654,11 @@ def test_a_refusal_bound_by_a_residues_digits_names_them():
 
 
 def test_a_residue_enters_the_rows_as_its_balanced_representative():
-    # rest = -p^4*x*d read back holds the residue 2^64 - 1, that is -1
-    rows, int_rows = [], diffop._int_rows
-    with mock.patch.object(tower, "_int_rows", lambda S: rows.append(int_rows(S)) or rows[-1]):
-        invert(from_json("1 + p^4*x*d"), RingLevel.ek(1), residual_exponent=20)
-    rest = rows[2]
-    assert rest[:3] == ([((1,), [((1,), -1)], {(1,): -64}, 32, 1)], 4, 1)
+    # -p^4*x*d read back holds the residue 2^64 - 1, that is -1, known to 64
+    # digits past its valuation 4, which is the sums' W
+    sums = from_json("-p^4*x*d")._sums
+    assert sums == ({(1,): [{(1,): -1}, {(1,): -64}, 32]}, 4, 1, None, None)
+    assert diffop._as_rows(sums, 2)[:3] == ([((1,), [((1,), -1)], {(1,): -64}, 32, 1)], 4, 1)
 
 
 def test_the_series_forms_each_commutation_once():
