@@ -18,17 +18,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop import MicroOp, TailCertificate, compose, norm_mu
-from .padic import DEFAULT_PRIME
-from .tate import TateSeries
+from .diffop import MicroOp, TailCertificate, _as_terms, compose, norm_mu
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
+from .tate import DEFAULT_DEGREE_CAP
 
 
-def _factor(n: int, dim: int, prime: int) -> MicroOp:
-    """1 - p**n * D (first axis)."""
-    one = MicroOp.identity(dim, prime)
-    term = MicroOp.monomial((1,) + (0,) * (dim - 1), -(Fraction(prime) ** n),
-                            dim, prime)
-    return one + term
+def _expansion(lo: int, hi: int, prime: int) -> MicroOp:
+    """The exact product prod(n=lo..hi, 1 - p**n D)."""
+    out = one = MicroOp.identity(1, prime)
+    for n in range(lo, hi + 1):
+        out = compose(out, one + MicroOp.monomial((1,), -(Fraction(prime) ** n), 1, prime),
+                      window_cap=None)
+    return out
 
 
 def product_op(M: int, prime: int = DEFAULT_PRIME, exact: bool = False) -> MicroOp:
@@ -41,24 +42,21 @@ def product_op(M: int, prime: int = DEFAULT_PRIME, exact: bool = False) -> Micro
     """
     if M < 1:
         raise ValueError("truncation must be >= 1")
-    out = MicroOp.identity(1, prime)
-    for n in range(1, M + 1):
-        out = compose(out, _factor(n, 1, prime), window_cap=None)
+    out = _expansion(1, M, prime)
     if exact:
         return out
     tail = TailCertificate(M, Fraction(0), Fraction(M + 1, 2), infinite=True)
-    return MicroOp(out.dim, out.prime, dict(out.terms), tail)
+    return MicroOp(out.dim, out.prime, out.terms, tail)
 
 
 def gauss_op(M: int, prime: int = DEFAULT_PRIME, exact: bool = False) -> MicroOp:
     """Truncation of sum(n>=0, p**(n**2) D**n), tail v >= M*n beyond M."""
     if M < 1:
         raise ValueError("truncation must be >= 1")
-    terms = {(n,): TateSeries.constant(Fraction(prime) ** (n * n), 1, prime)
-             for n in range(M + 1)}
-    tail = None if exact else TailCertificate(M, Fraction(0), Fraction(M),
-                                              infinite=True)
-    return MicroOp(1, prime, terms, tail)
+    p = check_prime(prime)
+    sums = {(n,): p ** (n * n) for n in range(M + 1)}
+    tail = None if exact else TailCertificate(M, Fraction(0), Fraction(M), infinite=True)
+    return MicroOp(1, p, _as_terms(1, p, (sums, 0, 1, DEFAULT_PRECISION, DEFAULT_DEGREE_CAP)), tail)
 
 
 def truncated_cofactor(k: int, M: int, prime: int = DEFAULT_PRIME) -> MicroOp:
@@ -66,13 +64,11 @@ def truncated_cofactor(k: int, M: int, prime: int = DEFAULT_PRIME) -> MicroOp:
     infinite cofactor; unit at every level m <= k."""
     if not 1 <= k < M:
         raise ValueError("need 1 <= k < M")
-    out = MicroOp.identity(1, prime)
-    for n in range(k + 1, M + 1):
-        out = compose(out, _factor(n, 1, prime), window_cap=None)
+    out = _expansion(k + 1, M, prime)
     start = M - k
     tail = TailCertificate(start, Fraction(0), Fraction(k) + Fraction(start + 1, 2),
                            infinite=True)
-    return MicroOp(out.dim, out.prime, dict(out.terms), tail)
+    return MicroOp(out.dim, out.prime, out.terms, tail)
 
 
 def cofactor_norm_check(k: int, m: int, M: int, prime: int = DEFAULT_PRIME) -> Fraction:
@@ -86,9 +82,7 @@ def cofactor_norm_check(k: int, m: int, M: int, prime: int = DEFAULT_PRIME) -> F
         raise ValueError("need k >= m + 1")
     if M < 2 * m + 2 or M < k:
         raise ValueError("truncation too small to certify level m")
-    head = (MicroOp.identity(1, prime) if k == 1
-            else product_op(k - 1, prime, exact=True))
-    diff = product_op(M, prime) - head
+    diff = product_op(M, prime) - _expansion(1, k - 1, prime)  # the factors below k
     return norm_mu(diff, m)
 
 

@@ -161,7 +161,7 @@ def _power_report(args, name: str, exponent) -> str:
 def _cmd_norm(args, ctx) -> int:
     P = _eval_operator(args.expr, ctx)
     if args.mu is not None:
-        e = diffop.norm_mu(P, args.mu)
+        e = None if P.is_zero and args.mu >= 0 else diffop.norm_mu(P, args.mu)
     else:
         level = _ring_level(args)
         if level.k is None:

@@ -24,15 +24,16 @@ the least absolute precision of its products (see :func:`_add_term`).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
-One store.  Every sum, product and query reads an operator as the
-kernel's integer sums ``(sums, W, E, n, cap)`` over ``p^W / E``, ``E`` prime
-to p (``MicroOp._sums``): the ones an exact, unfolded product, a sum or an
-evaluated expression keeps as ``terms`` (:class:`_KernelTerms`, whose
-``TateSeries`` are built on the first value read), or its series'
-converted once (:func:`_series_sums`).  One sum, :func:`_sum`, serves
-``+``, ``-`` and the expression fold in the series arithmetic's term order,
-precisions, caps and refusals; a result holding a residue is built at
-once.  Precision: when every scalar of each operand shares one precision,
+One store.  Every operator the library makes keeps the kernel's integer sums
+``(sums, W, E, n, cap)`` over ``p^W / E``, ``E`` prime to p, as its ``terms``
+(:class:`_KernelTerms`, which builds a ``TateSeries`` when one is read, for
+text, JSON, ``coefficient()`` or ``==``); every sum, product, fold and query
+reads them, or the converted series of an operator made from ``TateSeries``
+(``MicroOp._sums``, :func:`_series_sums`), and a term's valuation as W + v(gcd
+of its integers).  One sum, :func:`_sum`, serves ``+``, ``-`` and the
+expression fold in the series arithmetic's term order, precisions, caps and
+refusals; a result holding a residue is built at once, before any fold.
+Precision: when every scalar of each operand shares one precision,
 every output scalar has the smaller of the two and no per-monomial
 precision is tracked; one that mixes precisions or holds a residue switches
 on the per-monomial bookkeeping (:func:`_add_term`).  Constant
@@ -58,12 +59,12 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, attrgetter, ge, sub
 
 from .errors import (DegreeCapOverflow, DivisionByZero, InsufficientTruncation,
                      NotCertifiable, PrecisionExhausted, WindowOverflow, ZeroOperator)
-from .padic import DEFAULT_PRIME, int_binomial, int_valuation
+from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, int_binomial, int_valuation
 from .padic import _make as _scalar
 from .tate import DEFAULT_DEGREE_CAP, TateSeries, monomial_text
 from .tate import _make as _series
@@ -71,6 +72,15 @@ from .tate import _make as _series
 DEFAULT_WINDOW_CAP = 64
 
 Exponent = tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def _check_ring(dim: int, prime: int, degree_cap: int, precision: int = DEFAULT_PRECISION,
+                axis: int = 0) -> None:
+    """Build x_axis, or 1 for axis 0, by the checked constructors once per
+    ring: a ring they refuse is refused where its operator is made."""
+    build = TateSeries.coordinate if axis else TateSeries.constant
+    build(axis or 1, dim, prime, degree_cap, precision)
 
 
 def floor_sum(alpha: Exponent) -> int:
@@ -157,11 +167,14 @@ class MicroOp:
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> "MicroOp":
         alpha = tuple(alpha)
         d = dim if dim is not None else len(alpha)
-        f = coeff if isinstance(coeff, TateSeries) else TateSeries.constant(
-            coeff, d, prime, degree_cap)
-        if f.is_zero:
-            return cls.zero(d, f.prime)
-        return cls(d, f.prime, {alpha: f})
+        if not isinstance(coeff, (int, Fraction)) or not coeff or len(alpha) != d:
+            # a series, a scalar or 0 keeps its dict, and the checked constructors refuse
+            f = coeff if isinstance(coeff, TateSeries) else TateSeries.constant(
+                coeff, d, prime, degree_cap)
+            return cls.zero(d, f.prime) if f.is_zero else cls(d, f.prime, {alpha: f})
+        _check_ring(d, prime, degree_cap)  # a nonzero int or Fraction is one flat sum
+        return cls(d, prime, _KernelTerms(d, prime, _scaled(
+            ({alpha: 1}, 0, 1, DEFAULT_PRECISION, degree_cap), coeff, prime)))
 
     @classmethod
     def derivation(cls, axis: int = 1, dim: int = 1,
@@ -195,9 +208,9 @@ class MicroOp:
         Every norm, order, polygon and unit query reads these rows, so the
         valuations are computed once, off the kernel sums as W + v(gcd of integers).
         """
-        (sums, W, _, _, cap), p = self._sums, self.prime
-        return tuple((a, length(a), floor_sum(a), W + int_valuation(
-            N if cap is not None else math.gcd(*N[0].values()), p)) for a, N in sums.items())
+        sums, W, *_ = self._sums
+        return tuple((a, length(a), floor_sum(a), _valuation(N, W, self.prime))
+                     for a, N in sums.items())
 
     @cached_property
     def _sums(self) -> tuple:
@@ -221,8 +234,7 @@ class MicroOp:
         return self.terms.get(tuple(alpha), TateSeries.zero(self.dim, self.prime))
 
     def terms_equal(self, other: "MicroOp") -> bool:
-        return (self.dim == other.dim and self.prime == other.prime
-                and dict(self.terms) == dict(other.terms))
+        return self.dim == other.dim and self.prime == other.prime and self.terms == other.terms
 
     def __eq__(self, other):
         return (isinstance(other, MicroOp) and self.terms_equal(other)
@@ -236,11 +248,9 @@ class MicroOp:
 
     def __add__(self, other: "MicroOp") -> "MicroOp":
         self._check_compatible(other)
-        terms = _as_terms(self.dim, self.prime, _sum(self._sums, other._sums, self.dim, self.prime))
-        tail, neg_tail = _min_tail(self.tail, other.tail), _min_tail(self.neg_tail, other.neg_tail)
-        terms = dict(terms) if tail or neg_tail else terms  # a fold drops built terms
-        return MicroOp(self.dim, self.prime, terms, _fold_beyond(terms, tail, positive_sector=True),
-                       _fold_beyond(terms, neg_tail, positive_sector=False))
+        kept = _sum(self._sums, other._sums, self.dim, self.prime)
+        return _folded(MicroOp(self.dim, self.prime, _as_terms(self.dim, self.prime, kept)),
+                       _min_tail(self.tail, other.tail), _min_tail(self.neg_tail, other.neg_tail))
 
     def __neg__(self) -> "MicroOp":
         terms = _as_terms(self.dim, self.prime, _scaled(self._sums, -1, self.prime))
@@ -255,22 +265,14 @@ class MicroOp:
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for a in sorted(self.terms, key=lambda t: (floor_sum(t), t)):
-            c = self.terms[a]
-            ctext = str(c)
-            if "+" in ctext or (" " in ctext):
-                ctext = f"({ctext})"
-            mono = monomial_text("d", a)
-            if not mono:
-                parts.append(ctext)
-            elif ctext == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"{ctext}*{mono}")
-        return " + ".join(parts)
+        for a, c in sorted(self.terms.items(), key=lambda t: (floor_sum(t[0]), t[0])):
+            ctext, mono = str(c), monomial_text("d", a)
+            ctext = f"({ctext})" if "+" in ctext or " " in ctext else ctext
+            if mono:
+                ctext = mono if ctext == "1" else f"{ctext}*{mono}"
+            parts.append(ctext)
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         tails = "" if self.is_exact else " (truncated)"
@@ -296,9 +298,10 @@ def _min_tail(a: TailCertificate | None,
                            min(a.t1, b.t1))
 
 
-def _fold_beyond(terms: dict, cert: TailCertificate | None,
-                 positive_sector: bool) -> TailCertificate | None:
-    """Drop stored terms of the certified-discarded range into the bound.
+def _fold_beyond(sums: dict, cert: TailCertificate | None, positive_sector: bool,
+                 W: int, p: int) -> TailCertificate | None:
+    """Drop the kernel sums (over ``p^W``) of the certified-discarded range
+    into the bound, deleting them from ``sums``.
 
     A stored value beyond the start is only a partial coefficient (discarded
     mass of the other summand or factor also lands there), so keeping it
@@ -308,13 +311,30 @@ def _fold_beyond(terms: dict, cert: TailCertificate | None,
     if cert is None:
         return None
     t0 = cert.t0
-    doomed = [a for a in terms
+    doomed = [a for a in sums
               if (floor_sum(a) >= 0) == positive_sector and length(a) > cert.start]
     for a in doomed:
-        v = Fraction(terms[a].spectral_valuation())
-        t0 = min(t0, v - cert.t1 * length(a))
-        del terms[a]
+        t0 = min(t0, _valuation(sums.pop(a), W, p) - cert.t1 * length(a))
     return TailCertificate(cert.start, t0, cert.t1, cert.infinite)
+
+
+def _folded(S: MicroOp, tail: TailCertificate | None,
+            neg_tail: TailCertificate | None = None) -> MicroOp:
+    """S with these certificates, its stored terms past each folded into it
+    off its kernel sums; built terms (a residue's, or series) keep the rest."""
+    if tail is None and neg_tail is None:
+        return S
+    (sums, W, *rest), p, terms = S._sums, S.prime, S.terms
+    sums = dict(sums)
+    tail, neg_tail = _fold_beyond(sums, tail, True, W, p), _fold_beyond(sums, neg_tail, False, W, p)
+    terms = _KernelTerms(S.dim, p, (sums, W, *rest)) if type(terms) is _KernelTerms else {
+        a: terms[a] for a in sums}
+    return MicroOp(S.dim, p, terms, tail, neg_tail)
+
+
+def _valuation(s, W: int, p: int) -> int:
+    """The valuation of a flat or general kernel sum over ``p^W``: W + v(gcd)."""
+    return W + int_valuation(s if type(s) is int else math.gcd(*s[0].values()), p)
 
 
 # -- multiplication ---------------------------------------------------------
@@ -586,9 +606,10 @@ def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
 
 
 class _KernelTerms(Mapping):
-    """Terms as the kernel's sums ``(sums, W, E, n, cap)``, free of residues,
-    in the sums' order; :func:`_build_terms` makes the values on the first
-    read, and they are kept (threads that race build equal ones)."""
+    """Terms as the kernel's sums ``(sums, W, E, n, cap)``, free of residues, in
+    the sums' order: ``[alpha]`` builds only its coefficient, and the first
+    ``items()``, ``values()`` or ``keys()`` (which ``dict()`` reads) builds and
+    keeps every one (threads that race build equal ones)."""
 
     __slots__ = ("ring", "kept", "_built")
 
@@ -601,13 +622,19 @@ class _KernelTerms(Mapping):
         return built
 
     def __getitem__(self, alpha):
-        return self._terms()[alpha]
+        if (built := self._built) is not None:
+            return built[alpha]
+        sums, *rest = self.kept
+        return _build_terms(*self.ring, ({alpha: sums[alpha]}, *rest))[alpha]
 
     def __iter__(self):
         return iter(self.kept[0])
 
     def __len__(self):
         return len(self.kept[0])
+
+    def keys(self):
+        return self._terms().keys()
 
     def items(self):
         return self._terms().items()
@@ -672,6 +699,11 @@ def _sum(a: tuple, b: tuple, dim: int, p: int) -> tuple:
     return out, W, E, n, None
 
 
+def _degrees(kept: tuple) -> dict:
+    """Each term's coefficient degree, off its kernel sum (flat sums are constants)."""
+    return {a: 0 if kept[4] is not None else max(map(sum, s[0])) for a, s in kept[0].items()}
+
+
 def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
     """``P.terms[alpha].is_unit()``, read off the kernel sums without building:
     the constant's valuation lies strictly below every other monomial's."""
@@ -716,25 +748,16 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
         return min((v - slope * n for _, n, _, v in op.term_table), default=Fraction(0))
 
     def is_constant(op: MicroOp) -> bool:
-        c = op.terms.get((0,) * op.dim)
-        return op.is_exact and len(op.terms) == 1 and c is not None and c.degree() == 0
+        return op.is_exact and _degrees(op._sums) == {(0,) * op.dim: 0}
 
-    def max_coeff_degree(op: MicroOp) -> int:
-        return max((c.degree() for c in op.terms.values()), default=0)
-
-    def min_length(op: MicroOp) -> int:
-        return min((length(a) for a in op.terms), default=0)
-
-    offsets = []
-    slopes = []
-    reach = []
-    infinite = False
+    offsets, slopes, reach, infinite = [], [], [], False
     if ta is not None and tb is not None:
         offsets.append(ta.t0 + tb.t0)
     if ta is not None:
         offsets.append(ta.t0 + stored_floor(Q, ta.t1))
         slopes.append(ta.t1)
-        reach.append(ta.start + 1 + min_length(Q) - max_coeff_degree(Q))
+        reach.append(ta.start + 1 + min(map(length, Q.terms), default=0)
+                     - max(_degrees(Q._sums).values(), default=0))
         infinite = infinite or (ta.infinite and is_constant(Q))
     if tb is not None:
         offsets.append(tb.t0 + stored_floor(P, tb.t1))
@@ -754,9 +777,7 @@ def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
             "tail certificates cannot be combined across mixed sectors")
     terms, _ = _product_terms(P, Q)
     _window_cap_check(terms, window_cap)
-    tail = _product_tail(P, Q)
-    terms = terms if tail is None else dict(terms)  # a fold drops built terms
-    return MicroOp(P.dim, P.prime, terms, _fold_beyond(terms, tail, positive_sector=True))
+    return _folded(MicroOp(P.dim, P.prime, terms), _product_tail(P, Q))
 
 
 def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP) -> "MicroOp":

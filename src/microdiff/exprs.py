@@ -25,10 +25,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _kernel_sums, _scaled,
-                     _sum, _window_cap_check)
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _check_ring, _kernel_sums,
+                     _scaled, _sum, _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
 from .tate import DEFAULT_DEGREE_CAP, TateSeries
@@ -239,14 +238,6 @@ _AXIS_RE = re.compile(r"^([xd])([0-9]+)$")
 _ONE = Fraction(1)
 
 
-@lru_cache(maxsize=64)
-def _check_ring(ctx: EvalContext, axis: int) -> None:
-    """Build ``x_axis``, or 1 for axis 0, by the checked constructors once per
-    context: a context they refuse is refused where the symbol appears."""
-    build = TateSeries.coordinate if axis else TateSeries.constant
-    build(axis or 1, ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
-
-
 def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
     if name in env:
         return env[name]
@@ -258,7 +249,7 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
         name += "1"
     zero = (0,) * ctx.dim
     if name == "dinv":
-        _check_ring(ctx, 0)
+        _check_ring(ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
         return _term(_ONE, ctx, (-1,) + zero[1:])
     m = _AXIS_RE.match(name)
     if m:
@@ -266,7 +257,7 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
         if not 1 <= axis <= ctx.dim:
             raise UnknownSymbol(f"axis {axis} out of range for dim {ctx.dim}")
         e = zero[:axis - 1] + (1,) + zero[axis:]
-        _check_ring(ctx, axis if letter == "x" else 0)
+        _check_ring(ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision, axis * (letter == "x"))
         return _term(_ONE, ctx, m=e) if letter == "x" else _term(_ONE, ctx, e)
     raise UnknownSymbol(f"unknown symbol {name!r}")
 

@@ -26,9 +26,9 @@ from fractions import Fraction
 
 # _stored_max and tail_sup_exponent are the certified core every norm, order
 # and unit verdict shares; they are re-exported here beside the Laurent norms
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate, _fold_beyond,
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate, _as_terms, _folded,
                      _graded_weight, _level_exponent, _level_max, _power, _product,
-                     _stored_max, floor_sum, length, tail_sup_exponent)
+                     _stored_max, _valuation, floor_sum, length, tail_sup_exponent)
 
 
 @dataclass(frozen=True)
@@ -70,28 +70,21 @@ def _clip(S: MicroOp, window: int | None) -> MicroOp:
     """Restrict to per-axis exponent bound, folding clipped terms into tails."""
     if window is None:
         return S
-    terms = dict(S.terms)
-    dropped = [a for a in terms if any(abs(e) > window for e in a)]
-    tail, neg_tail = S.tail, S.neg_tail
-    for sector_positive in (True, False):
+    (sums, W, *_), p = S._sums, S.prime
+    dropped = [a for a in sums if any(abs(e) > window for e in a)]
+    certs = [S.tail, S.neg_tail]
+    for i, sector_positive in enumerate((True, False)):
         hit = [a for a in dropped if (floor_sum(a) >= 0) == sector_positive]
         if not hit:
             continue
-        cert = tail if sector_positive else neg_tail
-        start = min(length(a) for a in hit) - 1
+        cert, start = certs[i], min(length(a) for a in hit) - 1
         if cert is None:
             # clipped terms have exact valuations; a slope-0 bound suffices
-            top = max(Fraction(terms[a].spectral_valuation()) for a in hit)
-            cert = TailCertificate(start, top, Fraction(0))
+            certs[i] = TailCertificate(start, max(_valuation(sums[a], W, p) for a in hit), 0)
         else:
-            cert = TailCertificate(min(cert.start, start), cert.t0,
-                                   min(cert.t1, Fraction(0)), cert.infinite)
-        cert = _fold_beyond(terms, cert, sector_positive)
-        if sector_positive:
-            tail = cert
-        else:
-            neg_tail = cert
-    return MicroOp(S.dim, S.prime, terms, tail, neg_tail)
+            certs[i] = TailCertificate(min(cert.start, start), cert.t0,
+                                       min(cert.t1, Fraction(0)), cert.infinite)
+    return _folded(S, *certs)
 
 
 # -- sector decomposition ----------------------------------------------------
@@ -99,10 +92,11 @@ def _clip(S: MicroOp, window: int | None) -> MicroOp:
 
 def sector_split(S: MicroOp) -> tuple[MicroOp, MicroOp]:
     """Partition into the fl(alpha) >= 0 part and the fl(alpha) < 0 part."""
-    pos = {a: c for a, c in S.terms.items() if floor_sum(a) >= 0}
-    neg = {a: c for a, c in S.terms.items() if floor_sum(a) < 0}
-    return (MicroOp(S.dim, S.prime, pos, tail=S.tail),
-            MicroOp(S.dim, S.prime, neg, neg_tail=S.neg_tail))
+    (sums, *rest), dim, p = S._sums, S.dim, S.prime
+    pos, neg = ({a: s for a, s in sums.items() if (floor_sum(a) >= 0) == side}
+                for side in (True, False))
+    return (MicroOp(dim, p, _as_terms(dim, p, (pos, *rest)), tail=S.tail),
+            MicroOp(dim, p, _as_terms(dim, p, (neg, *rest)), neg_tail=S.neg_tail))
 
 
 # -- norms --------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms,
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _degrees,
                      _geometric_sum, _graded_weight, _kernel_sums, _level_exponent, _scaled,
                      _require_positive, _series_sums, _unit_at, _window_cap_check, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
@@ -293,11 +293,9 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
     beta, p, zero = verdict.beta, P.prime, (0,) * P.dim
     sums, W, E, n, flat_cap = kept = P._sums
-    P_rows = _as_rows(kept, p)
-    # P's terms as general rows: (alpha, [(m, N)], precisions or None, cap, degree)
-    rows = P_rows[0] if flat_cap is None else [(a, None, None, flat_cap, 0) for a in sums]
-    cap, degrees = max(r[3] for r in rows), {r[0]: r[4] for r in rows}
-    precision = n or max(abs(q) for r in rows for q in r[2].values())
+    P_rows, degrees = _as_rows(kept, p), _degrees(kept)
+    cap = flat_cap if flat_cap is not None else max(c for *_, c in sums.values())
+    precision = n or max(abs(q) for _, _, vp, _, _ in P_rows[0] for q in vp.values())
     # c_beta D^beta - P recentred, so that -R = g * rest
     rest = _as_rows(_scaled(({tuple(x - y for x, y in zip(a, beta)): s for a, s in sums.items()
                               if a != beta}, W, E, n, flat_cap), -1, p), p)
@@ -315,7 +313,7 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
     # coefficient degrees of g and of R = g * rest bound both refusals' hints
     c_beta = P.terms[beta]
-    deg_g = c_beta.inverse_length(residual_exponent) * c_beta.degree()
+    deg_g = c_beta.inverse_length(residual_exponent) * degrees[beta]
     deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
     try:
         g = _as_rows(_series_sums({zero: c_beta.invert_unit(residual_exponent)}, p), p)

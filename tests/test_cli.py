@@ -227,6 +227,17 @@ class TestExitCodes:
         assert message.count("\n") == 1 and "Traceback" not in message
         assert message.startswith("usage error: " if "1/0" in args else "error: ")
 
+    @pytest.mark.parametrize("mu", ["0", "2", "1/3"])
+    def test_the_zero_operator_has_norm_0_at_every_weight(self, mu):
+        # --mu used to refuse it with "error: zero operator", while --k answered 0
+        assert run(["norm", "--mu", mu, "0"]) == run(["norm", "--k", "1", "0"]) == (0, "norm = 0\n")
+        code, out = run(["norm", "--mu", mu, "--format", "json", "p - p"])
+        assert code == 0 and json.loads(out) == {"zero": True}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["norm", "--mu", "-1", "0"]) == (1, "")
+        assert err.getvalue() == "error: weight must be >= 0\n"
+
     @pytest.mark.parametrize("args, prefix", [
         (["norm", "--k", "1", "--window", "-1", "d"], "usage error: "),  # answered "norm = p^1"
         (["mul", "--window", "-1", "d", "1"], "usage error: "),  # asked for --window 1

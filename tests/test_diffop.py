@@ -716,6 +716,22 @@ def test_chained_products_equal_the_series_arithmetic(chains):
 # -- the operator sum against the series arithmetic ---------------------------------
 
 
+def series_fold_beyond(terms: dict, cert, positive_sector: bool):
+    """The fold on ``TateSeries`` terms: the stored terms of the sector past
+    the certificate's start leave ``terms``, and each lowers t0 to its
+    spectral valuation minus t1 times its length."""
+    if cert is None:
+        return None
+    t0 = cert.t0
+    doomed = [a for a in terms
+              if (diffop.floor_sum(a) >= 0) == positive_sector and diffop.length(a) > cert.start]
+    for a in doomed:
+        v = F(terms[a].spectral_valuation())
+        t0 = min(t0, v - cert.t1 * diffop.length(a))
+        del terms[a]
+    return TailCertificate(cert.start, t0, cert.t1, cert.infinite)
+
+
 def series_sum(P: MicroOp, Q: MicroOp) -> MicroOp:
     """P + Q by series arithmetic, one term at a time: Q's terms added into
     P's in Q's order, a term that cancels dropped, and the stored terms
@@ -727,9 +743,9 @@ def series_sum(P: MicroOp, Q: MicroOp) -> MicroOp:
             out.pop(a, None)
         else:
             out[a] = s
-    tail = diffop._fold_beyond(out, diffop._min_tail(P.tail, Q.tail), positive_sector=True)
-    neg_tail = diffop._fold_beyond(out, diffop._min_tail(P.neg_tail, Q.neg_tail),
-                                   positive_sector=False)
+    tail = series_fold_beyond(out, diffop._min_tail(P.tail, Q.tail), positive_sector=True)
+    neg_tail = series_fold_beyond(out, diffop._min_tail(P.neg_tail, Q.neg_tail),
+                                  positive_sector=False)
     return MicroOp(P.dim, P.prime, out, tail, neg_tail)
 
 

@@ -7,6 +7,7 @@ built from its ``TateSeries``, and that queries build no scalar.
 """
 
 import contextlib
+import pathlib
 import random
 import sys
 import threading
@@ -18,14 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdiff import (MicroOp, PadicScalar, PrecisionExhausted, TailCertificate, TateSeries,
-                       check_unit, compose, mul, norm_k, order_Nk, polygon)
+                       check_unit, compose, mul, norm_k, order_Nk, polygon, sector_split)
 from microdiff import diffop
 from microdiff.errors import MicrodiffError
 from microdiff.exprs import EvalContext, evaluate, parse
 from microdiff.jsonio import dumps, operator_to_json
 from microdiff.tower import RingLevel
 
-from test_diffop import from_json, operator_snapshot, series_product_terms, terms_snapshot
+from test_diffop import (from_json, operator_snapshot, series_fold_beyond, series_product_terms,
+                         terms_snapshot)
 
 MODES = ("flat", "general", "laurent", "d2")
 
@@ -201,8 +203,8 @@ def test_a_truncated_product_folds_its_stored_terms_into_its_tail():
         T = MicroOp(P.dim, P.prime, dict(P.terms), TailCertificate(1, F(2), F(1)))
         S, exact = compose(T, Q), compose(P, Q)
         terms = dict(exact.terms)
-        tail = diffop._fold_beyond(terms, diffop._product_tail(T, Q), positive_sector=True)
-        assert type(S.terms) is dict and S.terms == terms and S.tail == tail
+        tail = series_fold_beyond(terms, diffop._product_tail(T, Q), positive_sector=True)
+        assert is_kept(S) and S.terms == terms and S.tail == tail
         assert all(diffop.length(a) <= tail.start for a in S.terms)
         dropped += len(exact.terms) - len(S.terms)
     assert dropped
@@ -273,18 +275,27 @@ def test_a_quasi_abelian_defect_of_evaluated_operators_builds_no_scalar():
 
 def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
     # the operand's series are never converted back to sums: only g, the
-    # inverse of c_beta, enters the kernel from a series
+    # inverse of c_beta, enters the kernel from a series; and of the
+    # operand's scalars only c_beta's are built
     from microdiff import tower
-    P, level = evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()), RingLevel.ek(1)
-    want = terms_snapshot(tower.invert(rebuilt(P), level).terms)
-    made = []
-    post_init = MicroOp.__post_init__
+    level = RingLevel.ek(1)
+    P, Q = (evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()) for _ in range(2))
+    want = terms_snapshot(tower.invert(rebuilt(Q), level).terms)
+    made, builds = [], []
+    post_init, build = MicroOp.__post_init__, diffop._build_terms
+
+    def counted(dim, p, kept):
+        builds.append(list(kept[0]))
+        return build(dim, p, kept)
     with mock.patch.object(diffop, "_series_sums", side_effect=AssertionError), \
             mock.patch.object(tower, "_series_sums", wraps=tower._series_sums) as g, \
+            mock.patch.object(diffop, "_build_terms", counted), \
+            mock.patch.object(tower, "_build_terms", counted), \
             mock.patch.object(MicroOp, "__post_init__",
                               lambda S: made.append(S) or post_init(S)):
         S = tower.invert(P, level)
     assert made == [S] and terms_snapshot(S.terms) == want
+    assert builds == [[(0,)], list(S.terms)]  # c_beta, then the inverse
     (terms, _), = [call.args for call in g.call_args_list]
     assert list(terms) == [(0,)]
 
@@ -297,3 +308,208 @@ def test_scaled_sums_equal_the_scaled_series(q):
         got = diffop._build_terms(P.dim, 2, diffop._scaled(P._sums, q, 2))
         want = {a: c.scale(PadicScalar.from_fraction(q, 2)) for a, c in P.terms.items()}
         assert terms_snapshot(got) == terms_snapshot(want)
+
+
+# -- every operator the library makes stays on kernel sums ------------------------
+
+
+def series_clip(S: MicroOp, window: int) -> MicroOp:
+    """The clip on ``TateSeries`` terms: the terms past the window fold into
+    the tail of their sector, a fresh one at slope 0 over their largest
+    spectral valuation."""
+    terms = dict(S.terms)
+    dropped = [a for a in terms if any(abs(e) > window for e in a)]
+    tail, neg_tail = S.tail, S.neg_tail
+    for positive in (True, False):
+        hit = [a for a in dropped if (diffop.floor_sum(a) >= 0) == positive]
+        if not hit:
+            continue
+        cert, start = tail if positive else neg_tail, min(map(diffop.length, hit)) - 1
+        if cert is None:
+            cert = TailCertificate(start, max(F(terms[a].spectral_valuation()) for a in hit), F(0))
+        else:
+            cert = TailCertificate(min(cert.start, start), cert.t0, min(cert.t1, F(0)),
+                                   cert.infinite)
+        cert = series_fold_beyond(terms, cert, positive)
+        tail, neg_tail = (cert, neg_tail) if positive else (tail, cert)
+    return MicroOp(S.dim, S.prime, terms, tail, neg_tail)
+
+
+def series_sector_split(S: MicroOp) -> tuple:
+    pos = {a: c for a, c in S.terms.items() if diffop.floor_sum(a) >= 0}
+    neg = {a: c for a, c in S.terms.items() if diffop.floor_sum(a) < 0}
+    return MicroOp(S.dim, S.prime, pos, tail=S.tail), MicroOp(S.dim, S.prime, neg,
+                                                                 neg_tail=S.neg_tail)
+
+
+def series_folded_sum(P: MicroOp, Q: MicroOp) -> MicroOp:
+    """P + Q: the kernel's sum, built, then folded on its ``TateSeries``."""
+    terms = dict(diffop._as_terms(P.dim, P.prime, diffop._sum(P._sums, Q._sums, P.dim, P.prime)))
+    tail = series_fold_beyond(terms, diffop._min_tail(P.tail, Q.tail), True)
+    neg_tail = series_fold_beyond(terms, diffop._min_tail(P.neg_tail, Q.neg_tail), False)
+    return MicroOp(P.dim, P.prime, terms, tail, neg_tail)
+
+
+def series_folded_mul(P: MicroOp, Q: MicroOp, window: int | None) -> MicroOp:
+    """mul(P, Q, window): the kernel's product, built, then folded and
+    clipped on its ``TateSeries``."""
+    if not (P.is_exact and Q.is_exact or P.positive and Q.positive):
+        raise diffop.InsufficientTruncation(
+            "tail certificates cannot be combined across mixed sectors")
+    terms = dict(diffop._product_terms(P, Q)[0])
+    diffop._window_cap_check(terms, diffop.DEFAULT_WINDOW_CAP)
+    tail = series_fold_beyond(terms, diffop._product_tail(P, Q), True)
+    S = MicroOp(P.dim, P.prime, terms, tail)
+    return S if window is None else series_clip(S, window)
+
+
+def store_snapshot(S):
+    """Values, term and monomial order, precisions, caps and tails, or a
+    refusal's type and text."""
+    if isinstance(S, tuple):
+        return S
+    return (terms_snapshot(S.terms), [list(c.coeffs) for c in S.terms.values()],
+            S.tail, S.neg_tail)
+
+
+@st.composite
+def store_operands(draw):
+    """(P, Q, window) in one mode: flat, general, Laurent or d = 2; either
+    operand may be read back from JSON (residues, some known to 12 digits)
+    and carry a certificate in either sector or both."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode, p = rng.choice(MODES), rng.choice((2, 3, 5))
+    ops = []
+    for _ in range(2):
+        S = make_operator(rng, mode, p, (20, 64))
+        if rng.random() < 0.3:
+            S = from_json(S, rng.choice((None, 12)))
+        if rng.random() < 0.3:
+            def cert():
+                return rng.choice((None, TailCertificate(rng.randint(0, 3), F(rng.randint(-2, 2)),
+                                                         F(rng.randint(0, 4), 2),
+                                                         rng.random() < 0.5)))
+            S = MicroOp(S.dim, S.prime, dict(S.terms), cert(),
+                        cert() if mode in ("laurent", "d2") else None)
+        ops.append(S)
+    return (*ops, rng.choice((None, 0, 1, 1, 2)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(store_operands())
+def test_folds_clips_and_sector_splits_on_sums_equal_the_series_versions(operands):
+    P, Q, window = operands
+    pairs = [(outcome(lambda: P + Q), outcome(series_folded_sum, P, Q)),
+             (outcome(mul, P, Q, window), outcome(series_folded_mul, P, Q, window))]
+    for got, want in list(pairs):
+        if isinstance(got, MicroOp) and isinstance(want, MicroOp):
+            pairs += zip(sector_split(got), series_sector_split(want))
+    for S in (P, Q):
+        pairs += zip(sector_split(S), series_sector_split(S))
+    for got, want in pairs:
+        assert store_snapshot(got) == store_snapshot(want)
+        if isinstance(got, MicroOp):
+            assert got.term_table == rebuilt(want).term_table
+
+
+def counted_stores():
+    """Patches that count the built terms (one entry per build, its number
+    of terms) and refuse any conversion of series to sums."""
+    from microdiff import tower
+    builds, build = [], diffop._build_terms
+
+    def counted(dim, p, kept):
+        builds.append(len(kept[0]))
+        return build(dim, p, kept)
+    stack = contextlib.ExitStack()
+    for module in (diffop, tower):
+        stack.enter_context(mock.patch.object(module, "_build_terms", counted))
+    stack.enter_context(mock.patch.object(diffop, "_series_sums", side_effect=AssertionError))
+    return stack, builds
+
+
+def test_library_operators_build_scalars_only_for_the_results_read():
+    from microdiff import (gauss_op, norm_Fkr, product_op, sector_norms, truncated_cofactor)
+    from microdiff.tower import invert
+    stack, builds = counted_stores()
+    with stack:
+        G, C, T = product_op(9), gauss_op(6), truncated_cofactor(2, 10)
+        S, D = G + C, G - T
+        X = compose(G, evaluate(parse("1 + p*x*d"), EvalContext()))
+        L = evaluate(parse("1 + p*x*d + p^2*dinv + p^3*x*d^2"), EvalContext())
+        W = mul(L, L, window=1)
+        pos, neg = sector_split(W)
+        answers = [queries(R, 1) for R in (G, C, T, S, D, X)] + [
+            outcome(fn, R, 3, 1) for fn in (norm_Fkr, sector_norms) for R in (W, pos, neg)]
+        assert builds == [] and all(is_kept(R) for R in (G, C, T, S, D, X, W, pos, neg))
+        P = evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext())
+        inverse = invert(P, RingLevel.ek(1))
+        assert builds == [1, len(inverse.terms)]  # c_beta alone, then the inverse
+        texts = [str(S), dumps(operator_to_json(W))]
+        assert builds == [1, len(inverse.terms), len(S.terms), len(W.terms)]
+    assert answers == [queries(rebuilt(R), 1) for R in (G, C, T, S, D, X)] + [
+        outcome(fn, rebuilt(R), 3, 1) for fn in (norm_Fkr, sector_norms) for R in (W, pos, neg)]
+    assert texts == [str(rebuilt(S)), dumps(operator_to_json(rebuilt(W)))]
+
+
+def dict_monomial(alpha, coeff, dim=None, prime=2, degree_cap=32) -> MicroOp:
+    """MicroOp.monomial on a ``TateSeries`` coefficient, as every
+    coefficient was built before the constructors made kernel sums."""
+    alpha = tuple(alpha)
+    d = dim if dim is not None else len(alpha)
+    f = TateSeries.constant(coeff, d, prime, degree_cap)
+    return MicroOp.zero(d, f.prime) if f.is_zero else MicroOp(d, f.prime, {alpha: f})
+
+
+@pytest.mark.parametrize("coeff", [1, 0, -6, F(-3, 4), F(9, 14)])
+@pytest.mark.parametrize("alpha, dim, prime, cap, refusal", [
+    ((1,), None, 2, 32, None), ((2, -1), None, 3, 5, None), ((0,), None, 7, 0, None),
+    ((1,), None, 4, 32, "4 is not a prime"),
+    ((1,), None, 1, 32, "the prime must be an integer from 2 to 3.3e24, got 1"),
+    ((), None, 2, 32, "dimension must be >= 1"),
+    ((1,), 0, 2, 32, "dimension must be >= 1"),
+    ((1,), None, 2, -1, "monomial (0,) exceeds degree cap -1"),
+    ((1, 0), 1, 2, 32, "exponent (1, 0) has wrong arity for dim 1")])
+def test_constructors_refuse_a_bad_ring_as_the_series_constructors_do(
+        coeff, alpha, dim, prime, cap, refusal):
+    got = outcome(MicroOp.monomial, alpha, coeff, dim, prime, cap)
+    want = outcome(dict_monomial, alpha, coeff, dim, prime, cap)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert operator_snapshot(got) == operator_snapshot(want) and str(got) == str(want)
+        assert is_kept(got) == bool(coeff)
+    if refusal is not None and (coeff or "cap" not in refusal and "arity" not in refusal):
+        assert got == (ValueError, refusal)
+    d = len(alpha) if dim is None else dim
+    made = [(lambda: MicroOp.constant(coeff, d, prime, cap),
+             lambda: dict_monomial((0,) * d, coeff, d, prime, cap)),
+            (lambda: MicroOp.identity(d, prime), lambda: dict_monomial((0,) * d, 1, d, prime))]
+    if d:  # derivation refuses dim 0 by its axis first
+        made.append((lambda: MicroOp.derivation(1, d, prime),
+                     lambda: dict_monomial((1,) + (0,) * (d - 1), 1, d, prime)))
+    for fn, want_fn in made:
+        assert store_snapshot(outcome(fn)) == store_snapshot(outcome(want_fn))
+
+
+FOLDS = pathlib.Path(__file__).parent / "golden" / "folds.txt"
+
+
+def test_folds_clips_splits_and_constructors_print_their_golden_json():
+    from microdiff import gauss_op, product_op
+
+    def ev(text):
+        return evaluate(parse(text), EvalContext())
+
+    def read_back(S):  # every scalar a residue, known to at most 20 digits
+        return from_json(S, 20)
+    L = ev("1 + p*x*d + p^2*dinv + p^3*x*d^2")
+    clipped = mul(L, L, window=1)
+    ops = (compose(product_op(5), ev("1 + p*x*d + p^2*d^3")), compose(gauss_op(4), gauss_op(3)),
+           clipped, mul(product_op(4), ev("x*d + p^2"), window=2),
+           *sector_split(ev("x*d^2 + p*dinv + 3 + p^2*x*dinv^3 + p^3*d")), *sector_split(clipped),
+           MicroOp.identity() + MicroOp.monomial((1,), F(-3, 4)),
+           MicroOp.constant(F(5, 9), 2, 3) + MicroOp.monomial((1, -1), F(9, 7), prime=3),
+           gauss_op(6, prime=3), read_back(product_op(5)) + ev("1 + p*x*d^7"),
+           read_back(clipped) - ev("p*x*dinv^3 + d"))
+    assert "".join(dumps(operator_to_json(S)) for S in ops) == FOLDS.read_text()
