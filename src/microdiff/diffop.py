@@ -24,15 +24,15 @@ the least absolute precision of its products (see :func:`_add_term`).
 It and the sum refuse a coefficient that would lose a monomial to the
 degree cap: the loss would pass for an exact zero.
 
-One store.  Every operator the library makes keeps the kernel's integer sums
-``(sums, W, E, n, cap)`` over ``p^W / E``, ``E`` prime to p, as its ``terms``
-(:class:`_KernelTerms`, which builds a ``TateSeries`` when one is read, for
+One store.  Every operator keeps the kernel's integer sums ``(sums, W, E,
+n, cap)`` over ``p^W / E``, ``E`` prime to p, as its ``terms``
+(:class:`_KernelTerms`: given series are converted once, on first use, by
+:func:`_series_sums`, and a ``TateSeries`` is built when one is read, for
 text, JSON, ``coefficient()`` or ``==``); every sum, product, fold and query
-reads them, or the converted series of an operator made from ``TateSeries``
-(``MicroOp._sums``, :func:`_series_sums`), and a term's valuation as W + v(gcd
-of its integers).  One sum, :func:`_sum`, serves ``+``, ``-`` and the
-expression fold in the series arithmetic's term order, precisions, caps and
-refusals; a result holding a residue is built at once, before any fold.
+reads ``terms.kept``, and a term's valuation as W + v(gcd of its integers).
+One sum, :func:`_sum`, serves ``+``, ``-`` and the expression fold in the
+series arithmetic's term order, precisions, caps and refusals; a residue
+whose known digits all cancel is refused by the operation that forms it.
 Precision: when every scalar of each operand shares one precision,
 every output scalar has the smaller of the two and no per-monomial
 precision is tracked; one that mixes precisions or holds a residue switches
@@ -120,10 +120,10 @@ class TailCertificate:
 class MicroOp:
     """Sparse Laurent differential operator with optional tail certificates.
 
-    ``terms`` maps exponents to nonzero exact polynomials.  ``tail`` bounds the
-    discarded part of the sector ``fl(alpha) >= 0``, ``neg_tail`` the sector
-    ``fl(alpha) < 0``.  An operator without tails is exact: its stored terms
-    are the whole element.
+    ``terms`` maps exponents to nonzero exact polynomials (kept as kernel sums,
+    :class:`_KernelTerms`).  ``tail`` bounds the discarded part of the sector
+    ``fl(alpha) >= 0``, ``neg_tail`` the sector ``fl(alpha) < 0``.  An
+    operator without tails is exact: its stored terms are the whole element.
     """
 
     dim: int
@@ -144,6 +144,7 @@ class MicroOp:
                 raise ValueError("stored coefficients must be nonzero")
             if not c.exact:
                 raise NotCertifiable(f"coefficient of d^{list(a)}: not an exact polynomial")
+        object.__setattr__(self, "terms", _KernelTerms(self.dim, self.prime, None, self.terms))
 
     # -- constructors ---------------------------------------------------
 
@@ -168,7 +169,7 @@ class MicroOp:
         alpha = tuple(alpha)
         d = dim if dim is not None else len(alpha)
         if not isinstance(coeff, (int, Fraction)) or not coeff or len(alpha) != d:
-            # a series, a scalar or 0 keeps its dict, and the checked constructors refuse
+            # a series, a scalar or 0 goes through the checked constructors
             f = coeff if isinstance(coeff, TateSeries) else TateSeries.constant(
                 coeff, d, prime, degree_cap)
             return cls.zero(d, f.prime) if f.is_zero else cls(d, f.prime, {alpha: f})
@@ -208,17 +209,9 @@ class MicroOp:
         Every norm, order, polygon and unit query reads these rows, so the
         valuations are computed once, off the kernel sums as W + v(gcd of integers).
         """
-        sums, W, *_ = self._sums
+        sums, W, *_ = self.terms.kept
         return tuple((a, length(a), floor_sum(a), _valuation(N, W, self.prime))
                      for a, N in sums.items())
-
-    @cached_property
-    def _sums(self) -> tuple:
-        """The kernel sums ``(sums, W, E, n, cap)`` every sum, product and
-        query reads: the ones the terms keep, or the series' converted once
-        by :func:`_series_sums`."""
-        terms = self.terms
-        return terms.kept if type(terms) is _KernelTerms else _series_sums(terms, self.prime)
 
     @cached_property
     def _polygon(self):
@@ -248,12 +241,12 @@ class MicroOp:
 
     def __add__(self, other: "MicroOp") -> "MicroOp":
         self._check_compatible(other)
-        kept = _sum(self._sums, other._sums, self.dim, self.prime)
+        kept = _sum(self.terms.kept, other.terms.kept, self.dim, self.prime)
         return _folded(MicroOp(self.dim, self.prime, _as_terms(self.dim, self.prime, kept)),
                        _min_tail(self.tail, other.tail), _min_tail(self.neg_tail, other.neg_tail))
 
     def __neg__(self) -> "MicroOp":
-        terms = _as_terms(self.dim, self.prime, _scaled(self._sums, -1, self.prime))
+        terms = _as_terms(self.dim, self.prime, _scaled(self.terms.kept, -1, self.prime))
         return MicroOp(self.dim, self.prime, terms, self.tail, self.neg_tail)
 
     def __sub__(self, other: "MicroOp") -> "MicroOp":
@@ -321,15 +314,13 @@ def _fold_beyond(sums: dict, cert: TailCertificate | None, positive_sector: bool
 def _folded(S: MicroOp, tail: TailCertificate | None,
             neg_tail: TailCertificate | None = None) -> MicroOp:
     """S with these certificates, its stored terms past each folded into it
-    off its kernel sums; built terms (a residue's, or series) keep the rest."""
+    off its kernel sums."""
     if tail is None and neg_tail is None:
         return S
-    (sums, W, *rest), p, terms = S._sums, S.prime, S.terms
+    (sums, W, *rest), p = S.terms.kept, S.prime
     sums = dict(sums)
     tail, neg_tail = _fold_beyond(sums, tail, True, W, p), _fold_beyond(sums, neg_tail, False, W, p)
-    terms = _KernelTerms(S.dim, p, (sums, W, *rest)) if type(terms) is _KernelTerms else {
-        a: terms[a] for a in sums}
-    return MicroOp(S.dim, p, terms, tail, neg_tail)
+    return MicroOp(S.dim, p, _KernelTerms(S.dim, p, (sums, W, *rest)), tail, neg_tail)
 
 
 def _valuation(s, W: int, p: int) -> int:
@@ -606,15 +597,22 @@ def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
 
 
 class _KernelTerms(Mapping):
-    """Terms as the kernel's sums ``(sums, W, E, n, cap)``, free of residues, in
-    the sums' order: ``[alpha]`` builds only its coefficient, and the first
-    ``items()``, ``values()`` or ``keys()`` (which ``dict()`` reads) builds and
-    keeps every one (threads that race build equal ones)."""
+    """Terms as the kernel's sums ``(sums, W, E, n, cap)`` in the sums' order,
+    every residue known to a digit (:func:`_as_terms`), or given series kept
+    and converted on first use: ``[alpha]`` builds only its coefficient, and
+    the first ``items()``, ``values()`` or ``keys()`` (which ``dict()`` reads)
+    builds and keeps every one (threads that race build or convert equal ones)."""
 
-    __slots__ = ("ring", "kept", "_built")
+    __slots__ = ("ring", "_kept", "_built")
 
-    def __init__(self, dim: int, p: int, kept: tuple):
-        self.ring, self.kept, self._built = (dim, p), kept, None
+    def __init__(self, dim: int, p: int, kept: tuple | None, built: Mapping | None = None):
+        self.ring, self._kept, self._built = (dim, p), kept, built
+
+    @property
+    def kept(self) -> tuple:
+        if (kept := self._kept) is None:
+            kept = self._kept = _series_sums(self._built, self.ring[1])
+        return kept
 
     def _terms(self) -> dict:
         if (built := self._built) is None:
@@ -643,11 +641,13 @@ class _KernelTerms(Mapping):
         return self._terms().values()
 
 
-def _as_terms(dim: int, p: int, kept: tuple) -> Mapping[Exponent, TateSeries]:
-    """Kernel sums as an operator's terms: kept, or built at once where a sum
-    holds a residue, so that lost digits are refused where they are lost."""
-    if kept[3] is None and any(min(vp.values()) < 0 for _, vp, _ in kept[0].values()):
-        return _build_terms(dim, p, kept)
+def _as_terms(dim: int, p: int, kept: tuple) -> _KernelTerms:
+    """Kernel sums as terms, a residue whose known digits all cancel refused here."""
+    sums, W, _, n, _ = kept
+    for vals, vp, _ in () if n is not None else sums.values():
+        for m, N in vals.items():
+            if vp[m] < 0:
+                _known(N, -vp[m], W, p)
     return _KernelTerms(dim, p, kept)
 
 
@@ -707,7 +707,7 @@ def _degrees(kept: tuple) -> dict:
 def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
     """``P.terms[alpha].is_unit()``, read off the kernel sums without building:
     the constant's valuation lies strictly below every other monomial's."""
-    sums, *_, cap = P._sums
+    sums, *_, cap = P.terms.kept
     if cap is not None:  # one constant
         return True
     v = {m: int_valuation(N, P.prime) for m, N in sums[alpha][0].items()}
@@ -717,7 +717,7 @@ def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[Mapping[Exponent, TateSeries], tuple]:
     """The coefficient-left terms of P*Q (see :func:`_as_terms`) and their sums."""
-    sums = _kernel_sums(*(_as_rows(S._sums, S.prime) for S in (P, Q)), P.dim, P.prime)
+    sums = _kernel_sums(*(_as_rows(S.terms.kept, S.prime) for S in (P, Q)), P.dim, P.prime)
     return _as_terms(P.dim, P.prime, sums), sums
 
 
@@ -748,7 +748,7 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
         return min((v - slope * n for _, n, _, v in op.term_table), default=Fraction(0))
 
     def is_constant(op: MicroOp) -> bool:
-        return op.is_exact and _degrees(op._sums) == {(0,) * op.dim: 0}
+        return op.is_exact and _degrees(op.terms.kept) == {(0,) * op.dim: 0}
 
     offsets, slopes, reach, infinite = [], [], [], False
     if ta is not None and tb is not None:
@@ -757,7 +757,7 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
         offsets.append(ta.t0 + stored_floor(Q, ta.t1))
         slopes.append(ta.t1)
         reach.append(ta.start + 1 + min(map(length, Q.terms), default=0)
-                     - max(_degrees(Q._sums).values(), default=0))
+                     - max(_degrees(Q.terms.kept).values(), default=0))
         infinite = infinite or (ta.infinite and is_constant(Q))
     if tb is not None:
         offsets.append(tb.t0 + stored_floor(P, tb.t1))
@@ -846,7 +846,7 @@ def _graded_weight(m: int, k, r=None):
 def _require_terms(P: MicroOp):
     """The exact zero operator has no maximum, polygon or order; an operator
     storing nothing but a tail has none the data can pin, and is refused."""
-    if not P.terms:
+    if not P.term_table:
         if P.is_exact:
             raise ZeroOperator("zero operator")
         raise InsufficientTruncation(

@@ -30,7 +30,7 @@ from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _check_ri
                      _scaled, _sum, _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
-from .tate import DEFAULT_DEGREE_CAP, TateSeries
+from .tate import DEFAULT_DEGREE_CAP
 
 # -- AST ---------------------------------------------------------------------
 
@@ -263,12 +263,12 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
 
 
 def _as_op(value, ctx: EvalContext) -> MicroOp:
-    """The operator of an evaluated value, a number built by the checked
-    constructors at the context's precision and degree cap."""
+    """The operator of an evaluated value, a number one row of kernel sums in
+    a ring the checked constructors accept (0 has no monomial to pass the cap)."""
     if isinstance(value, MicroOp):
         return value
-    return MicroOp.constant(TateSeries.constant(value, ctx.dim, ctx.prime,
-                                                ctx.degree_cap, ctx.precision))
+    _check_ring(ctx.dim, ctx.prime, ctx.degree_cap if value else 0, ctx.precision)
+    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, _term(value, ctx)))
 
 
 def _as_int(value, what: str, pos: int) -> int:

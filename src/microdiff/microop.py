@@ -70,7 +70,7 @@ def _clip(S: MicroOp, window: int | None) -> MicroOp:
     """Restrict to per-axis exponent bound, folding clipped terms into tails."""
     if window is None:
         return S
-    (sums, W, *_), p = S._sums, S.prime
+    (sums, W, *_), p = S.terms.kept, S.prime
     dropped = [a for a in sums if any(abs(e) > window for e in a)]
     certs = [S.tail, S.neg_tail]
     for i, sector_positive in enumerate((True, False)):
@@ -79,8 +79,8 @@ def _clip(S: MicroOp, window: int | None) -> MicroOp:
             continue
         cert, start = certs[i], min(length(a) for a in hit) - 1
         if cert is None:
-            # clipped terms have exact valuations; a slope-0 bound suffices
-            certs[i] = TailCertificate(start, max(_valuation(sums[a], W, p) for a in hit), 0)
+            # slope 0, seeded with one clipped valuation: the fold lowers t0 to the least
+            certs[i] = TailCertificate(start, _valuation(sums[hit[0]], W, p), 0)
         else:
             certs[i] = TailCertificate(min(cert.start, start), cert.t0,
                                        min(cert.t1, Fraction(0)), cert.infinite)
@@ -92,7 +92,7 @@ def _clip(S: MicroOp, window: int | None) -> MicroOp:
 
 def sector_split(S: MicroOp) -> tuple[MicroOp, MicroOp]:
     """Partition into the fl(alpha) >= 0 part and the fl(alpha) < 0 part."""
-    (sums, *rest), dim, p = S._sums, S.dim, S.prime
+    (sums, *rest), dim, p = S.terms.kept, S.dim, S.prime
     pos, neg = ({a: s for a, s in sums.items() if (floor_sum(a) >= 0) == side}
                 for side in (True, False))
     return (MicroOp(dim, p, _as_terms(dim, p, (pos, *rest)), tail=S.tail),

@@ -24,7 +24,7 @@ Verdicts carry machine-checkable witnesses: the dominant exponent for a
 unit, or the violated clause and offending exponent for a non-unit.
 Inversion recentres around the dominant monomial, sums the geometric series
 to the certified residual target and multiplies back, the whole certificate,
-on the product kernel's integer rows; it builds one operator, the inverse.
+on the product kernel's integer rows; it makes one operator, the inverse, on sums.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _degrees,
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _as_terms, _degrees,
                      _geometric_sum, _graded_weight, _kernel_sums, _level_exponent, _scaled,
                      _require_positive, _series_sums, _unit_at, _window_cap_check, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
@@ -292,7 +292,7 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         k, r = verdict.delegate
         return invert(P, RingLevel.fkr(k, r), window_cap, residual_exponent)
     beta, p, zero = verdict.beta, P.prime, (0,) * P.dim
-    sums, W, E, n, flat_cap = kept = P._sums
+    sums, W, E, n, flat_cap = kept = P.terms.kept
     P_rows, degrees = _as_rows(kept, p), _degrees(kept)
     cap = flat_cap if flat_cap is not None else max(c for *_, c in sums.values())
     precision = n or max(abs(q) for _, _, vp, _, _ in P_rows[0] for q in vp.values())
@@ -319,14 +319,14 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         g = _as_rows(_series_sums({zero: c_beta.invert_unit(residual_exponent)}, p), p)
         one, inv_mono = (([(a, 1)], 0, 1, precision, cap) for a in (zero, tuple(-b for b in beta)))
         # the series of -R = g * rest, times D^-beta and then g, each product
-        # window-checked as mul checks it; one operator is built
+        # window-checked as mul checks it; one operator is made
         S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0), one, p,
                            window_cap)
         S = _kernel_sums(inv_mono, _as_rows(S, p), P.dim, p)
         _window_cap_check(S[0], window_cap)
         S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
         _window_cap_check(S[0], window_cap)
-        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _build_terms(P.dim, p, S))
+        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _as_terms(P.dim, p, S))
         _verify_residual(P, S, level, residual_exponent, back)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above

@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import pathlib
+from unittest import mock
 
 import jsonschema
 import pytest
 
-from microdiff import cli
-from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA)
+from microdiff import (MicroOp, RingLevel, cli, diffop, gauss_op, invert, product_op,
+                       truncated_cofactor)
+from microdiff.exprs import EvalContext, evaluate, parse
+from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA, dumps,
+                              operator_from_json, operator_to_json)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -113,6 +117,50 @@ class TestGolden:
         scalars = [t["coeff"] for term in json.loads(out)["terms"] for t in term["coeff"]["terms"]]
         assert len(scalars) == 10 and all(
             c["prec"] == 100 and c["unit"] == str(2**100 - 1) for c in scalars)
+
+    def test_chain_products_p3(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same four commands
+        prod, last = "prod(n=1..40, 1 - p^n*d)", "1 - p^41*d"
+        out = "".join(run(args)[1] for args in (
+            ["mul", "--prime", "3", prod, last],
+            ["mul", "--prime", "3", "--format", "json", "--prec", "20", prod, last],
+            ["norm", "--prime", "3", "--k", "2", f"{prod}*({last})"],
+            ["order", "--prime", "3", "--k", "2", f"{prod}*({last})"]))
+        assert out == (GOLDEN / "chain_products_p3.txt").read_text()
+
+    def test_sums(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same commands
+        # and operators: catalog generators, defects, and sums of generators
+        # and of operators read back from JSON at 20 digits
+        out = []
+        for args in (["product_op", "--M", "9"], ["gauss_op", "--M", "6"],
+                     ["truncated_cofactor", "--k", "2", "--M", "10"]):
+            out += [run(["catalog", *args])[1], run(["catalog", *args, "--format", "json"])[1]]
+        for k in ("1", "2"):
+            for pair in (["x*d + p*d^2", "x^2 + p*x*d"], ["1 + p*x*d^2", "x + p^2*d"]):
+                out += [run(["defect", "--k", k, *pair])[1],
+                        run(["defect", "--k", k, "--format", "json", *pair])[1]]
+
+        def read_back(text):
+            return operator_from_json(operator_to_json(evaluate(parse(text),
+                                                                EvalContext(precision=20))))
+        G = product_op(5)
+        out += [dumps(operator_to_json(S)) for S in (
+            product_op(9) + gauss_op(6), product_op(9) - truncated_cofactor(2, 10),
+            G + MicroOp.identity() - G, read_back("p^4*d") + read_back("1 + p*x*d"))]
+        assert "".join(out) == (GOLDEN / "sums.txt").read_text()
+
+    def test_invert_digits(self):
+        # the smoke job in .github/workflows/tests.yml diffs the inverses of the
+        # same operators read back from JSON
+        def read_back(text):
+            return operator_from_json(operator_to_json(evaluate(parse(text), EvalContext())))
+        one, ek1, fkr31 = MicroOp.identity(), RingLevel.ek(1), RingLevel.fkr(3, 1)
+        out = "".join(dumps(operator_to_json(invert(P, level))) for P, level in (
+            (read_back("1 + p^4*x*d"), ek1), (read_back("3 + p^2*x*d"), ek1),
+            (read_back("1 + p^3*dinv + p^4*d"), fkr31), (one + read_back("p^4*d"), ek1),
+            (one + read_back("p^3*dinv + p^4*d"), fkr31)))
+        assert out == (GOLDEN / "invert_digits.txt").read_text()
 
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
@@ -332,6 +380,21 @@ class TestWorkingRing:
         assert code == 2 and out == ""
         assert err.getvalue().strip().endswith("rerun with --deg-cap 96 or larger")
         assert run(args + ["--deg-cap", "96", "1 + p*x + p^5*d"])[0] == 0
+
+    @pytest.mark.parametrize("args", [["mul", "d", "3"], ["norm", "--k", "1", "5"],
+                                      ["invert", "--level", "ek", "--k", "1", "3"]])
+    def test_a_number_operand_converts_no_series(self, args):
+        # a number is one row of kernel sums at the context's precision and cap
+        with mock.patch.object(diffop, "_series_sums", wraps=diffop._series_sums) as converted:
+            code, _ = run(args)
+        assert code == 0 and converted.call_count == 0
+
+    def test_a_number_operand_is_refused_past_the_degree_cap_unless_it_is_0(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["norm", "--k", "1", "--deg-cap", "-1", "5"]) == (1, "")
+        assert err.getvalue() == "error: monomial (0,) exceeds degree cap -1\n"
+        assert run(["norm", "--k", "1", "--deg-cap", "-1", "0"]) == (0, "norm = 0\n")
 
     def test_degree_cap_above_the_default_reaches_every_literal(self):
         # d and the start of x^20 used to keep the default cap 32

@@ -1,9 +1,11 @@
 """Operators that hold the product kernel's sums and build scalars when read.
 
-An exact, unfolded product (and an evaluated expression) keeps its integer
-sums as ``terms``.  These properties check that such an operator reads,
-prints, serializes, queries and multiplies exactly as the same operator
-built from its ``TateSeries``, and that queries build no scalar.
+Every operator keeps integer sums as ``terms``: a product or an evaluated
+expression the kernel's, and one made from ``TateSeries`` those series,
+converted once, on first use, and kept beside them.  These properties check
+that such an operator reads, prints, serializes, queries and multiplies
+exactly as the same operator built from its ``TateSeries``, and that
+queries build no scalar.
 """
 
 import contextlib
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdiff import (MicroOp, PadicScalar, PrecisionExhausted, TailCertificate, TateSeries,
-                       check_unit, compose, mul, norm_k, order_Nk, polygon, sector_split)
+                       check_unit, compose, mul, norm_Fkr, norm_k, order_Nk, polygon, sector_norms,
+                       sector_split)
 from microdiff import diffop
 from microdiff.errors import MicrodiffError
 from microdiff.exprs import EvalContext, evaluate, parse
@@ -32,12 +35,13 @@ from test_diffop import (from_json, operator_snapshot, series_fold_beyond, serie
 MODES = ("flat", "general", "laurent", "d2")
 
 
-def is_kept(S: MicroOp) -> bool:
-    return type(S.terms) is diffop._KernelTerms
+def unbuilt(S: MicroOp) -> bool:
+    """S holds kernel sums and no ``TateSeries``."""
+    return type(S.terms) is diffop._KernelTerms and S.terms._built is None
 
 
 def rebuilt(S: MicroOp) -> MicroOp:
-    """S with its terms built, as an operator that holds no sums."""
+    """S with its terms built, as an operator made from ``TateSeries``."""
     return MicroOp(S.dim, S.prime, dict(S.terms), S.tail, S.neg_tail)
 
 
@@ -92,7 +96,7 @@ def test_a_kept_product_reads_like_its_built_operator(operands):
     if isinstance(S, tuple):  # a refusal, as the series arithmetic's
         assert isinstance(want, tuple) and S[0] is want[0]
         return
-    assert is_kept(S)
+    assert unbuilt(S)
     table = S.term_table  # off the sums, before any value is read
     R = MicroOp(S.dim, S.prime, dict(S.terms))
     assert list(S.terms) == list(want) == list(R.terms)
@@ -130,7 +134,7 @@ def test_a_chain_on_kept_sums_equals_the_chain_on_built_operators(chain):
         if isinstance(results[0], tuple) or isinstance(results[1], tuple):
             assert results[0] == results[1]
             return
-        assert is_kept(results[0])
+        assert unbuilt(results[0])
         assert operator_snapshot(results[0]) == operator_snapshot(results[1])
         kept, built = results
 
@@ -163,7 +167,7 @@ def test_queries_on_a_fresh_product_build_no_scalars(operands, k):
         if isinstance(S, tuple):
             return
         got = queries(S, k)
-    assert builds == [] and is_kept(S)
+    assert builds == [] and unbuilt(S)
     assert got == queries(rebuilt(S), k)
 
 
@@ -174,7 +178,7 @@ def test_an_evaluated_expression_keeps_its_sums_until_read(text):
     with counted_builds() as builds:
         S = evaluate(parse(text), ctx)
         got = queries(S, 1)
-        assert builds == [] and is_kept(S)
+        assert builds == [] and unbuilt(S)
         R = rebuilt(S)
         assert builds == [1]
     assert got == queries(R, 1) and str(S) == str(R)
@@ -190,10 +194,9 @@ def test_a_digit_mode_product_whose_known_digits_cancel_is_refused_by_the_produc
         compose(P, Q)
     with pytest.raises(PrecisionExhausted):
         diffop._product_terms(P, Q)
-    # a digit-mode product that keeps a digit is built at once
+    # a digit-mode product that keeps a digit keeps its sums too
     S = compose(P, P)
-    assert not is_kept(S) and not all(c.exact for f in S.terms.values()
-                                      for c in f.coeffs.values())
+    assert unbuilt(S) and not all(c.exact for f in S.terms.values() for c in f.coeffs.values())
 
 
 def test_a_truncated_product_folds_its_stored_terms_into_its_tail():
@@ -204,24 +207,26 @@ def test_a_truncated_product_folds_its_stored_terms_into_its_tail():
         S, exact = compose(T, Q), compose(P, Q)
         terms = dict(exact.terms)
         tail = series_fold_beyond(terms, diffop._product_tail(T, Q), positive_sector=True)
-        assert is_kept(S) and S.terms == terms and S.tail == tail
+        assert unbuilt(S) and S.terms == terms and S.tail == tail
         assert all(diffop.length(a) <= tail.start for a in S.terms)
         dropped += len(exact.terms) - len(S.terms)
     assert dropped
 
 
 def test_threads_reading_one_kept_product_get_equal_terms():
+    # and threads reading the sums of one operator made from series get equal sums
     rng = random.Random(11)
     P, Q = make_operator(rng, "d2", 3), make_operator(rng, "d2", 3)
-    want = terms_snapshot(rebuilt(P * Q).terms)
+    built = dict(rebuilt(P * Q).terms)
+    want = terms_snapshot(built), MicroOp(P.dim, P.prime, built).terms.kept
     for _ in range(5):
-        S = P * Q
+        S, R = P * Q, MicroOp(P.dim, P.prime, built)
         start = threading.Barrier(8)
         results = [None] * 8
 
         def read(i):
             start.wait(timeout=10)
-            results[i] = terms_snapshot(dict(S.terms))
+            results[i] = terms_snapshot(dict(S.terms)), R.terms.kept
         threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -246,7 +251,7 @@ def test_a_sum_of_evaluated_operators_builds_no_scalar_and_adds_no_series():
             mock.patch.object(TateSeries, "__add__", side_effect=AssertionError):
         S, D, N = P + Q, P - Q, -P
         got = [norm_k(T, 1) for T in (S, D, N)]
-        assert builds == [] and all(is_kept(T) for T in (S, D, N))
+        assert builds == [] and all(unbuilt(T) for T in (S, D, N))
     assert got == [norm_k(rebuilt(T), 1) for T in (S, D, N)]
 
 
@@ -275,8 +280,8 @@ def test_a_quasi_abelian_defect_of_evaluated_operators_builds_no_scalar():
 
 def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
     # the operand's series are never converted back to sums: only g, the
-    # inverse of c_beta, enters the kernel from a series; and of the
-    # operand's scalars only c_beta's are built
+    # inverse of c_beta, enters the kernel from a series; of the operand's
+    # scalars only c_beta's are built, and the inverse keeps its sums
     from microdiff import tower
     level = RingLevel.ek(1)
     P, Q = (evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()) for _ in range(2))
@@ -290,12 +295,11 @@ def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
     with mock.patch.object(diffop, "_series_sums", side_effect=AssertionError), \
             mock.patch.object(tower, "_series_sums", wraps=tower._series_sums) as g, \
             mock.patch.object(diffop, "_build_terms", counted), \
-            mock.patch.object(tower, "_build_terms", counted), \
             mock.patch.object(MicroOp, "__post_init__",
                               lambda S: made.append(S) or post_init(S)):
         S = tower.invert(P, level)
+    assert builds == [[(0,)]] and unbuilt(S)  # c_beta alone
     assert made == [S] and terms_snapshot(S.terms) == want
-    assert builds == [[(0,)], list(S.terms)]  # c_beta, then the inverse
     (terms, _), = [call.args for call in g.call_args_list]
     assert list(terms) == [(0,)]
 
@@ -305,7 +309,7 @@ def test_scaled_sums_equal_the_scaled_series(q):
     # a residue stays known to its digits past its valuation, which q moves
     rng = random.Random(5)
     for P in (from_json(make_operator(rng, "general", 2), 12), make_operator(rng, "flat", 2)):
-        got = diffop._build_terms(P.dim, 2, diffop._scaled(P._sums, q, 2))
+        got = diffop._build_terms(P.dim, 2, diffop._scaled(P.terms.kept, q, 2))
         want = {a: c.scale(PadicScalar.from_fraction(q, 2)) for a, c in P.terms.items()}
         assert terms_snapshot(got) == terms_snapshot(want)
 
@@ -344,7 +348,8 @@ def series_sector_split(S: MicroOp) -> tuple:
 
 def series_folded_sum(P: MicroOp, Q: MicroOp) -> MicroOp:
     """P + Q: the kernel's sum, built, then folded on its ``TateSeries``."""
-    terms = dict(diffop._as_terms(P.dim, P.prime, diffop._sum(P._sums, Q._sums, P.dim, P.prime)))
+    terms = dict(diffop._as_terms(P.dim, P.prime, diffop._sum(P.terms.kept, Q.terms.kept, P.dim,
+                                                             P.prime)))
     tail = series_fold_beyond(terms, diffop._min_tail(P.tail, Q.tail), True)
     neg_tail = series_fold_beyond(terms, diffop._min_tail(P.neg_tail, Q.neg_tail), False)
     return MicroOp(P.dim, P.prime, terms, tail, neg_tail)
@@ -412,24 +417,77 @@ def test_folds_clips_and_sector_splits_on_sums_equal_the_series_versions(operand
             assert got.term_table == rebuilt(want).term_table
 
 
+def evaluated_twin(S: MicroOp) -> MicroOp:
+    """S on its kernel sums alone: every value built off the sums when read."""
+    return MicroOp(S.dim, S.prime, diffop._KernelTerms(S.dim, S.prime, S.terms.kept), S.tail,
+                   S.neg_tail)
+
+
+@st.composite
+def series_built(draw):
+    """([(given, S), (given, S)], window): two operators of one mode made from
+    their ``TateSeries``, ``given``, in flat, general, Laurent or d = 2 mode,
+    some read back from JSON (residues, some known to 12 digits), some
+    truncated in either sector or both."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode, p = rng.choice(MODES), rng.choice((2, 3, 5))
+
+    def cert():
+        return rng.choice((None, TailCertificate(rng.randint(0, 3), F(rng.randint(-2, 2)),
+                                                 F(rng.randint(0, 4), 2), rng.random() < 0.5)))
+    ops = []
+    for _ in range(2):
+        S = make_operator(rng, mode, p, (20, 64))
+        if rng.random() < 0.4:
+            S = from_json(S, rng.choice((None, 12)))
+        given = dict(S.terms)
+        tails = (cert(), cert() if mode in ("laurent", "d2") else None)
+        ops.append((given, MicroOp(S.dim, p, given, *tails) if rng.random() < 0.4 else S))
+    return ops, rng.choice((None, 0, 1, 2))
+
+
+def answers(S, k: int) -> list:
+    """S's store snapshot and term table, and its queries, or a refusal."""
+    if isinstance(S, tuple):
+        return [S]
+    return [store_snapshot(S), S.term_table, *queries(S, k), outcome(norm_Fkr, S, k + 1, k),
+            outcome(sector_norms, S, k + 1, k)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(series_built(), st.integers(1, 2))
+def test_a_series_built_operator_reads_back_its_series_and_acts_as_its_evaluated_twin(
+        case, k):
+    ops, window = case
+    for given, S in ops:
+        assert S.terms == given and list(S.terms) == list(given)
+        assert all(S.terms[a] is c for a, c in given.items())
+        assert terms_snapshot(evaluated_twin(S).terms) == terms_snapshot(given)
+    (_, P), (_, Q) = ops
+    tP, tQ = evaluated_twin(P), evaluated_twin(Q)
+    for fn in (lambda A, B: A + B, lambda A, B: A - B, lambda A, B: -A, lambda A, B: A * B,
+               lambda A, B: mul(A, B, window), lambda A, B: mul(B, A, window),
+               lambda A, B: sector_split(A)[0], lambda A, B: sector_split(A)[1],
+               lambda A, B: A):
+        assert answers(outcome(fn, P, Q), k) == answers(outcome(fn, tP, tQ), k)
+
+
 def counted_stores():
     """Patches that count the built terms (one entry per build, its number
     of terms) and refuse any conversion of series to sums."""
-    from microdiff import tower
     builds, build = [], diffop._build_terms
 
     def counted(dim, p, kept):
         builds.append(len(kept[0]))
         return build(dim, p, kept)
     stack = contextlib.ExitStack()
-    for module in (diffop, tower):
-        stack.enter_context(mock.patch.object(module, "_build_terms", counted))
+    stack.enter_context(mock.patch.object(diffop, "_build_terms", counted))
     stack.enter_context(mock.patch.object(diffop, "_series_sums", side_effect=AssertionError))
     return stack, builds
 
 
 def test_library_operators_build_scalars_only_for_the_results_read():
-    from microdiff import (gauss_op, norm_Fkr, product_op, sector_norms, truncated_cofactor)
+    from microdiff import gauss_op, product_op, truncated_cofactor
     from microdiff.tower import invert
     stack, builds = counted_stores()
     with stack:
@@ -441,12 +499,12 @@ def test_library_operators_build_scalars_only_for_the_results_read():
         pos, neg = sector_split(W)
         answers = [queries(R, 1) for R in (G, C, T, S, D, X)] + [
             outcome(fn, R, 3, 1) for fn in (norm_Fkr, sector_norms) for R in (W, pos, neg)]
-        assert builds == [] and all(is_kept(R) for R in (G, C, T, S, D, X, W, pos, neg))
+        assert builds == [] and all(unbuilt(R) for R in (G, C, T, S, D, X, W, pos, neg))
         P = evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext())
         inverse = invert(P, RingLevel.ek(1))
-        assert builds == [1, len(inverse.terms)]  # c_beta alone, then the inverse
+        assert builds == [1] and unbuilt(inverse)  # c_beta alone
         texts = [str(S), dumps(operator_to_json(W))]
-        assert builds == [1, len(inverse.terms), len(S.terms), len(W.terms)]
+        assert builds == [1, len(S.terms), len(W.terms)]
     assert answers == [queries(rebuilt(R), 1) for R in (G, C, T, S, D, X)] + [
         outcome(fn, rebuilt(R), 3, 1) for fn in (norm_Fkr, sector_norms) for R in (W, pos, neg)]
     assert texts == [str(rebuilt(S)), dumps(operator_to_json(rebuilt(W)))]
@@ -477,8 +535,8 @@ def test_constructors_refuse_a_bad_ring_as_the_series_constructors_do(
     if isinstance(want, tuple):
         assert got == want
     else:
+        assert unbuilt(got) == bool(coeff)  # a number is one flat sum, 0 has none
         assert operator_snapshot(got) == operator_snapshot(want) and str(got) == str(want)
-        assert is_kept(got) == bool(coeff)
     if refusal is not None and (coeff or "cap" not in refusal and "arity" not in refusal):
         assert got == (ValueError, refusal)
     d = len(alpha) if dim is None else dim

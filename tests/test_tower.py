@@ -505,7 +505,7 @@ def series_operands(draw):
 
 def row_sum(Q: MicroOp, J: int, cap: int, window_cap):
     """The geometric series summed on Q's integer rows, built once."""
-    one, Q_rows = (diffop._as_rows(S._sums, Q.prime)
+    one, Q_rows = (diffop._as_rows(S.terms.kept, Q.prime)
                    for S in (MicroOp.constant(1, Q.dim, Q.prime, cap), Q))
     sums = diffop._geometric_sum(Q_rows, J, one, Q.prime, window_cap)
     return MicroOp(Q.dim, Q.prime, diffop._build_terms(Q.dim, Q.prime, sums))
@@ -630,7 +630,6 @@ def test_an_exact_operand_builds_one_operator_and_no_operator_product_or_sum():
     builds, build = [], diffop._build_terms
     counted = lambda *args: builds.append(1) or build(*args)  # noqa: E731
     with mock.patch.object(diffop, "_build_terms", counted), \
-            mock.patch.object(tower, "_build_terms", counted), \
             mock.patch.object(diffop, "_product", side_effect=AssertionError), \
             mock.patch.object(microop, "_product", side_effect=AssertionError), \
             mock.patch.object(MicroOp, "__add__", side_effect=AssertionError), \
@@ -656,7 +655,7 @@ def test_a_refusal_bound_by_a_residues_digits_names_them():
 def test_a_residue_enters_the_rows_as_its_balanced_representative():
     # -p^4*x*d read back holds the residue 2^64 - 1, that is -1, known to 64
     # digits past its valuation 4, which is the sums' W
-    sums = from_json("-p^4*x*d")._sums
+    sums = from_json("-p^4*x*d").terms.kept
     assert sums == ({(1,): [{(1,): -1}, {(1,): -64}, 32]}, 4, 1, None, None)
     assert diffop._as_rows(sums, 2)[:3] == ([((1,), [((1,), -1)], {(1,): -64}, 32, 1)], 4, 1)
 
