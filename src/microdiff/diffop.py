@@ -26,10 +26,10 @@ degree cap: the loss would pass for an exact zero.
 
 One store.  Every operator keeps the kernel's integer sums ``(sums, W, E,
 n, cap)`` over ``p^W / E``, ``E`` prime to p, as its ``terms``
-(:class:`_KernelTerms`: given series are converted once, on first use, by
-:func:`_series_sums`, and a ``TateSeries`` is built when one is read, for
-text, JSON, ``coefficient()`` or ``==``); every sum, product, fold and query
-reads ``terms.kept``, and a term's valuation as W + v(gcd of its integers).
+(:class:`_KernelTerms`; given series are converted once, on first use, by
+:func:`_series_sums`).  One read rule: library code reads ``terms.kept``,
+and a term's valuation as W + v(gcd of its integers); the first value read,
+for text, JSON, ``coefficient()`` or ``==``, builds every ``TateSeries`` once.
 One sum, :func:`_sum`, serves ``+``, ``-`` and the expression fold in the
 series arithmetic's term order, precisions, caps and refusals; a residue
 whose known digits all cancel is refused by the operation that forms it.
@@ -190,7 +190,7 @@ class MicroOp:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms and self.tail is None and self.neg_tail is None
+        return not self.terms.kept[0] and self.tail is None and self.neg_tail is None
 
     @property
     def is_exact(self) -> bool:
@@ -200,7 +200,7 @@ class MicroOp:
     def positive(self) -> bool:
         if self.neg_tail is not None:
             return False
-        return all(min(a) >= 0 for a in self.terms)
+        return all(min(a) >= 0 for a in self.terms.kept[0])
 
     @cached_property
     def term_table(self) -> tuple[tuple[Exponent, int, int, int], ...]:
@@ -221,7 +221,7 @@ class MicroOp:
         return _build(self)
 
     def max_length(self) -> int:
-        return max((length(a) for a in self.terms), default=0)
+        return max(map(length, self.terms.kept[0]), default=0)
 
     def coefficient(self, alpha: Iterable[int]) -> TateSeries:
         return self.terms.get(tuple(alpha), TateSeries.zero(self.dim, self.prime))
@@ -468,9 +468,7 @@ def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dic
                             vals[m] = c
                         else:
                             del vals[m]
-                if not direct:
-                    if not vals:
-                        continue
+                if not direct:  # a product of nonzero polynomials is nonzero
                     if acc is None:
                         out[gamma] = [vals, precs, cap]
                         continue
@@ -533,9 +531,8 @@ def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None
     holds a residue.  ``table`` is the one the caller keeps for ``right``'s
     rows over one computation; rows rebuilt below get a table of their own."""
     (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
-    if lcap is not None and rcap is not None:  # one pair (two literals) needs no loop
-        sums = ({tuple(map(add, lrows[0][0], rrows[0][0])): lrows[0][1] * rrows[0][1]}
-                if len(lrows) == 1 == len(rrows) else _flat_product(lrows, rrows, dim == 1))
+    if lcap is not None and rcap is not None:
+        sums = _flat_product(lrows, rrows, dim == 1)
         return sums, lv + rv, ld * rd, min(ln, rn), min(lcap, rcap)
     if lcap is not None or rcap is not None:  # flat rows, as general ones
         zero = (0,) * dim
@@ -599,9 +596,10 @@ def _build_terms(dim: int, p: int, kept: tuple) -> dict[Exponent, TateSeries]:
 class _KernelTerms(Mapping):
     """Terms as the kernel's sums ``(sums, W, E, n, cap)`` in the sums' order,
     every residue known to a digit (:func:`_as_terms`), or given series kept
-    and converted on first use: ``[alpha]`` builds only its coefficient, and
-    the first ``items()``, ``values()`` or ``keys()`` (which ``dict()`` reads)
-    builds and keeps every one (threads that race build or convert equal ones)."""
+    and converted on first use.  One read rule: ``len``, iteration and ``in``
+    read ``kept``, and the first value read (``[alpha]``, ``items()``, ``==``)
+    builds and keeps every ``TateSeries`` once (threads that race build or
+    convert equal ones)."""
 
     __slots__ = ("ring", "_kept", "_built")
 
@@ -620,25 +618,19 @@ class _KernelTerms(Mapping):
         return built
 
     def __getitem__(self, alpha):
-        if (built := self._built) is not None:
-            return built[alpha]
-        sums, *rest = self.kept
-        return _build_terms(*self.ring, ({alpha: sums[alpha]}, *rest))[alpha]
+        return self._terms()[alpha]
+
+    def items(self):
+        return self._terms().items()
+
+    def __contains__(self, alpha):
+        return alpha in self.kept[0]
 
     def __iter__(self):
         return iter(self.kept[0])
 
     def __len__(self):
         return len(self.kept[0])
-
-    def keys(self):
-        return self._terms().keys()
-
-    def items(self):
-        return self._terms().items()
-
-    def values(self):
-        return self._terms().values()
 
 
 def _as_terms(dim: int, p: int, kept: tuple) -> _KernelTerms:
@@ -756,7 +748,7 @@ def _product_tail(P: MicroOp, Q: MicroOp) -> TailCertificate | None:
     if ta is not None:
         offsets.append(ta.t0 + stored_floor(Q, ta.t1))
         slopes.append(ta.t1)
-        reach.append(ta.start + 1 + min(map(length, Q.terms), default=0)
+        reach.append(ta.start + 1 + min(map(length, Q.terms.kept[0]), default=0)
                      - max(_degrees(Q.terms.kept).values(), default=0))
         infinite = infinite or (ta.infinite and is_constant(Q))
     if tb is not None:
@@ -791,12 +783,12 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     """1 + Q + ... + Q^J as kernel sums, for Q's rows over ``p^V / D`` and
     the flat rows ``one`` of the 1 (its precision and cap): each power
     window-checked and added as :func:`_sum` adds it, but keeping a residue
-    monomial whose known digits cancel (a later power may restore them),
-    the sum stopping at the first empty power.  The powers stay kernel
-    sums, each the next one's left rows, added into one accumulator over
-    ``p^min(0, J*V) / D^J`` through one commutation table of Q's.  When
-    Q's scalars share a precision no smaller than the 1's, so does every
-    power, and the accumulator keeps no precision per monomial."""
+    monomial whose known digits cancel (a later power may restore them).
+    The powers stay kernel sums, each the next one's left rows, added into
+    one accumulator over ``p^min(0, J*V) / D^J`` through one commutation
+    table of Q's.  When Q's scalars share a precision no smaller than the
+    1's, so does every power, and the accumulator keeps no precision per
+    monomial."""
     left, zero, table = one, one[0][0][0], {}
     base, DJ = min(0, J * Q[1]), Q[2] ** J
     shared = Q[3] is not None and Q[3] >= one[3]
@@ -804,8 +796,6 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     for _ in range(J):
         sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p, table)
         _window_cap_check(sums, window_cap)
-        if not sums:
-            break
         scale = p ** (W - base) * (DJ // E)
         for gamma, s in sums.items():
             vals, precs, gcap = ({zero: s}, None, flat_cap) if flat_cap is not None else s
@@ -1001,6 +991,6 @@ def is_finite(P: MicroOp) -> bool:
 def finite_order(P: MicroOp) -> int:
     if not is_finite(P):
         raise ValueError("finite_order needs an exact operator")
-    if not P.terms:
+    if not P.terms.kept[0]:
         raise ZeroOperator("zero operator has no order")
     return P.max_length()

@@ -153,11 +153,7 @@ class _Parser:
         if tok[0] == "op" and tok[1] == "-":
             self.next()
             return Neg(self.power_operand())
-        base = self.atom()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            pos = self.next()[2]
-            return Bin("^", base, self.power_operand(), pos)
-        return base
+        return self.power()
 
     def atom(self):
         tok = self.next()

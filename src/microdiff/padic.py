@@ -166,8 +166,6 @@ class PadicScalar:
             # normalize: fold p-divisibility of the residue into the valuation
             residue //= prime**shift
             precision -= shift
-            if precision < 1:
-                raise PrecisionExhausted("residue carries no known digits")
         return cls(prime, valuation + shift, residue, precision, exact=False)
 
     @classmethod

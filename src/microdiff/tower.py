@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _as_terms, _degrees,
-                     _geometric_sum, _graded_weight, _kernel_sums, _level_exponent, _scaled,
-                     _require_positive, _series_sums, _unit_at, _window_cap_check, is_finite)
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _degrees,
+                     _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms, _level_exponent,
+                     _require_positive, _scaled, _series_sums, _unit_at, _window_cap_check,
+                     is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
@@ -186,7 +187,7 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
 
 def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     """fir / finf / dinf: finiteness first, then coefficient inequalities."""
-    if not P.terms and P.is_exact:
+    if not P.terms.kept[0] and P.is_exact:
         raise ZeroOperator("the zero operator is not a unit anywhere")
     if not is_finite(P):
         cert = P.tail or P.neg_tail
@@ -312,7 +313,7 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     # has no series, and S = g D^-beta is checked like any inverse
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
     # coefficient degrees of g and of R = g * rest bound both refusals' hints
-    c_beta = P.terms[beta]
+    c_beta = _build_terms(P.dim, p, ({beta: sums[beta]}, W, E, n, flat_cap))[beta]
     deg_g = c_beta.inverse_length(residual_exponent) * degrees[beta]
     deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
     try:
@@ -326,7 +327,8 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         _window_cap_check(S[0], window_cap)
         S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
         _window_cap_check(S[0], window_cap)
-        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _as_terms(P.dim, p, S))
+        # _as_rows has checked every residue of S: it is wrapped as it is
+        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _KernelTerms(P.dim, p, S))
         _verify_residual(P, S, level, residual_exponent, back)
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above

@@ -7,11 +7,11 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from microdiff import (MicroOp, RingLevel, cli, diffop, gauss_op, invert, product_op,
-                       truncated_cofactor)
+from microdiff import (MicroOp, RingLevel, check_unit, cli, diffop, gauss_op, invert,
+                       product_op, truncated_cofactor)
 from microdiff.exprs import EvalContext, evaluate, parse
 from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA, dumps,
-                              operator_from_json, operator_to_json)
+                              operator_from_json, operator_to_json, verdict_to_json)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -196,6 +196,25 @@ class TestJsonOutputs:
             assert code == 0
             jsonschema.validate(json.loads(out), OPERATOR_SCHEMA)
 
+    def test_order_json(self):
+        code, out = run(["order", "--k", "2", "--format", "json", "1 - p*d + p^3*d^2"])
+        assert code == 0
+        assert json.loads(out) == {"mu": "2", "order_lower": 1, "order_upper": 2}
+
+    @pytest.mark.parametrize("text, level, want", [
+        ("1 + p^3*dinv + p^4*d", RingLevel.fkr(3, 1),
+         {"invertible": True, "level": {"tag": "fkr", "k": 3, "r": 1}, "witness": {"beta": [0]}}),
+        ("1 + p*d", RingLevel.finf(),
+         {"invertible": True, "level": {"tag": "finf"},
+          "witness": {"beta": [1], "delegate": [2, 2]}}),
+        ("1 + p*d", RingLevel.fkr(2, 1),
+         {"invertible": False, "level": {"tag": "fkr", "k": 2, "r": 1},
+          "witness": {"violated": "lower_order_too_large", "alpha": [0]}})])
+    def test_verdict_json_at_fkr_and_with_a_delegate(self, text, level, want):
+        doc = verdict_to_json(check_unit(evaluate(parse(text), EvalContext()), level))
+        jsonschema.validate(doc, VERDICT_SCHEMA)
+        assert doc == want
+
     def test_json_matches_library(self):
         from microdiff import product_op
         from microdiff.jsonio import operator_from_json, operator_to_json
@@ -309,6 +328,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.getvalue() == f"usage error: --format svg is for polygon only, not {args[0]}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["norm", "--level", "fkr", "--k", "2", "1 + d"], "--level fkr needs --k and --r"),
+        (["check", "--level", "fir", "1 + p*d"], "--level fir needs --r"),
+        (["invert", "1 + p*d"], "invert needs --level"),
+        (["defect", "d", "x"], "defect needs --k"),
+        (["catalog", "truncated_cofactor", "--M", "5"], "truncated_cofactor needs --k"),
+        (["norm", "--level", "finf", "d"], "norm needs --level dkq, ek or fkr (or --mu)"),
+        (["order", "d"], "order needs --k or --mu")])
+    def test_a_missing_option_is_a_usage_error_in_one_line(self, args, message):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(args) == (1, "")
+        assert err.getvalue() == f"usage error: {message}\n"
+
     def test_an_output_file_that_cannot_be_opened_is_refused(self, tmp_path):
         # used to end in a FileNotFoundError traceback
         target = tmp_path / "missing" / "norm.txt"
@@ -403,6 +436,10 @@ class TestWorkingRing:
 
 
 class TestBehaviour:
+    def test_polygon_text(self):
+        assert run(["polygon", "1 + p*d + p^3*d^2"]) == (
+            0, "vertices: (0,0) (1,1) (2,3)\nslopes: 1, 2\n")
+
     def test_order_output(self):
         code, out = run(["order", "--k", "1", "1 - p*d"])
         assert code == 0

@@ -619,8 +619,8 @@ def test_the_flat_path_equals_the_series_arithmetic(operands):
     with mock.patch.object(diffop, "_flat_product", wraps=diffop._flat_product) as flat:
         got = product_snapshot(lambda P, Q: diffop._product_terms(P, Q)[0], P, Q)
     assert got == want
-    # two one-term operands take the literal shortcut; mixed ones the general path
-    assert flat.called == (mode != "mixed" and len(P.terms) * len(Q.terms) > 1)
+    # flat operands, two one-term ones too, take the flat loop; mixed ones the general path
+    assert flat.called == (mode != "mixed")
 
 
 @st.composite

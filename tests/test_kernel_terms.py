@@ -257,12 +257,13 @@ def test_a_sum_of_evaluated_operators_builds_no_scalar_and_adds_no_series():
 
 def test_a_sum_of_series_operators_adds_no_series():
     # operators that hold TateSeries, truncated or read back from JSON, are
-    # added on their kernel sums, which each converts once
+    # added on their kernel sums, which each converts once (dict(P.terms)
+    # iterates P's sums, so it converts P)
     rng = random.Random(3)
     P, Q = make_operator(rng, "general", 3), make_operator(rng, "laurent", 3)
-    T = MicroOp(P.dim, P.prime, dict(P.terms), TailCertificate(1, F(2), F(1)))
     with mock.patch.object(TateSeries, "__add__", side_effect=AssertionError), \
             mock.patch.object(diffop, "_series_sums", wraps=diffop._series_sums) as converted:
+        T = MicroOp(P.dim, P.prime, dict(P.terms), TailCertificate(1, F(2), F(1)))
         for A, B in ((P, Q), (T, Q), (from_json(P), Q), (P, P)):
             A + B
             A - B
@@ -281,7 +282,7 @@ def test_a_quasi_abelian_defect_of_evaluated_operators_builds_no_scalar():
 def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
     # the operand's series are never converted back to sums: only g, the
     # inverse of c_beta, enters the kernel from a series; of the operand's
-    # scalars only c_beta's are built, and the inverse keeps its sums
+    # scalars only c_beta's are built (by invert itself), and the inverse keeps its sums
     from microdiff import tower
     level = RingLevel.ek(1)
     P, Q = (evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()) for _ in range(2))
@@ -295,6 +296,7 @@ def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
     with mock.patch.object(diffop, "_series_sums", side_effect=AssertionError), \
             mock.patch.object(tower, "_series_sums", wraps=tower._series_sums) as g, \
             mock.patch.object(diffop, "_build_terms", counted), \
+            mock.patch.object(tower, "_build_terms", counted), \
             mock.patch.object(MicroOp, "__post_init__",
                               lambda S: made.append(S) or post_init(S)):
         S = tower.invert(P, level)
@@ -474,7 +476,9 @@ def test_a_series_built_operator_reads_back_its_series_and_acts_as_its_evaluated
 
 def counted_stores():
     """Patches that count the built terms (one entry per build, its number
-    of terms) and refuse any conversion of series to sums."""
+    of terms, invert's build of c_beta too) and refuse any conversion of
+    series to sums."""
+    from microdiff import tower
     builds, build = [], diffop._build_terms
 
     def counted(dim, p, kept):
@@ -482,6 +486,7 @@ def counted_stores():
         return build(dim, p, kept)
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(diffop, "_build_terms", counted))
+    stack.enter_context(mock.patch.object(tower, "_build_terms", counted))
     stack.enter_context(mock.patch.object(diffop, "_series_sums", side_effect=AssertionError))
     return stack, builds
 
@@ -571,3 +576,81 @@ def test_folds_clips_splits_and_constructors_print_their_golden_json():
            gauss_op(6, prime=3), read_back(product_op(5)) + ev("1 + p*x*d^7"),
            read_back(clipped) - ev("p*x*dinv^3 + d"))
     assert "".join(dumps(operator_to_json(S)) for S in ops) == FOLDS.read_text()
+
+
+# -- one read rule: len, iteration, `in` and every operation read the sums ---------
+
+
+def store_rule_cases():
+    """(kind, S) for kept operators (a product, an evaluated expression, a
+    catalog operator, a sum holding residues read from JSON), operators made
+    from series and operators read back from JSON, in every mode."""
+    from microdiff import product_op
+    rng = random.Random(19)
+    cases = [("kept", evaluate(parse("x*d^2 + p*dinv + 3 + p^2*x*dinv^3"), EvalContext())),
+             ("kept", product_op(6))]
+    for mode in MODES:
+        P, Q = make_operator(rng, mode, 3), make_operator(rng, mode, 3, (20, 64))
+        cases += [("kept", P * Q), ("kept", from_json(P, 12) + Q), ("series", P),
+                  ("series", from_json(Q)), ("series", from_json(Q, 12))]
+    return cases
+
+
+def operations(S: MicroOp) -> list:
+    """len, iteration, ``in``, the queries, sum, product, fold, clip and
+    sector parts of S, each an answer or a refusal."""
+    truncated = MicroOp(S.dim, S.prime, S.terms, TailCertificate(1, F(2), F(1)))
+    made = (lambda: S + S, lambda: S - truncated, lambda: -S, lambda: S * S,
+            lambda: mul(S, S, window=1), lambda: compose(truncated, S))
+    return [len(S.terms), list(S.terms), [a in S.terms for a in S.terms],
+            (9,) * S.dim in S.terms, S.is_zero, S.positive, S.max_length(),
+            *queries(S, 1), outcome(norm_Fkr, S, 2, 1), outcome(sector_norms, S, 2, 1),
+            *[outcome(lambda fn=fn: len(fn().terms)) for fn in made],
+            outcome(lambda: [len(T.terms) for T in sector_split(S)])]
+
+
+@pytest.mark.parametrize("kind, S", store_rule_cases())
+def test_operations_build_no_series_and_the_first_value_read_builds_every_one(kind, S):
+    from microdiff import tower
+    builds, build = [], diffop._build_terms
+
+    def counted(dim, p, kept):
+        builds.append(len(kept[0]))
+        return build(dim, p, kept)
+    with mock.patch.object(diffop, "_build_terms", counted), \
+            mock.patch.object(tower, "_build_terms", counted):
+        got = operations(S)
+        assert builds == [] and (kind == "series") != unbuilt(S)
+        twins = [evaluated_twin(S) for _ in range(5)]
+        alpha = next(iter(S.terms))
+        # the first value read, whichever way, builds every coefficient, once
+        first = [S.terms[alpha], *[read(T) for read, T in zip(
+            (lambda T: T.terms[alpha], lambda T: T.coefficient(alpha),
+             lambda T: dict(T.terms.items()), lambda T: T == S, str), twins)]]
+        want = [len(S.terms)] * (5 if kind == "series" else 6)  # given series are kept
+        assert builds == want
+        again = [dict(T.terms) for T in (S, *twins)] + [str(S), S.coefficient(alpha), S == S]
+        assert builds == want
+    assert first[0] is S.terms[alpha] and terms_snapshot(again[0]) == terms_snapshot(again[1])
+    assert got == operations(rebuilt(S))
+
+
+@pytest.mark.parametrize("text, level, json", [
+    ("1 + p^4*x*d + p^5*d^2", RingLevel.ek(1), False), ("1 + p^4*x*d", RingLevel.ek(1), True),
+    ("1 + p^3*dinv + p^4*d", RingLevel.fkr(3, 1), True)])
+def test_invert_builds_c_beta_alone(text, level, json):
+    # on an evaluated operand, on one made from series and on one read from JSON
+    from microdiff import tower
+    P = evaluate(parse(text), EvalContext())
+    for S in (P, rebuilt(P), from_json(P)) if json else (P, rebuilt(P)):
+        builds, build = [], diffop._build_terms
+
+        def counted(dim, p, kept):
+            builds.append(list(kept[0]))
+            return build(dim, p, kept)
+        with mock.patch.object(diffop, "_build_terms", counted), \
+                mock.patch.object(tower, "_build_terms", counted):
+            inverse = tower.invert(S, level)
+        assert builds == [[(0,)]] and unbuilt(inverse)
+        want = tower.invert(rebuilt(S), level)
+        assert terms_snapshot(inverse.terms) == terms_snapshot(want.terms)

@@ -48,6 +48,14 @@ class TestAdd:
         with pytest.raises(PrecisionExhausted):
             a + b
 
+    def test_a_p_divisible_residue_moves_its_p_power_into_the_valuation(self):
+        # 12 = 2^2 * 3 known modulo 2^5: 3 at valuation 2, known to 3 digits past it
+        s = PadicScalar.from_residue(0, 12, 2, 5)
+        assert (s.valuation, s.unit, s.precision, s.exact) == (2, 3, 3, False)
+        assert s.valuation + s.precision == 5 and s == PadicScalar.from_residue(2, 3, 2, 3)
+        with pytest.raises(PrecisionExhausted, match="residue carries no known digits"):
+            PadicScalar.from_residue(0, 32, 2, 5)
+
     def test_digit_mode_precision_meet(self):
         a = PadicScalar.from_residue(0, 5, precision=10)
         b = PadicScalar.from_residue(2, 3, precision=4)
