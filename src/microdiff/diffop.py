@@ -42,14 +42,14 @@ precision and degree cap, the sums are flat, ``{alpha: N}``: a product is
 one of Laurent polynomials over Z, each output at the smaller precision
 and cap, in the pair loop's term order (left terms in storage order, then
 right terms, an exponent whose sum cancels dropped at once and re-inserted
-at the end if formed again).  The geometric series of
-:func:`microdiff.tower.invert` stays on rows: :func:`_geometric_sum` adds
-each power's sums into one accumulator, through one commutation table per
-call (no module-level cache) that forms each D^j(g) and (alpha, beta) list
-once.
+at the end if formed again).  A commutation table forms each D^j(g) and
+(alpha, beta) list once: a right factor's terms keep one (no module-level
+cache), and one serves each call of :func:`_geometric_sum`, which adds the
+powers of :func:`microdiff.tower.invert`'s series into one accumulator.
 
 Values are immutable and every operation is pure, so operators can be shared
-freely across threads.
+freely across threads: threads that race on an operator's lazily built
+scalars or commutation table fill them with equal entries.
 """
 
 from __future__ import annotations
@@ -389,25 +389,32 @@ def _flat_product(lrows: list, rrows: list, d1: bool) -> dict:
     return out
 
 
+# Exponent sums and differences, picked once per product by the dimension:
+# written out for d = 1 and 2, where they cost a fraction of tuple(map(...)).
+_EXPONENT_OPS = {1: (lambda a, b: (a[0] + b[0],), lambda a, b: (a[0] - b[0],)),
+                 2: (lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                     lambda a, b: (a[0] - b[0], a[1] - b[1]))}
+_ANY_DIM_OPS = (lambda a, b: tuple(map(add, a, b)), lambda a, b: tuple(map(sub, a, b)))
+
+
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
-                  table: dict) -> list:
+                  table: dict, minus) -> list:
     """(beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for each j
     of the commutation law D^a g = sum_j C(a, j) D^j(g) D^(a-j), valid axis
     by axis for any integer power a (it stops at j = a for a >= 0 and once
     D^j(g) vanishes), in the order of j; ``table`` keeps g's derivatives
-    under beta, and the precisions are None when ``gp`` is."""
+    under beta, the precisions are None when ``gp`` is, and ``minus`` subtracts exponents."""
     out, cache = [], table.setdefault(beta, {})
     for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1)
                                  for a, t in zip(alpha, map(max, zip(*[m for m, _ in g])))]):
         if j not in cache:
             g_j = [(m, N) for m, N in g if all(map(ge, m, j))]
-            h = [(tuple(map(sub, m, j)), N * math.prod(map(math.perm, m, j))) for m, N in g_j]
-            hp = None if gp is None else {tuple(map(sub, m, j)): gp[m] for m, _ in g_j}
+            h = [(minus(m, j), N * math.prod(map(math.perm, m, j))) for m, N in g_j]
+            hp = None if gp is None else {minus(m, j): gp[m] for m, _ in g_j}
             cache[j] = h, hp, max([sum(m) for m, _ in h], default=-1)
         h, hp, degree = cache[j]
         if degree >= 0:
-            out.append((tuple(map(sub, beta, j)), h, hp, degree,
-                        math.prod(map(int_binomial, alpha, j))))
+            out.append((minus(beta, j), h, hp, degree, math.prod(map(int_binomial, alpha, j))))
     return out
 
 
@@ -420,7 +427,8 @@ def _meet_cap(acc: list, cap: int, degree: int):
         raise DegreeCapOverflow(needed, low)
 
 
-def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dict) -> dict:
+def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dict,
+                     dim: int) -> dict:
     """The general pair loop: gamma -> [{monomial: int}, precisions or None,
     cap], the precisions per monomial (see :func:`_add_term`) unless ``n`` is
     the rows' one.  A pair in which either coefficient is one monomial adds
@@ -428,17 +436,18 @@ def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dic
     ``TateSeries.__mul__`` does.  ``table`` maps the right rows' beta to {j:
     D^j of its coefficient} and (alpha, beta) to :func:`_commutations`' list."""
     out: dict = {}  # gamma -> [values, precisions or None, cap]
+    plus, minus = _EXPONENT_OPS.get(dim, _ANY_DIM_OPS)
     for alpha, fv, fp, fcap, fdeg in lrows:
         for beta, gv, gp, gcap, gdeg in rrows:
             cap = fcap if fcap < gcap else gcap
             if not (gdeg and any(alpha)):
                 terms = ((beta, gv, gp, gdeg, 1),)
             elif (terms := table.get((alpha, beta))) is None:
-                terms = table[alpha, beta] = _commutations(alpha, beta, gv, gp, table)
+                terms = table[alpha, beta] = _commutations(alpha, beta, gv, gp, table, minus)
             for bj, hv, hp, hdeg, b in terms:
                 if fdeg + hdeg > cap:
                     raise DegreeCapOverflow(fdeg + hdeg, cap)
-                gamma = tuple(map(add, alpha, bj))
+                gamma = plus(alpha, bj)
                 acc = out.get(gamma)
                 direct = len(fv) == 1 or len(hv) == 1  # no two of its products meet
                 if not direct:  # the pair's product, as TateSeries.__mul__ forms it
@@ -458,10 +467,10 @@ def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dic
                             x, qa, qb = ca * cb, fp[ma], hp[mb]
                             q = min(qa, qb) if qa > 0 < qb else (
                                 -int_valuation(x, p) - min(abs(qa), abs(qb)))
-                            _add_term(vals, precs, tuple(map(add, ma, mb)), x, q, p)
+                            _add_term(vals, precs, plus(ma, mb), x, q, p)
                         continue
                     for mb, cb in hv:
-                        m = tuple(map(add, ma, mb))
+                        m = plus(ma, mb)
                         old = vals.get(m)  # stored values are nonzero
                         c = ca * cb + old if old else ca * cb
                         if c:
@@ -529,7 +538,7 @@ def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None
     precision n and cap ``cap`` when both sides are; otherwise general, at
     the smaller precision n, or per monomial when an operand mixes them or
     holds a residue.  ``table`` is the one the caller keeps for ``right``'s
-    rows over one computation; rows rebuilt below get a table of their own."""
+    rows (a right factor's terms keep theirs); rows rebuilt below get their own."""
     (lrows, lv, ld, ln, lcap), (rrows, rv, rd, rn, rcap) = left, right
     if lcap is not None and rcap is not None:
         sums = _flat_product(lrows, rrows, dim == 1)
@@ -544,7 +553,7 @@ def _kernel_sums(left: tuple, right: tuple, dim: int, p: int, table: dict | None
                          for a, v, vp, cap, deg in side]
                         for side, prec in ((lrows, ln), (rrows, rn))]
     table = {} if table is None or n is None and rn is not None else table
-    return _general_product(lrows, rrows, n, p, table), lv + rv, ld * rd, n, None
+    return _general_product(lrows, rrows, n, p, table, dim), lv + rv, ld * rd, n, None
 
 
 def _known(N: int, absolute: int, W: int, p: int) -> tuple:
@@ -599,18 +608,27 @@ class _KernelTerms(Mapping):
     and converted on first use.  One read rule: ``len``, iteration and ``in``
     read ``kept``, and the first value read (``[alpha]``, ``items()``, ``==``)
     builds and keeps every ``TateSeries`` once (threads that race build or
-    convert equal ones)."""
+    convert equal ones).  ``table``, made on first use and kept as long as
+    the terms, is their rows' commutation table as a right factor: it grows
+    by one entry per distinct left alpha and beta, and threads that race
+    form equal entries."""
 
-    __slots__ = ("ring", "_kept", "_built")
+    __slots__ = ("ring", "_kept", "_built", "_table")
 
     def __init__(self, dim: int, p: int, kept: tuple | None, built: Mapping | None = None):
-        self.ring, self._kept, self._built = (dim, p), kept, built
+        self.ring, self._kept, self._built, self._table = (dim, p), kept, built, None
 
     @property
     def kept(self) -> tuple:
         if (kept := self._kept) is None:
             kept = self._kept = _series_sums(self._built, self.ring[1])
         return kept
+
+    @property
+    def table(self) -> dict:
+        if (table := self._table) is None:
+            table = self._table = {}
+        return table
 
     def _terms(self) -> dict:
         if (built := self._built) is None:
@@ -708,8 +726,9 @@ def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
 
 
 def _product_terms(P: MicroOp, Q: MicroOp) -> tuple[Mapping[Exponent, TateSeries], tuple]:
-    """The coefficient-left terms of P*Q (see :func:`_as_terms`) and their sums."""
-    sums = _kernel_sums(*(_as_rows(S.terms.kept, S.prime) for S in (P, Q)), P.dim, P.prime)
+    """The terms of P*Q (see :func:`_as_terms`) and their sums, by Q's commutation table."""
+    sums = _kernel_sums(*(_as_rows(S.terms.kept, S.prime) for S in (P, Q)), P.dim, P.prime,
+                        Q.terms.table)
     return _as_terms(P.dim, P.prime, sums), sums
 
 
@@ -910,7 +929,12 @@ def _level_exponent(P: MicroOp, k, r=None):
 
 def _power(P: MicroOp, e) -> Fraction:
     """The norm value p**e for an exponent from :func:`_level_exponent`."""
-    return Fraction(0) if e is None else Fraction(P.prime) ** e
+    if e is None:
+        return Fraction(0)
+    n = e.numerator if isinstance(e, Fraction) and e.denominator == 1 else e
+    if type(n) is not int:  # a fractional exponent keeps Fraction's own power
+        return Fraction(P.prime) ** e
+    return Fraction(P.prime ** n) if n >= 0 else Fraction(1, P.prime ** -n)
 
 
 def norm_k(P: MicroOp, k: int) -> Fraction:

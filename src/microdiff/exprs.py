@@ -377,7 +377,9 @@ def _power(base, e: int, ctx: EvalContext, pos: int):
         out = _term(c**e, ctx, tuple(e * a for a in alpha), tuple(e * k for k in m))
         _window_cap_check(out[0], ctx.window_cap)
         return out
-    out = _term(_ONE, ctx)
+    # the base's rows and one commutation table serve every step
+    out, rows, table = _term(_ONE, ctx), _as_rows(base, ctx.prime), {}
     for _ in range(e):
-        out = _mul(out, base, ctx)
+        out = _kernel_sums(_as_rows(out, ctx.prime), rows, ctx.dim, ctx.prime, table)
+        _window_cap_check(out[0], ctx.window_cap)
     return out

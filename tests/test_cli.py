@@ -162,6 +162,25 @@ class TestGolden:
             (one + read_back("p^3*dinv + p^4*d"), fkr31)))
         assert out == (GOLDEN / "invert_digits.txt").read_text()
 
+    def test_power_chains(self):
+        # the smoke job in .github/workflows/tests.yml diffs the same chains
+        # A = A * B, each B the right factor of every step: d = 1 Laurent
+        # operators with x coefficients at p = 2 and 3, a d = 2 operator with
+        # polynomial coefficients, and one d = 3 product
+        def ev(text, **ctx):
+            return evaluate(parse(text), EvalContext(**ctx))
+        laurent = "3 + 5*dinv + p*x*d + (7*p^2*x^2 + p^3)*d^2"
+        out = []
+        for B in (ev(laurent), ev(laurent, prime=3),
+                  ev("1 + 3*p*x1*d1 + (5*p*x2 + p^2)*d2 + 7*p^2*x1*x2*d1*d2", dim=2)):
+            A = B
+            for _ in range(4):
+                A = A * B
+                out.append(f"{A}\n")
+        out.append(dumps(operator_to_json(
+            ev("x1*d2 + p*x3^2*d1*d3 - 3", dim=3) * ev("x2*x3*d3^2 + p^2*x1*d1 + 5*d2", dim=3))))
+        assert "".join(out) == (GOLDEN / "power_chains.txt").read_text()
+
     def test_polygon_svg(self):
         code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
         assert code == 0

@@ -359,6 +359,21 @@ def test_an_expression_builds_one_operator_and_no_operator_product_or_sum(monkey
     assert len(built) == 1
 
 
+
+def test_a_power_forms_each_commutation_once(monkeypatch):
+    # every step of f^4 multiplies by the same f: its rows and one commutation
+    # table serve the whole loop, so no (alpha, beta) list is formed twice
+    formed, commutations = [], diffop._commutations
+
+    def counted(alpha, beta, *args):
+        formed.append((alpha, beta))
+        return commutations(alpha, beta, *args)
+    node = parse("(x*d + p*x^2*dinv + 3)^4")
+    want = outcome(ref_evaluate, node, CTX)
+    monkeypatch.setattr(diffop, "_commutations", counted)
+    assert outcome(evaluate, node, CTX) == want
+    assert formed and len(formed) == len(set(formed))
+
 def _power_exponents():
     small = st.integers(0, 3).map(Num)
     return st.one_of(small, st.integers(1, 2).map(lambda e: Neg(Num(e))),

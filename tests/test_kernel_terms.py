@@ -24,7 +24,7 @@ from microdiff import (MicroOp, PadicScalar, PrecisionExhausted, TailCertificate
                        check_unit, compose, mul, norm_Fkr, norm_k, order_Nk, polygon, sector_norms,
                        sector_split)
 from microdiff import diffop
-from microdiff.errors import MicrodiffError
+from microdiff.errors import DegreeCapOverflow, MicrodiffError, WindowOverflow
 from microdiff.exprs import EvalContext, evaluate, parse
 from microdiff.jsonio import dumps, operator_to_json
 from microdiff.tower import RingLevel
@@ -56,10 +56,11 @@ def outcome(fn, *args):
 def make_operator(rng: random.Random, mode: str, p: int, precisions=(64,)) -> MicroOp:
     """One operator of the mode: constant coefficients at one precision and
     cap (flat), x coefficients on positive exponents (general), either on
-    exponents of both signs (laurent), or x1, x2 coefficients in d = 2."""
-    dim = 2 if mode == "d2" else 1
-    lo = -2 if mode == "laurent" else 0
-    flat = mode == "flat" or mode == "laurent" and rng.random() < 0.5
+    exponents of both signs (laurent), x1, x2 coefficients in d = 2, or
+    either in d = 3 on exponents of both signs."""
+    dim = {"d2": 2, "d3": 3}.get(mode, 1)
+    lo = -2 if mode in ("laurent", "d3") else 0
+    flat = mode == "flat" or mode in ("laurent", "d3") and rng.random() < 0.5
     cap = rng.choice((6, 32))
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -74,10 +75,10 @@ def make_operator(rng: random.Random, mode: str, p: int, precisions=(64,)) -> Mi
 
 
 @st.composite
-def operand_pairs(draw):
+def operand_pairs(draw, modes=MODES):
     """(mode, P, Q); a quarter of the left operands mix precisions 20 and 64."""
     rng = draw(st.randoms(use_true_random=True))
-    mode, p = rng.choice(MODES), rng.choice((2, 3, 5))
+    mode, p = rng.choice(modes), rng.choice((2, 3, 5))
     mixed = (20, 64) if rng.random() < 0.25 else (64,)
     return mode, make_operator(rng, mode, p, mixed), make_operator(rng, mode, p)
 
@@ -87,10 +88,9 @@ def fresh_product(P: MicroOp, Q: MicroOp):
     return outcome(lambda: P * Q)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(operand_pairs())
-def test_a_kept_product_reads_like_its_built_operator(operands):
-    _, P, Q = operands
+def check_kept_product(P: MicroOp, Q: MicroOp):
+    """P*Q holds kernel sums that read, print and serialize like the
+    operator built from the series arithmetic's product, or refuses as it does."""
     S = fresh_product(P, Q)
     want = outcome(series_product_terms, P, Q)
     if isinstance(S, tuple):  # a refusal, as the series arithmetic's
@@ -106,6 +106,22 @@ def test_a_kept_product_reads_like_its_built_operator(operands):
     assert str(S) == str(R)
     assert dumps(operator_to_json(S)) == dumps(operator_to_json(R))
     assert S == R and len(S.terms) == len(R.terms)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(operand_pairs())
+def test_a_kept_product_reads_like_its_built_operator(operands):
+    _, P, Q = operands
+    check_kept_product(P, Q)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(operand_pairs(("d3",)))
+def test_a_product_in_three_dimensions_equals_the_series_arithmetic(operands):
+    # d = 3 takes the exponent sums and differences of any dimension
+    _, P, Q = operands
+    check_kept_product(P, Q)
+    check_kept_product(Q, P)
 
 
 @st.composite
@@ -228,6 +244,114 @@ def test_threads_reading_one_kept_product_get_equal_terms():
             start.wait(timeout=10)
             results[i] = terms_snapshot(dict(S.terms)), R.terms.kept
         threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+
+
+# -- each right factor keeps its commutation table --------------------------------
+
+
+def refusal(fn, *args):
+    """fn's answer, or its refusal as (type, text, needed)."""
+    try:
+        return fn(*args)
+    except (MicrodiffError, ValueError) as e:
+        return type(e), str(e), getattr(e, "needed", None)
+
+
+def test_a_right_factor_forms_each_commutation_once():
+    # the chain A = A * B multiplies by one B, whose terms keep the table; a
+    # twin of B on the same sums starts a table of its own
+    formed, commutations = [], diffop._commutations
+
+    def counted(alpha, beta, *args):
+        formed.append((alpha, beta))
+        return commutations(alpha, beta, *args)
+    B = evaluate(parse("x*d + p*x^2*dinv + 3"), EvalContext())
+    with mock.patch.object(diffop, "_commutations", counted):
+        A = B
+        for _ in range(4):
+            A = A * B
+        assert formed and len(formed) == len(set(formed))
+        once = len(formed)
+        twin = A * evaluated_twin(B)
+        assert len(formed) > once
+    assert store_snapshot(twin) == store_snapshot(A * B)
+
+
+SHARED_MODES = MODES + ("digit", "mixed")
+
+
+def refused_left(rng: random.Random, Q: MicroOp) -> MicroOp:
+    """A left operand that Q refuses: by the degree cap (an x^6 at cap 6 after
+    terms that commute first) where a coefficient of Q holds an x, else by
+    the window."""
+    dim, p = Q.dim, Q.prime
+    if any(diffop._degrees(Q.terms.kept).values()):
+        S = make_operator(rng, "d2" if dim == 2 else "general", p)
+        top = TateSeries(dim, p, {(6,) + (0,) * (dim - 1): PadicScalar.from_fraction(1, p)}, 6)
+        return MicroOp(dim, p, {**dict(S.terms), (3,) * dim: top})
+    return MicroOp.monomial((67,) + (0,) * (dim - 1), 1, dim, p)
+
+
+@st.composite
+def shared_right_factors(draw):
+    """(Q, lefts, middle): one right factor and four to six left operands
+    of one mode, flat, general, Laurent, d = 2, digit (some read back from
+    JSON, some known to 12 digits) or mixed (precisions 20 and 64); the
+    left operand at ``middle`` is refused by the degree cap or the window."""
+    rng = draw(st.randoms(use_true_random=True))
+    mode, p = rng.choice(SHARED_MODES), rng.choice((2, 3, 5))
+    base = rng.choice(MODES) if mode in ("digit", "mixed") else mode
+
+    def operand():
+        S = make_operator(rng, base, p, (20, 64) if mode == "mixed" else (64,))
+        return from_json(S, rng.choice((None, 12))) if mode == "digit" and rng.random() < 0.7 else S
+    Q, lefts = operand(), [operand() for _ in range(rng.randint(3, 5))]
+    middle = len(lefts) // 2
+    lefts.insert(middle, refused_left(rng, Q))
+    return Q, lefts, middle
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(shared_right_factors())
+def test_products_by_one_right_factor_equal_products_by_fresh_twins(case):
+    # twice over the lefts, so the second pass reads every entry the first formed
+    Q, lefts, middle = case
+    got = [store_snapshot(refusal(lambda: P * Q)) for P in lefts * 2]
+    want = [store_snapshot(refusal(lambda: P * evaluated_twin(Q))) for P in lefts * 2]
+    assert got == want
+    assert got[middle][0] in (DegreeCapOverflow, WindowOverflow)
+
+
+def test_threads_multiplying_by_one_right_factor_get_the_fresh_products():
+    # 8 threads race to fill one table; each gets what a fresh twin of Q gives
+    rng = random.Random(23)
+    Q0 = make_operator(rng, "d2", 3)
+    lefts = [make_operator(rng, "d2", 3) for _ in range(4)]
+    lefts.insert(2, refused_left(rng, Q0))
+    want = [store_snapshot(refusal(lambda: P * evaluated_twin(Q0))) for P in lefts]
+    assert want[2][0] is DegreeCapOverflow
+    for _ in range(5):
+        Q = evaluated_twin(Q0)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def multiply(i):  # each thread starts at another left operand
+            start.wait(timeout=10)
+            got = {j: store_snapshot(refusal(lambda: lefts[j] * Q))
+                   for j in [(i + j) % len(lefts) for j in range(len(lefts))]}
+            results[i] = [got[j] for j in range(len(lefts))]
+        threads = [threading.Thread(target=multiply, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
