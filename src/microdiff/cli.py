@@ -125,19 +125,10 @@ def _eval_operator(text: str, ctx: exprs.EvalContext):
 
 def _ring_level(args) -> RingLevel:
     tag = args.level or ("fkr" if args.r is not None else "dkq")
-    if tag in ("dkq", "ek"):
-        if args.k is None:
-            raise UsageError(f"--level {tag} needs --k")
-        return RingLevel(tag, k=args.k)
-    if tag == "fkr":
-        if args.k is None or args.r is None:
-            raise UsageError("--level fkr needs --k and --r")
-        return RingLevel.fkr(args.k, args.r)
-    if tag == "fir":
-        if args.r is None:
-            raise UsageError("--level fir needs --r")
-        return RingLevel.fir(args.r)
-    return RingLevel(tag)
+    flags = {"dkq": ("k",), "ek": ("k",), "fkr": ("k", "r"), "fir": ("r",)}.get(tag, ())
+    if any(getattr(args, f) is None for f in flags):
+        raise UsageError(f"--level {tag} needs " + " and ".join(f"--{f}" for f in flags))
+    return RingLevel(tag, **{f: getattr(args, f) for f in flags})
 
 
 def _emit(args, text: str):

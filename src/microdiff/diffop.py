@@ -786,8 +786,8 @@ def _product(P: MicroOp, Q: MicroOp, window_cap: int | None) -> MicroOp:
     if not (P.is_exact and Q.is_exact or P.positive and Q.positive):
         raise InsufficientTruncation(
             "tail certificates cannot be combined across mixed sectors")
-    terms, _ = _product_terms(P, Q)
-    _window_cap_check(terms, window_cap)
+    terms, sums = _product_terms(P, Q)
+    _window_cap_check(sums[0], window_cap)
     return _folded(MicroOp(P.dim, P.prime, terms), _product_tail(P, Q))
 
 
@@ -919,22 +919,24 @@ def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
 
 def _level_max(P: MicroOp, k, r=None) -> tuple:
     """Certified (max, rows reaching it) of the (k, r)-weighted exponents."""
+    if not isinstance(k, int) or not isinstance(r, (int, type(None))):
+        raise ValueError(f"levels must be integers, got k={k!r}, r={r!r}")
     return _stored_max(P, lambda m: _graded_weight(m, k, r), tail_sup_exponent(P, k, r))
 
 
 def _level_exponent(P: MicroOp, k, r=None):
     """Certified exponent e of the (k, r)-weighted max norm p**e; None for 0."""
-    return None if P.is_zero else _level_max(P, k, r)[0]
+    try:
+        return _level_max(P, k, r)[0]
+    except ZeroOperator:
+        return None
 
 
-def _power(P: MicroOp, e) -> Fraction:
+def _power(P: MicroOp, e: int | None) -> Fraction:
     """The norm value p**e for an exponent from :func:`_level_exponent`."""
     if e is None:
         return Fraction(0)
-    n = e.numerator if isinstance(e, Fraction) and e.denominator == 1 else e
-    if type(n) is not int:  # a fractional exponent keeps Fraction's own power
-        return Fraction(P.prime) ** e
-    return Fraction(P.prime ** n) if n >= 0 else Fraction(1, P.prime ** -n)
+    return Fraction(P.prime ** e) if e >= 0 else Fraction(1, P.prime ** -e)
 
 
 def norm_k(P: MicroOp, k: int) -> Fraction:

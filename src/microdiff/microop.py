@@ -39,8 +39,8 @@ class LevelParams:
     r: int
 
     def __post_init__(self):
-        if not self.k >= self.r >= 1:
-            raise ValueError(f"levels must satisfy k >= r >= 1, got (k={self.k}, r={self.r})")
+        if not (isinstance(self.k, int) and isinstance(self.r, int) and self.k >= self.r >= 1):
+            raise ValueError(f"levels must be integers k >= r >= 1, got (k={self.k}, r={self.r})")
 
 
 def weight(alpha, k: int, r: int) -> int:

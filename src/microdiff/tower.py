@@ -57,13 +57,14 @@ class RingLevel:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown ring level {self.tag!r}")
+        if not isinstance(self.k, (int, type(None))) or not isinstance(self.r, (int, type(None))):
+            raise ValueError(f"levels must be integers, got {self}")
         if self.tag == "dkq" and not (self.k is not None and self.k >= 0):
             raise ValueError("dkq needs k >= 0")
         if self.tag == "ek" and not (self.k is not None and self.k >= 1):
             raise ValueError("ek needs k >= 1")
-        if self.tag == "fkr":
-            if self.k is None or self.r is None or not self.k >= self.r >= 1:
-                raise ValueError("fkr needs k >= r >= 1")
+        if self.tag == "fkr" and (None in (self.k, self.r) or not self.k >= self.r >= 1):
+            raise ValueError("fkr needs k >= r >= 1")
         if self.tag == "fir" and not (self.r is not None and self.r >= 1):
             raise ValueError("fir needs r >= 1")
 

@@ -1,64 +1,15 @@
 import contextlib
 import io
 import json
-import pathlib
 from unittest import mock
 
 import jsonschema
 import pytest
 
-from microdiff import (MicroOp, RingLevel, check_unit, cli, diffop, gauss_op, invert,
-                       product_op, truncated_cofactor)
+import smoke
+from microdiff import RingLevel, check_unit, cli, diffop
 from microdiff.exprs import EvalContext, evaluate, parse
-from microdiff.jsonio import (OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA, dumps,
-                              operator_from_json, operator_to_json, verdict_to_json)
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-# a d = 1 Laurent times polynomial-coefficient product, and a d = 2 product
-MUL_PRODUCTS = (["x^2*d + p*dinv + 3", "x*d^2 + p^2*x^3"],
-                ["--dim", "2", "x1*d2 + p*d1^2 + x2^2", "x1^2*d1 + p^2*x2*d2 + 3"])
-# chains of products: a 20-factor generator times one more factor, in text
-# and in JSON at --prec 20, and a power of a Laurent operator with x coefficients
-CHAIN_PRODUCTS = (["prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
-                  ["--format", "json", "--prec", "20", "prod(n=1..20, 1 - p^n*d)", "1 - p^21*d"],
-                  ["(x*d + p*x^2*dinv + 3)^4", "x + p*dinv"])
-# constant-coefficient products: a p = 3 Laurent product with fractional units,
-# in text and in JSON at --prec 20, a d = 2 product, and an inverse at ek(2)
-CONSTANT_PRODUCTS = (
-    ["mul", "--prime", "3", "1/2 + 3*d - 9/5*dinv + 2/7*d^2",
-     "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2"],
-    ["mul", "--prime", "3", "--format", "json", "--prec", "20",
-     "1/2 + 3*d - 9/5*dinv + 2/7*d^2", "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2"],
-    ["mul", "--dim", "2", "1 + p*d1 - p^2/3*d1*d2 + 5*d2^2", "3 - p*d2 + 1/5*d1^2 - d1*d2"],
-    ["invert", "--level", "ek", "--k", "2", "--residual", "20", "1 - p*d"])
-# literal-heavy operators: a d = 1 Laurent product with x coefficients in text
-# and in JSON at --prec 20, one at p = 3, one in d = 2, and the norm and order
-# of a comprehension product
-_LITERAL_P = "3*p^2*x^3*d^2 + 5/7*dinv^2 - 9*p*x*d + 2"
-_LITERAL_Q = "x^2*d + 7/3*p^3*x*dinv^3 - 1"
-_LITERAL_PROD = "prod(n=1..6, 1 - 3*p^n*d + 5/7*p^(2*n)*d^2)"
-LITERAL_EXPRS = (
-    ["mul", _LITERAL_P, _LITERAL_Q],
-    ["mul", "--format", "json", "--prec", "20", _LITERAL_P, _LITERAL_Q],
-    ["mul", "--prime", "3", "2/9*p*x^2*d - 4*dinv^3 + 5/7*p^-1*x*d^2",
-     "1 - 3*p^2*x*dinv + 1/2*d^3"],
-    ["mul", "--dim", "2", "3*p*x1^2*d2 - 5/9*x2*d1^2 + p^3*dinv",
-     "x2*d1 + 2/5*p*x1*x2*d2^2 - 7"],
-    ["norm", "--k", "2", _LITERAL_PROD],
-    ["order", "--k", "3", _LITERAL_PROD])
-# inverses by the geometric series: x coefficients at ek(1) to p^-60, a
-# Laurent unit at fkr(3, 1), a d = 2 unit, a p = 3 unit whose inverse has
-# denominators, and the fkr(3, 1) inverse again in JSON at --prec 20
-_FKR_UNIT = ["--level", "fkr", "--k", "3", "--r", "1", "1 + p^3*dinv + p^4*d"]
-INVERT_SERIES = (
-    ["invert", "--level", "ek", "--k", "1", "--residual", "60", "1 + p^4*x*d"],
-    ["invert", *_FKR_UNIT],
-    ["invert", "--dim", "2", "--level", "ek", "--k", "1", "1 + p^2*x1*d2 - p^3*d1"],
-    ["invert", "--prime", "3", "--level", "ek", "--k", "1", "--residual", "30",
-     "2 + 9*x*d + 3*dinv"],
-    ["invert", "--format", "json", "--prec", "20", *_FKR_UNIT])
+from microdiff.jsonio import OPERATOR_SCHEMA, POLYGON_SCHEMA, VERDICT_SCHEMA, verdict_to_json
 
 
 def run(args):
@@ -68,125 +19,27 @@ def run(args):
     return code, buf.getvalue()
 
 
-class TestGolden:
-    def test_check_finf_probe(self):
-        code, out = run(["check", "--level", "finf",
-                         "prod(n=1..9, 1 - p^n*d)", "--k", "4"])
-        assert code == 0
-        assert out == (GOLDEN / "check_finf_probe.txt").read_text()
-        assert "invertible: false" in out and "clause: non-finite" in out
+@pytest.mark.parametrize("name", smoke.TABLE)
+def test_smoke(name):
+    # every golden, and the one-line refusals of `python -m microdiff.cli`
+    smoke.check(name)
 
-    def test_norm_k3_prod7(self):
-        code, out = run(["norm", "--k", "3", "prod(n=1..7, 1 - p^n*d)"])
-        assert code == 0
-        assert out == (GOLDEN / "norm_k3_prod7.txt").read_text()
-        assert out.strip() == "norm = p^3"
 
-    def test_mul_products(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same two commands
-        out = "".join(run(["mul", *args])[1] for args in MUL_PRODUCTS)
-        assert out == (GOLDEN / "mul_products.txt").read_text()
-
-    def test_chain_products(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same three commands
-        out = "".join(run(["mul", *args])[1] for args in CHAIN_PRODUCTS)
-        assert out == (GOLDEN / "chain_products.txt").read_text()
-
-    def test_constant_products(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same four commands
-        out = "".join(run(args)[1] for args in CONSTANT_PRODUCTS)
-        assert out == (GOLDEN / "constant_products.txt").read_text()
-
-    def test_literal_exprs(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same six commands
-        out = "".join(run(args)[1] for args in LITERAL_EXPRS)
-        assert out == (GOLDEN / "literal_exprs.txt").read_text()
-
-    def test_invert_series(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same five commands
-        out = "".join(run(args)[1] for args in INVERT_SERIES)
-        assert out == (GOLDEN / "invert_series.txt").read_text()
-
-    def test_invert_precision(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same command;
-        # the 1 of the series and D^-beta used to cap every term at 64 digits
-        code, out = run(["invert", "--prec", "100", "--format", "json", "--level", "ek",
-                         "--k", "2", "--residual", "10", "1 - p*d"])
-        assert code == 0
-        assert out == (GOLDEN / "invert_precision.txt").read_text()
-        scalars = [t["coeff"] for term in json.loads(out)["terms"] for t in term["coeff"]["terms"]]
-        assert len(scalars) == 10 and all(
-            c["prec"] == 100 and c["unit"] == str(2**100 - 1) for c in scalars)
-
-    def test_chain_products_p3(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same four commands
-        prod, last = "prod(n=1..40, 1 - p^n*d)", "1 - p^41*d"
-        out = "".join(run(args)[1] for args in (
-            ["mul", "--prime", "3", prod, last],
-            ["mul", "--prime", "3", "--format", "json", "--prec", "20", prod, last],
-            ["norm", "--prime", "3", "--k", "2", f"{prod}*({last})"],
-            ["order", "--prime", "3", "--k", "2", f"{prod}*({last})"]))
-        assert out == (GOLDEN / "chain_products_p3.txt").read_text()
-
-    def test_sums(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same commands
-        # and operators: catalog generators, defects, and sums of generators
-        # and of operators read back from JSON at 20 digits
-        out = []
-        for args in (["product_op", "--M", "9"], ["gauss_op", "--M", "6"],
-                     ["truncated_cofactor", "--k", "2", "--M", "10"]):
-            out += [run(["catalog", *args])[1], run(["catalog", *args, "--format", "json"])[1]]
-        for k in ("1", "2"):
-            for pair in (["x*d + p*d^2", "x^2 + p*x*d"], ["1 + p*x*d^2", "x + p^2*d"]):
-                out += [run(["defect", "--k", k, *pair])[1],
-                        run(["defect", "--k", k, "--format", "json", *pair])[1]]
-
-        def read_back(text):
-            return operator_from_json(operator_to_json(evaluate(parse(text),
-                                                                EvalContext(precision=20))))
-        G = product_op(5)
-        out += [dumps(operator_to_json(S)) for S in (
-            product_op(9) + gauss_op(6), product_op(9) - truncated_cofactor(2, 10),
-            G + MicroOp.identity() - G, read_back("p^4*d") + read_back("1 + p*x*d"))]
-        assert "".join(out) == (GOLDEN / "sums.txt").read_text()
-
-    def test_invert_digits(self):
-        # the smoke job in .github/workflows/tests.yml diffs the inverses of the
-        # same operators read back from JSON
-        def read_back(text):
-            return operator_from_json(operator_to_json(evaluate(parse(text), EvalContext())))
-        one, ek1, fkr31 = MicroOp.identity(), RingLevel.ek(1), RingLevel.fkr(3, 1)
-        out = "".join(dumps(operator_to_json(invert(P, level))) for P, level in (
-            (read_back("1 + p^4*x*d"), ek1), (read_back("3 + p^2*x*d"), ek1),
-            (read_back("1 + p^3*dinv + p^4*d"), fkr31), (one + read_back("p^4*d"), ek1),
-            (one + read_back("p^3*dinv + p^4*d"), fkr31)))
-        assert out == (GOLDEN / "invert_digits.txt").read_text()
-
-    def test_power_chains(self):
-        # the smoke job in .github/workflows/tests.yml diffs the same chains
-        # A = A * B, each B the right factor of every step: d = 1 Laurent
-        # operators with x coefficients at p = 2 and 3, a d = 2 operator with
-        # polynomial coefficients, and one d = 3 product
-        def ev(text, **ctx):
-            return evaluate(parse(text), EvalContext(**ctx))
-        laurent = "3 + 5*dinv + p*x*d + (7*p^2*x^2 + p^3)*d^2"
-        out = []
-        for B in (ev(laurent), ev(laurent, prime=3),
-                  ev("1 + 3*p*x1*d1 + (5*p*x2 + p^2)*d2 + 7*p^2*x1*x2*d1*d2", dim=2)):
-            A = B
-            for _ in range(4):
-                A = A * B
-                out.append(f"{A}\n")
-        out.append(dumps(operator_to_json(
-            ev("x1*d2 + p*x3^2*d1*d3 - 3", dim=3) * ev("x2*x3*d3^2 + p^2*x1*d1 + 5*d2", dim=3))))
-        assert "".join(out) == (GOLDEN / "power_chains.txt").read_text()
-
-    def test_polygon_svg(self):
-        code, out = run(["polygon", "--format", "svg", "1 + p*d + p^3*d^2"])
-        assert code == 0
-        assert out == (GOLDEN / "polygon_quadratic.svg").read_text()
-        assert "slope 1" in out and "slope 2" in out
-        assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+def test_the_goldens_hold_what_they_pin():
+    # test_smoke checks that each golden is what the CLI prints
+    def golden(name):
+        return (smoke.GOLDEN / name).read_text()
+    probe = golden("check_finf_probe.txt")
+    assert "invertible: false" in probe and "clause: non-finite" in probe
+    assert golden("norm_k3_prod7.txt").strip() == "norm = p^3"
+    # the 1 of the series and D^-beta used to cap every term at 64 digits
+    doc = json.loads(golden("invert_precision.txt"))
+    scalars = [t["coeff"] for term in doc["terms"] for t in term["coeff"]["terms"]]
+    assert len(scalars) == 10 and all(
+        c["prec"] == 100 and c["unit"] == str(2**100 - 1) for c in scalars)
+    svg = golden("polygon_quadratic.svg")
+    assert "slope 1" in svg and "slope 2" in svg
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
 class TestJsonOutputs:
@@ -480,6 +333,24 @@ class TestBehaviour:
         assert code == 0
         assert "invertible: false" in out
         assert "clause: lower_order_too_large" in out
+
+    def test_check_and_invert_at_fir(self):
+        assert run(["check", "--level", "fir", "--r", "1", "1 - p*d"]) == (
+            0, "invertible: false\nclause: lower_order_too_large\nalpha: [0]\n")
+        code, out = run(["check", "--level", "fir", "--r", "2", "--format", "json", "1 - p*d"])
+        doc = json.loads(out)
+        jsonschema.validate(doc, VERDICT_SCHEMA)
+        assert code == 0 and doc["witness"]["delegate"] == [2, 2]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["invert", "--level", "fir", "--r", "1", "1 - p*d"]) == (3, "")
+        assert err.getvalue() == (
+            "not invertible: not a unit at fir(r=1): lower_order_too_large\n")
+
+    def test_a_probe_that_passes_leaves_the_verdict_to_finf(self):
+        # order N_8 of 1 - p*d is already its finite order 1
+        assert run(["check", "--level", "finf", "--k", "8", "1 - p*d"]) == (
+            0, "invertible: true\nbeta: [1]\ndelegate: fkr(k=2, r=2)\n")
 
     def test_finf_without_probe_is_honest(self):
         # the exact finite product has an invertible top coefficient

@@ -19,11 +19,11 @@ from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, NotCe
                        quasi_abelian_defect)
 from microdiff import diffop
 from microdiff.errors import MicrodiffError
-from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.microop import mul
 from microdiff.padic import fraction_valuation
 
 from conftest import rand_positive_op
+from smoke import read_back as from_json
 
 F = Fraction
 
@@ -404,14 +404,10 @@ def operands(rng: random.Random, mode: str):
     return operator(lo, hi), operator(lo, hi)
 
 
-def from_json(S: MicroOp, digits: int | None = None) -> MicroOp:
-    """S read back from its JSON: every scalar a residue, known to at most
-    ``digits`` digits when given."""
-    obj = operator_to_json(S)
-    for term in obj["terms"] if digits else ():
-        for t in term["coeff"]["terms"]:
-            t["coeff"]["prec"] = min(t["coeff"]["prec"], digits)
-    return operator_from_json(obj)
+def series_product_terms_and_sums(P: MicroOp, Q: MicroOp) -> tuple:
+    """:func:`series_product_terms` with its kernel sums, as ``_product_terms`` returns."""
+    terms = series_product_terms(P, Q)
+    return terms, diffop._series_sums(terms, P.prime)
 
 
 def read_back(S: MicroOp, way: int, rng: random.Random, digits: int | None = None) -> MicroOp:
@@ -695,7 +691,7 @@ def test_chained_products_equal_the_series_arithmetic(chains):
             with contextlib.ExitStack() as stack:
                 if series:  # the product body on the series arithmetic, which keeps no rows
                     stack.enter_context(mock.patch.object(
-                        diffop, "_product_terms", lambda P, Q: (series_product_terms(P, Q), None)))
+                        diffop, "_product_terms", series_product_terms_and_sums))
                 try:
                     results.append(chain_step(kind, values[which], operand, size))
                 except (NotCertifiable, PrecisionExhausted, InsufficientTruncation,

@@ -9,7 +9,6 @@ queries build no scalar.
 """
 
 import contextlib
-import pathlib
 import random
 import sys
 import threading
@@ -677,29 +676,6 @@ def test_constructors_refuse_a_bad_ring_as_the_series_constructors_do(
                      lambda: dict_monomial((1,) + (0,) * (d - 1), 1, d, prime)))
     for fn, want_fn in made:
         assert store_snapshot(outcome(fn)) == store_snapshot(outcome(want_fn))
-
-
-FOLDS = pathlib.Path(__file__).parent / "golden" / "folds.txt"
-
-
-def test_folds_clips_splits_and_constructors_print_their_golden_json():
-    from microdiff import gauss_op, product_op
-
-    def ev(text):
-        return evaluate(parse(text), EvalContext())
-
-    def read_back(S):  # every scalar a residue, known to at most 20 digits
-        return from_json(S, 20)
-    L = ev("1 + p*x*d + p^2*dinv + p^3*x*d^2")
-    clipped = mul(L, L, window=1)
-    ops = (compose(product_op(5), ev("1 + p*x*d + p^2*d^3")), compose(gauss_op(4), gauss_op(3)),
-           clipped, mul(product_op(4), ev("x*d + p^2"), window=2),
-           *sector_split(ev("x*d^2 + p*dinv + 3 + p^2*x*dinv^3 + p^3*d")), *sector_split(clipped),
-           MicroOp.identity() + MicroOp.monomial((1,), F(-3, 4)),
-           MicroOp.constant(F(5, 9), 2, 3) + MicroOp.monomial((1, -1), F(9, 7), prime=3),
-           gauss_op(6, prime=3), read_back(product_op(5)) + ev("1 + p*x*d^7"),
-           read_back(clipped) - ev("p*x*dinv^3 + d"))
-    assert "".join(dumps(operator_to_json(S)) for S in ops) == FOLDS.read_text()
 
 
 # -- one read rule: len, iteration, `in` and every operation read the sums ---------

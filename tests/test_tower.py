@@ -21,7 +21,7 @@ from microdiff.jsonio import operator_from_json, operator_to_json
 from microdiff.tower import RingLevel
 
 from conftest import rand_laurent_op, rand_positive_op, rand_series
-from test_diffop import from_json as round_trip, read_back, relift, series_product_terms
+from test_diffop import from_json as round_trip, read_back, relift, series_product_terms_and_sums
 
 F = Fraction
 
@@ -534,8 +534,7 @@ def test_the_row_sum_keeps_each_terms_place_precision_and_cap(case):
 
 def series_products():
     """The product body on the series arithmetic: the digit-mode reference."""
-    return mock.patch.object(diffop, "_product_terms",
-                             lambda P, Q: (series_product_terms(P, Q), None))
+    return mock.patch.object(diffop, "_product_terms", series_product_terms_and_sums)
 
 
 def assert_relifted_residual(P: MicroOp, S: MicroOp, level: RingLevel, target: int):
