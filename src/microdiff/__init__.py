@@ -16,8 +16,7 @@ from .errors import (DegreeCapOverflow, DivisionByZero, ExprSyntaxError,
                      InsufficientTruncation, MicrodiffError, NotCertifiable, NotInvertible,
                      PrecisionExhausted, UndecidableFiniteness, UnknownSymbol,
                      WindowOverflow, ZeroOperator)
-from .microop import (LevelParams, mul, norm_Ek, norm_Fkr, order_Ek,
-                      sector_norms, sector_split, weight)
+from .microop import mul, norm_Ek, norm_Fkr, order_Ek, sector_norms, sector_split, weight
 from .newton import NewtonPolygon, is_slope, polygon, slope_in_interval
 from .padic import PadicScalar, binomial
 from .tate import TateSeries
@@ -26,8 +25,7 @@ from .tower import (Classification, RingLevel, UnitVerdict, check_unit,
 
 __all__ = [
     "MicroOp", "TailCertificate", "PadicScalar", "TateSeries",
-    "NewtonPolygon", "RingLevel", "UnitVerdict", "LevelParams",
-    "Classification",
+    "NewtonPolygon", "RingLevel", "UnitVerdict", "Classification",
     "binomial", "compose", "mul", "weight",
     "norm_k", "norm_mu", "norm_Ek", "norm_Fkr", "sector_norms", "sector_split",
     "order_Nk", "order_nk", "order_Nmu", "order_nmu", "order_Ek",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop import MicroOp, TailCertificate, _as_terms, compose, norm_mu
+from .diffop import MicroOp, TailCertificate, _as_terms, _check_level, compose, norm_mu
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
 from .tate import DEFAULT_DEGREE_CAP
 
@@ -88,8 +88,7 @@ def cofactor_norm_check(k: int, m: int, M: int, prime: int = DEFAULT_PRIME) -> F
 
 def required_truncation(generator: str, k: int) -> int:
     """Minimal pinned truncation certifying level-k queries per generator."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
+    _check_level("dkq", k)
     if generator == "product_op":
         return 2 * k + 1
     if generator == "gauss_op":

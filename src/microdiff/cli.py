@@ -66,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def level_flags(p, with_level=True):
         if with_level:
-            p.add_argument("--level", choices=("dkq", "ek", "fkr", "fir",
-                                               "finf", "dinf"), default=None)
+            p.add_argument("--level", choices=tuple(diffop._LEVELS), default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--r", type=int, default=None)
 
@@ -125,7 +124,9 @@ def _eval_operator(text: str, ctx: exprs.EvalContext):
 
 def _ring_level(args) -> RingLevel:
     tag = args.level or ("fkr" if args.r is not None else "dkq")
-    flags = {"dkq": ("k",), "ek": ("k",), "fkr": ("k", "r"), "fir": ("r",)}.get(tag, ())
+    flags = [f for f, least in zip("kr", diffop._LEVELS[tag]) if least is not None]
+    if args.r is not None and "r" not in flags:  # --k stays: at a limit level it is a probe depth
+        raise UsageError(f"--level {tag} takes no --r")
     if any(getattr(args, f) is None for f in flags):
         raise UsageError(f"--level {tag} needs " + " and ".join(f"--{f}" for f in flags))
     return RingLevel(tag, **{f: getattr(args, f) for f in flags})

@@ -852,6 +852,33 @@ def _graded_weight(m: int, k, r=None):
     return k * m if m >= 0 or r is None else r * m
 
 
+# each ring level's least k and least r; None where the tag takes no such level
+_LEVELS = {"dkq": (0, None), "ek": (1, None), "fkr": (1, 1), "fir": (None, 1),
+           "finf": (None, None), "dinf": (None, None)}
+
+
+def _check_level(tag: str, k=None, r=None):
+    """Refuse, with ValueError, a level the table does not hold: an unknown tag,
+    a stray, missing or non-int field, one below its least value, k < r at fkr."""
+    if tag not in _LEVELS:
+        raise ValueError(f"unknown ring level {tag!r}")
+    _check_field(tag, "k", k, _LEVELS[tag][0])
+    _check_field(tag, "r", r, _LEVELS[tag][1])
+    if tag == "fkr" and k < r:
+        raise ValueError(f"fkr needs k >= r, got k={k}, r={r}")
+
+
+def _check_field(tag: str, name: str, value, least):
+    if least is None:
+        if value is not None:
+            raise ValueError(f"{tag} takes no {name}, got {name}={value!r}")
+    elif not isinstance(value, int):
+        raise ValueError(f"{tag} needs {name}" if value is None
+                         else f"levels must be integers, got {name}={value!r}")
+    elif value < least:
+        raise ValueError(f"{tag} needs {name} >= {least}, got {name}={value}")
+
+
 def _require_terms(P: MicroOp):
     """The exact zero operator has no maximum, polygon or order; an operator
     storing nothing but a tail has none the data can pin, and is refused."""
@@ -919,8 +946,6 @@ def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
 
 def _level_max(P: MicroOp, k, r=None) -> tuple:
     """Certified (max, rows reaching it) of the (k, r)-weighted exponents."""
-    if not isinstance(k, int) or not isinstance(r, (int, type(None))):
-        raise ValueError(f"levels must be integers, got k={k!r}, r={r!r}")
     return _stored_max(P, lambda m: _graded_weight(m, k, r), tail_sup_exponent(P, k, r))
 
 
@@ -945,19 +970,20 @@ def norm_k(P: MicroOp, k: int) -> Fraction:
     Returns 0 for the zero operator and raises InsufficientTruncation when
     the tail certificate cannot pin the max.
     """
+    _check_level("dkq", k)
     _require_positive(P, "norm_k")
-    if k < 0:
-        raise ValueError("level must be >= 0")
     return _power(P, _level_exponent(P, k))
 
 
 def order_Nk(P: MicroOp, k: int) -> int:
     """Largest |alpha| whose coefficient achieves the level-k norm."""
+    _check_level("dkq", k)
     return order_Nmu(P, k)
 
 
 def order_nk(P: MicroOp, k: int) -> int:
     """Smallest |alpha| whose coefficient achieves the level-k norm."""
+    _check_level("dkq", k)
     return order_nmu(P, k)
 
 
@@ -993,8 +1019,7 @@ def order_nmu(P: MicroOp, mu: Fraction | int) -> int:
 
 def _defect_exponent(P: MicroOp, Q: MicroOp, k: int):
     """Exponent of :func:`quasi_abelian_defect`; None when P and Q commute."""
-    if k < 1:
-        raise ValueError("the quasi-abelian bound needs k >= 1")
+    _check_level("ek", k)  # the bound p**-k holds from k = 1
     _require_positive(P, "quasi_abelian_defect")
     _require_positive(Q, "quasi_abelian_defect")
     ep, eq = _level_exponent(P, k), _level_exponent(Q, k)

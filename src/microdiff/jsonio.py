@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .diffop import MicroOp, TailCertificate
+from .diffop import _LEVELS, MicroOp, TailCertificate
 from .newton import NewtonPolygon
 from .padic import DEFAULT_PRECISION, PadicScalar
 from .tate import TateSeries
@@ -101,11 +101,7 @@ def polygon_to_json(poly: NewtonPolygon) -> dict:
 
 
 def verdict_to_json(v: UnitVerdict) -> dict:
-    level: dict = {"tag": v.level.tag}
-    if v.level.k is not None:
-        level["k"] = v.level.k
-    if v.level.r is not None:
-        level["r"] = v.level.r
+    level = {name: x for name, x in vars(v.level).items() if x is not None}  # tag and its levels
     out: dict = {"invertible": v.invertible, "level": level}
     if v.invertible:
         out["witness"] = {"beta": list(v.beta)}
@@ -224,7 +220,7 @@ VERDICT_SCHEMA = {
         "level": {
             "type": "object",
             "properties": {
-                "tag": {"enum": ["dkq", "ek", "fkr", "fir", "finf", "dinf"]},
+                "tag": {"enum": list(_LEVELS)},
                 "k": {"type": "integer"},
                 "r": {"type": "integer"},
             },

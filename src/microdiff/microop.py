@@ -21,31 +21,18 @@ give exact products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # _stored_max and tail_sup_exponent are the certified core every norm, order
 # and unit verdict shares; they are re-exported here beside the Laurent norms
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate, _as_terms, _folded,
-                     _graded_weight, _level_exponent, _level_max, _power, _product,
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, TailCertificate, _as_terms, _check_level,
+                     _folded, _graded_weight, _level_exponent, _level_max, _power, _product,
                      _stored_max, _valuation, floor_sum, length, tail_sup_exponent)
-
-
-@dataclass(frozen=True)
-class LevelParams:
-    """A pair of congruence levels k >= r >= 1."""
-
-    k: int
-    r: int
-
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.r, int) and self.k >= self.r >= 1):
-            raise ValueError(f"levels must be integers k >= r >= 1, got (k={self.k}, r={self.r})")
 
 
 def weight(alpha, k: int, r: int) -> int:
     """Mixed weight: k*fl(alpha) on the sector fl >= 0, r*fl(alpha) below."""
-    LevelParams(k, r)
+    _check_level("fkr", k, r)
     return _graded_weight(floor_sum(tuple(alpha)), k, r)
 
 
@@ -104,21 +91,19 @@ def sector_split(S: MicroOp) -> tuple[MicroOp, MicroOp]:
 
 def norm_Ek(S: MicroOp, k: int) -> Fraction:
     """Multiplicative single-level norm, as an exact power of p."""
-    if k < 1:
-        raise ValueError("microlocal levels need k >= 1")
+    _check_level("ek", k)
     return _power(S, _level_exponent(S, k))
 
 
 def order_Ek(S: MicroOp, k: int) -> int:
     """Largest grading fl(alpha) among coefficients achieving the norm."""
-    if k < 1:
-        raise ValueError("microlocal levels need k >= 1")
+    _check_level("ek", k)
     return max(fl for _, _, fl, _ in _level_max(S, k)[1])
 
 
 def norm_Fkr(S: MicroOp, k: int, r: int) -> Fraction:
     """Sub-multiplicative two-level norm, as an exact power of p."""
-    LevelParams(k, r)
+    _check_level("fkr", k, r)
     return _power(S, _level_exponent(S, k, r))
 
 

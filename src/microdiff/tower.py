@@ -34,39 +34,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _degrees,
-                     _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms, _level_exponent,
-                     _require_positive, _scaled, _series_sums, _unit_at, _window_cap_check,
-                     is_finite)
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _check_level,
+                     _degrees, _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms,
+                     _level_exponent, _require_positive, _scaled, _series_sums, _unit_at,
+                     _window_cap_check, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
 from .padic import int_valuation
 
-_TAGS = ("dkq", "ek", "fkr", "fir", "finf", "dinf")
-
 
 @dataclass(frozen=True)
 class RingLevel:
-    """Coordinate in the tower: tag plus the levels the tag needs."""
+    """Coordinate in the tower: tag plus the levels the tag takes (``diffop._LEVELS``)."""
 
     tag: str
     k: int | None = None
     r: int | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown ring level {self.tag!r}")
-        if not isinstance(self.k, (int, type(None))) or not isinstance(self.r, (int, type(None))):
-            raise ValueError(f"levels must be integers, got {self}")
-        if self.tag == "dkq" and not (self.k is not None and self.k >= 0):
-            raise ValueError("dkq needs k >= 0")
-        if self.tag == "ek" and not (self.k is not None and self.k >= 1):
-            raise ValueError("ek needs k >= 1")
-        if self.tag == "fkr" and (None in (self.k, self.r) or not self.k >= self.r >= 1):
-            raise ValueError("fkr needs k >= r >= 1")
-        if self.tag == "fir" and not (self.r is not None and self.r >= 1):
-            raise ValueError("fir needs r >= 1")
+        _check_level(self.tag, self.k, self.r)
 
     @classmethod
     def dkq(cls, k: int) -> "RingLevel":
@@ -93,13 +80,8 @@ class RingLevel:
         return cls("dinf")
 
     def __str__(self):
-        if self.tag == "fkr":
-            return f"fkr(k={self.k}, r={self.r})"
-        if self.tag in ("dkq", "ek"):
-            return f"{self.tag}(k={self.k})"
-        if self.tag == "fir":
-            return f"fir(r={self.r})"
-        return self.tag
+        fields = ", ".join(f"{n}={v}" for n, v in (("k", self.k), ("r", self.r)) if v is not None)
+        return f"{self.tag}({fields})" if fields else self.tag
 
     def weight(self, m: int):
         """Weight of the grading m = fl(alpha) at a finite level: k*m on

@@ -170,13 +170,15 @@ TABLE = {
     "invert_digits.txt": _invert_digits,
     "sums.txt": _sums,
     "folds.txt": _folds,
-    # a bad weight, window or probe depth and an unwritable output, each
-    # refused by `python -m microdiff.cli` in one line
+    # a bad weight, window or probe depth, an unwritable output and a level
+    # field the level does not take, each refused by `python -m microdiff.cli`
+    # in one line
     **{REFUSES + " ".join(argv): argv for argv in (
         ["norm", "--mu", "1/0", "d"], ["order", "--mu", "1/0", "d"], ["order", "--k", "-1", "d"],
         ["norm", "--k", "1", "--out", "no-such-dir/norm.txt", "d"],
         ["norm", "--k", "1", "--window", "-1", "d"],
-        ["check", "--level", "finf", "--k", "-1", "1+p*d"])},
+        ["check", "--level", "finf", "--k", "-1", "1+p*d"],
+        ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"])},
 }
 
 

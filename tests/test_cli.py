@@ -203,6 +203,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
         (["norm", "--level", "fkr", "--k", "2", "1 + d"], "--level fkr needs --k and --r"),
         (["check", "--level", "fir", "1 + p*d"], "--level fir needs --r"),
+        (["check", "--level", "ek", "--k", "1", "--r", "1", "1 - p*d"], "--level ek takes no --r"),
         (["invert", "1 + p*d"], "invert needs --level"),
         (["defect", "d", "x"], "defect needs --k"),
         (["catalog", "truncated_cofactor", "--M", "5"], "truncated_cofactor needs --k"),

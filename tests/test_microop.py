@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from microdiff import (InsufficientTruncation, LevelParams, MicroOp, RingLevel, TailCertificate,
-                       TateSeries, WindowOverflow, compose, mul, norm_Ek, norm_Fkr, norm_k,
-                       norm_mu, order_Ek, order_Nmu, product_op, quasi_abelian_defect,
-                       sector_norms, sector_split, weight)
+from microdiff import (InsufficientTruncation, MicroOp, RingLevel, TailCertificate, TateSeries,
+                       WindowOverflow, compose, mul, norm_Ek, norm_Fkr, norm_k, norm_mu, order_Ek,
+                       order_Nk, order_Nmu, order_nk, product_op, quasi_abelian_defect,
+                       required_truncation, sector_norms, sector_split, weight)
 
 from conftest import rand_laurent_op, rand_positive_op
 
@@ -33,26 +33,29 @@ class TestWeight:
 
     def test_level_params_validation(self):
         with pytest.raises(ValueError):
-            LevelParams(1, 2)
+            weight((1,), 1, 2)
         with pytest.raises(ValueError):
             weight((1,), 2, 0)
 
     @pytest.mark.parametrize("level", [1.5, F(3, 2)])
     def test_a_level_that_is_not_an_integer_is_refused(self, level):
         # norm_k(1 - p*d, 1.5) used to be 2**0.5, a float, and RingLevel.ek(1.5)
-        # gave a verdict
+        # gave a verdict; order_Nk and order_nk answered at the weight 3/2, and
+        # required_truncation("product_op", 1.5) was 4.0
         P = MicroOp.identity() - MicroOp.monomial((1,), 2)
         for S in (P, MicroOp(1, 2, {})):  # the zero operator too
             for query in (lambda: norm_k(S, level), lambda: norm_Ek(S, level),
                           lambda: order_Ek(S, level), lambda: norm_Fkr(S, level, 1),
                           lambda: norm_Fkr(S, 2, level), lambda: sector_norms(S, level, 1),
-                          lambda: quasi_abelian_defect(S, P, level)):
+                          lambda: quasi_abelian_defect(S, P, level),
+                          lambda: order_Nk(S, level), lambda: order_nk(S, level)):
                 with pytest.raises(ValueError, match="must be integers"):
                     query()
         for make in (lambda: weight((1,), level, 1), lambda: weight((1,), 2, level),
                      lambda: RingLevel.dkq(level), lambda: RingLevel.ek(level),
                      lambda: RingLevel.fkr(level, 1), lambda: RingLevel.fkr(2, level),
-                     lambda: RingLevel.fir(level)):
+                     lambda: RingLevel.fir(level),
+                     lambda: required_truncation("product_op", level)):
             with pytest.raises(ValueError, match="must be integers"):
                 make()
         # a rational weight is no level: its norm is a fractional exponent

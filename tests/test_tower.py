@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -17,8 +18,8 @@ from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, Micro
 from microdiff import diffop, microop, tower
 from microdiff.diffop import _graded_weight, tail_sup_exponent
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
-from microdiff.jsonio import operator_from_json, operator_to_json
-from microdiff.tower import RingLevel
+from microdiff.jsonio import operator_from_json, operator_to_json, verdict_to_json
+from microdiff.tower import RingLevel, UnitVerdict
 
 from conftest import rand_laurent_op, rand_positive_op, rand_series
 from test_diffop import from_json as round_trip, read_back, relift, series_product_terms_and_sums
@@ -43,6 +44,37 @@ class TestRingLevel:
     def test_str(self):
         assert str(RingLevel.fkr(3, 1)) == "fkr(k=3, r=1)"
         assert str(RingLevel.finf()) == "finf"
+
+    def test_each_tag_takes_exactly_its_fields(self):
+        # RingLevel("ek", k=2, r=1) printed as ek(k=2) yet weighed dinv by r = 1,
+        # RingLevel("fir", k=0, r=1) printed as fir(r=1) yet wrote k = 0 to JSON,
+        # and RingLevel("finf", k=0, r=0) answered
+        for tag, k, r in (("ek", 2, 1), ("fir", 0, 1), ("finf", 0, 0)):
+            with pytest.raises(ValueError, match="takes no"):
+                RingLevel(tag, k=k, r=r)
+        least = {"dkq": {"k": 0}, "ek": {"k": 1}, "fkr": {"k": 1, "r": 1}, "fir": {"r": 1},
+                 "finf": {}, "dinf": {}}
+        for tag, fields in least.items():
+            for name in "kr":
+                if name in fields:  # missing, or below its least value
+                    refused = [{n: v for n, v in fields.items() if n != name},
+                               {**fields, name: fields[name] - 1}]
+                else:  # stray
+                    refused = [{**fields, name: 0}, {**fields, name: 1}]
+                for kwargs in refused:
+                    with pytest.raises(ValueError):
+                        RingLevel(tag, **kwargs)
+            for bumps in itertools.product(range(3), repeat=2):
+                kwargs = {n: fields[n] + b for n, b in zip("kr", bumps) if n in fields}
+                try:
+                    level = RingLevel(tag, **kwargs)
+                except ValueError:
+                    assert tag == "fkr" and kwargs["k"] < kwargs["r"]
+                    continue
+                written = verdict_to_json(UnitVerdict(False, level, violated="x"))["level"]
+                named = ", ".join(f"{n}={v}" for n, v in written.items() if n != "tag")
+                assert written["tag"] == tag
+                assert str(level) == (f"{tag}({named})" if named else tag)
 
 
 class TestCheckUnitLadder:
