@@ -64,9 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
 
-    def level_flags(p, with_level=True):
-        if with_level:
-            p.add_argument("--level", choices=tuple(diffop._LEVELS), default=None)
+    def level_flags(p):
+        p.add_argument("--level", choices=tuple(diffop._LEVELS), default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--r", type=int, default=None)
 
@@ -74,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     level_flags(p)
     p.add_argument("--mu", type=rational, default=None,
-                   help="rational weight a/b; overrides --level")
+                   help="rational weight a/b, in place of --level, --k and --r")
 
     p = add_parser("order", help="largest/smallest weighted order")
     p.add_argument("expr")
-    level_flags(p, with_level=False)
-    p.add_argument("--mu", type=rational, default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--mu", type=rational, default=None, help="rational weight a/b, in place of --k")
 
     p = add_parser("polygon", help="Newton polygon")
     p.add_argument("expr")
@@ -97,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("defect", help="quasi-abelian defect of a pair")
     p.add_argument("exprP")
     p.add_argument("exprQ")
-    level_flags(p, with_level=False)
+    p.add_argument("--k", type=int, default=None)
 
     p = add_parser("catalog", help="named generator operators")
     p.add_argument("name", choices=("product_op", "gauss_op", "truncated_cofactor"))
@@ -151,6 +150,8 @@ def _power_report(args, name: str, exponent) -> str:
 
 
 def _cmd_norm(args, ctx) -> int:
+    if args.mu is not None and (args.level, args.k, args.r) != (None, None, None):
+        raise UsageError("--mu takes no --level, --k or --r")
     P = _eval_operator(args.expr, ctx)
     if args.mu is not None:
         e = None if P.is_zero and args.mu >= 0 else diffop.norm_mu(P, args.mu)
@@ -166,6 +167,8 @@ def _cmd_norm(args, ctx) -> int:
 def _cmd_order(args, ctx) -> int:
     if args.mu is None and args.k is None:
         raise UsageError("order needs --k or --mu")
+    if args.mu is not None and args.k is not None:
+        raise UsageError("--mu takes no --k")
     P = _eval_operator(args.expr, ctx)
     mu = args.mu if args.mu is not None else Fraction(args.k)
     upper = diffop.order_Nmu(P, mu)

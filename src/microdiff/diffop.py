@@ -804,14 +804,27 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     window-checked and added as :func:`_sum` adds it, but keeping a residue
     monomial whose known digits cancel (a later power may restore them).
     The powers stay kernel sums, each the next one's left rows, added into
-    one accumulator over ``p^min(0, J*V) / D^J`` through one commutation
-    table of Q's.  When Q's scalars share a precision no smaller than the
-    1's, so does every power, and the accumulator keeps no precision per
-    monomial."""
-    left, zero, table = one, one[0][0][0], {}
-    base, DJ = min(0, J * Q[1]), Q[2] ** J
-    shared = Q[3] is not None and Q[3] >= one[3]
-    acc = {zero: [{zero: p ** -base * DJ}, None if shared else {zero: one[3]}, one[4]]}
+    one accumulator over ``p^min(0, J*V) / D^J``: for flat Q at the 1's cap
+    and at least its precision, one ``int`` per gamma; for any other Q,
+    through one commutation table of Q's, with no precision per monomial
+    when Q's scalars share one no smaller than the 1's (every power then does)."""
+    zero, (_, V, D, n, cap) = one[0][0][0], Q
+    base, DJ = min(0, J * V), D ** J
+    scale = p ** -base * DJ  # the 1 over p^base / D^J
+    if cap is not None and cap == one[4] and n >= one[3]:
+        acc, items, d1 = {zero: scale}, one[0], len(zero) == 1
+        up, down = (p ** V, D) if V >= 0 else (1, D * p ** -V)
+        for _ in range(J):
+            power = _flat_product(items, Q[0], d1)
+            _window_cap_check(power, window_cap)
+            scale, items = scale * up // down, list(power.items())
+            for gamma, N in items:
+                acc[gamma] = c = acc.get(gamma, 0) + N * scale
+                if not c:
+                    del acc[gamma]
+        return (acc, base, DJ, one[3], cap) if acc else ({}, base, DJ, one[3], None)
+    left, table, shared = one, {}, n is not None and n >= one[3]
+    acc = {zero: [{zero: scale}, None if shared else {zero: one[3]}, one[4]]}
     for _ in range(J):
         sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p, table)
         _window_cap_check(sums, window_cap)

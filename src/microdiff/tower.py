@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import newton
-from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _build_terms, _check_level,
-                     _degrees, _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms,
-                     _level_exponent, _require_positive, _scaled, _series_sums, _unit_at,
-                     _window_cap_check, is_finite)
+from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _check_level, _degrees,
+                     _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms, _level_exponent,
+                     _require_positive, _scaled, _unit_at, _window_cap_check, is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
@@ -295,19 +294,25 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     # geometric series already sits below the residual target; a monomial
     # has no series, and S = g D^-beta is checked like any inverse
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
-    # coefficient degrees of g and of R = g * rest bound both refusals' hints
-    c_beta = _build_terms(P.dim, p, ({beta: sums[beta]}, W, E, n, flat_cap))[beta]
-    deg_g = c_beta.inverse_length(residual_exponent) * degrees[beta]
+    # c_beta = c0 (1 - u) as one order-zero row, its unit constant at the
+    # valuation v_beta; g = c_beta^-1 is summed to the least J_g with
+    # (J_g + 1) v(u) >= target, and the degrees of g and R bound the hints
+    c_beta = ([(zero, *next(row for row in P_rows[0] if row[0] == beta)[1:])], W, E, n, flat_cap)
+    vals = c_beta[0][0][1] if flat_cap is None else ()
+    v_u = min((int_valuation(N, p) + W - v_beta for m, N in vals if any(m)), default=None)
+    J_g = 0 if v_u is None else max(0, -(-residual_exponent // v_u) - 1)
+    deg_g = J_g * degrees[beta]
     deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
     try:
-        g = _as_rows(_series_sums({zero: c_beta.invert_unit(residual_exponent)}, p), p)
-        one, inv_mono = (([(a, 1)], 0, 1, precision, cap) for a in (zero, tuple(-b for b in beta)))
-        # the series of -R = g * rest, times D^-beta and then g, each product
-        # window-checked as mul checks it; one operator is made
-        S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0), one, p,
-                           window_cap)
-        S = _kernel_sums(inv_mono, _as_rows(S, p), P.dim, p)
-        _window_cap_check(S[0], window_cap)
+        # g, the series of -R = g * rest, times D^-beta (the identity at beta
+        # = 0) and then g, each product window-checked as mul checks it
+        g = _unit_inverse(c_beta, v_beta - W, J_g, p)
+        S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0),
+                           ([(zero, 1)], 0, 1, precision, cap), p, window_cap)
+        if any(beta):
+            S = _kernel_sums(([(tuple(-b for b in beta), 1)], 0, 1, precision, cap),
+                             _as_rows(S, p), P.dim, p)
+            _window_cap_check(S[0], window_cap)
         S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
         _window_cap_check(S[0], window_cap)
         # _as_rows has checked every residue of S: it is wrapped as it is
@@ -327,6 +332,31 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
         raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
                              f"within {needed}") from None
     return S
+
+
+def _unit_inverse(c_beta: tuple, v: int, J: int, p: int) -> tuple:
+    """The rows of g = c^-1 for the unit c = c0(1 - u) of the order-zero row
+    ``c_beta``, as ``TateSeries.invert_unit`` sums it: c0^-1 (1 + u + ... + u^J),
+    c0 = p^(W+v) unit / E inverting to E / unit over p^-(W+v) (modulo p^digits
+    for a residue) and a power past c's cap refused by its product."""
+    (row,), W, E, n, cap = c_beta
+    zero = row[0]
+    vals, vp, cap, deg = ([row], None, cap, 0) if cap is not None else row[1:]
+    q0 = n if vp is None else vp[zero]  # c0's precision, or minus its digits
+    unit = dict(vals)[zero] // p ** v
+    if q0 > 0:
+        d = math.gcd(E, unit)
+        inv = {zero: E // d if unit > 0 else -E // d}, -W - v, abs(unit) // d, q0, cap
+    else:  # balanced, as _series_sums reads a residue
+        mod = p ** -q0
+        N = pow(unit, -1, mod) * E % mod
+        inv = {zero: [{zero: N - mod if 2 * N > mod else N}, {zero: q0}, cap]}, -W - v, 1, None, None
+    if not J:
+        return _as_rows(inv, p)
+    rest = [(zero, [t for t in vals if any(t[0])], vp, cap, deg)], W, E, n, None
+    u = _kernel_sums(_as_rows(_scaled(inv, -1, p), p), rest, len(zero), p)
+    series = _geometric_sum(_as_rows(u, p), J, ([(zero, 1)], 0, 1, abs(q0), cap), p, None)
+    return _as_rows(_kernel_sums(_as_rows(inv, p), _as_rows(series, p), len(zero), p), p)
 
 
 def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent: int,

@@ -74,6 +74,28 @@ def _invert_digits():
         (one + read_back(ev("p^3*dinv + p^4*d")), fkr31))))
 
 
+def _invert_units():
+    # inverses in text, then in JSON: a dominant coefficient c_beta that is
+    # not a constant in d = 1 at p = 2 and 3, in d = 2 and read back from
+    # JSON at 20 digits, and units at beta != 0 with x coefficients (c_beta
+    # constant at ek(1), not at fkr(3, 1)); then the degree-cap refusal that
+    # c_beta's own inverse series hits
+    ek1 = RingLevel.ek(1)
+    inverses = [invert(P, level, residual_exponent=target) for P, level, target in (
+        (ev("1 + p^3*x + p^4*d"), ek1, 12), (ev("2 + p*x + p^3*d", prime=3), ek1, 6),
+        (ev("1 + p^3*x1 - p^4*x2^2 + p^5*x1*d2 + p^4*d1", dim=2), ek1, 6),
+        (read_back(ev("1 + p^3*x + p^5*x*d"), 20), ek1, 12),
+        (read_back(ev("3 + p^4*x^2 + p^5*d"), 20), ek1, 12),
+        (ev("d + p^2*x + p^3*x*d^2"), ek1, 12),
+        (ev("(1 + p^3*x)*d + p^4*x + p^3*dinv"), RingLevel.fkr(3, 1), 10))]
+    try:
+        invert(ev("1 + p*x + p^30*d", degree_cap=4), ek1)
+        refusal = "no refusal\n"
+    except microdiff.errors.DegreeCapOverflow as e:
+        refusal = f"{type(e).__name__}: {e} (needed {e.needed})\n"
+    return "".join(f"{S}\n" for S in inverses) + as_json(*inverses) + refusal
+
+
 def _sums():
     # catalog generators and defects in text and JSON, then sums of
     # generators and of operators read back from JSON at 20 digits
@@ -168,17 +190,20 @@ TABLE = {
     "invert_precision.txt": [["invert", "--prec", "100", "--format", "json", "--level", "ek",
                               "--k", "2", "--residual", "10", "1 - p*d"]],
     "invert_digits.txt": _invert_digits,
+    "invert_units.txt": _invert_units,
     "sums.txt": _sums,
     "folds.txt": _folds,
-    # a bad weight, window or probe depth, an unwritable output and a level
-    # field the level does not take, each refused by `python -m microdiff.cli`
-    # in one line
+    # a bad weight, window or probe depth, an unwritable output, a level
+    # field the level does not take, --r where no level is read and --mu
+    # beside level flags, each refused by `python -m microdiff.cli` in one line
     **{REFUSES + " ".join(argv): argv for argv in (
         ["norm", "--mu", "1/0", "d"], ["order", "--mu", "1/0", "d"], ["order", "--k", "-1", "d"],
         ["norm", "--k", "1", "--out", "no-such-dir/norm.txt", "d"],
         ["norm", "--k", "1", "--window", "-1", "d"],
         ["check", "--level", "finf", "--k", "-1", "1+p*d"],
-        ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"])},
+        ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"],
+        ["order", "--k", "1", "--r", "5", "1-p*d"], ["defect", "--k", "1", "--r", "9", "d", "x"],
+        ["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"])},
 }
 
 

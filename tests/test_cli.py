@@ -215,6 +215,27 @@ class TestExitCodes:
             assert run(args) == (1, "")
         assert err.getvalue() == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        # each answered, exit 0, reading no --r or no level flag
+        (["order", "--k", "1", "--r", "5", "1-p*d"], "unrecognized arguments: --r"),
+        (["defect", "--k", "1", "--r", "9", "d", "x"], "unrecognized arguments: --r"),
+        (["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"],
+         "--mu takes no --level, --k or --r\n"),
+        (["norm", "--mu", "1/2", "--k", "2", "1-p*d"], "--mu takes no --level, --k or --r\n"),
+        (["order", "--mu", "1", "--k", "2", "1-p*d"], "--mu takes no --k\n")])
+    def test_a_level_flag_the_command_would_not_read_is_a_usage_error(self, args, message):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(args) == (1, "")
+        assert err.getvalue().startswith(f"usage error: {message}")
+        assert err.getvalue().count("\n") == 1
+
+    def test_a_weight_alone_still_answers(self):
+        assert run(["norm", "--mu", "1/2", "1-p*d"]) == (0, "norm = p^0\n")
+        assert run(["order", "--mu", "1", "1-p*d"]) == (0, "order N = 1\norder n = 0\n")
+        assert run(["order", "--k", "2", "1-p*d"]) == (0, "order N = 1\norder n = 1\n")
+        assert run(["defect", "--k", "1", "d", "x"]) == (0, "defect = p^-1\n")
+
     def test_an_output_file_that_cannot_be_opened_is_refused(self, tmp_path):
         # used to end in a FileNotFoundError traceback
         target = tmp_path / "missing" / "norm.txt"

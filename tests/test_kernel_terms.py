@@ -403,9 +403,9 @@ def test_a_quasi_abelian_defect_of_evaluated_operators_builds_no_scalar():
 
 
 def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
-    # the operand's series are never converted back to sums: only g, the
-    # inverse of c_beta, enters the kernel from a series; of the operand's
-    # scalars only c_beta's are built (by invert itself), and the inverse keeps its sums
+    # the operand's series are never converted back to sums and no series
+    # enters the kernel: g, the inverse of c_beta, is summed on c_beta's row;
+    # no scalar is built, and the inverse keeps its sums
     from microdiff import tower
     level = RingLevel.ek(1)
     P, Q = (evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext()) for _ in range(2))
@@ -417,16 +417,14 @@ def test_invert_takes_an_evaluated_operands_sums_and_builds_one_operator():
         builds.append(list(kept[0]))
         return build(dim, p, kept)
     with mock.patch.object(diffop, "_series_sums", side_effect=AssertionError), \
-            mock.patch.object(tower, "_series_sums", wraps=tower._series_sums) as g, \
             mock.patch.object(diffop, "_build_terms", counted), \
-            mock.patch.object(tower, "_build_terms", counted), \
+            mock.patch.object(diffop, "_series", side_effect=AssertionError), \
+            mock.patch.object(TateSeries, "invert_unit", side_effect=AssertionError), \
             mock.patch.object(MicroOp, "__post_init__",
                               lambda S: made.append(S) or post_init(S)):
         S = tower.invert(P, level)
-    assert builds == [[(0,)]] and unbuilt(S)  # c_beta alone
+    assert builds == [] and unbuilt(S)
     assert made == [S] and terms_snapshot(S.terms) == want
-    (terms, _), = [call.args for call in g.call_args_list]
-    assert list(terms) == [(0,)]
 
 
 @pytest.mark.parametrize("q", [F(4), F(1, 2), F(-3, 8), F(6, 5), -1])
@@ -599,9 +597,7 @@ def test_a_series_built_operator_reads_back_its_series_and_acts_as_its_evaluated
 
 def counted_stores():
     """Patches that count the built terms (one entry per build, its number
-    of terms, invert's build of c_beta too) and refuse any conversion of
-    series to sums."""
-    from microdiff import tower
+    of terms) and refuse any conversion of series to sums."""
     builds, build = [], diffop._build_terms
 
     def counted(dim, p, kept):
@@ -609,7 +605,6 @@ def counted_stores():
         return build(dim, p, kept)
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(diffop, "_build_terms", counted))
-    stack.enter_context(mock.patch.object(tower, "_build_terms", counted))
     stack.enter_context(mock.patch.object(diffop, "_series_sums", side_effect=AssertionError))
     return stack, builds
 
@@ -630,9 +625,9 @@ def test_library_operators_build_scalars_only_for_the_results_read():
         assert builds == [] and all(unbuilt(R) for R in (G, C, T, S, D, X, W, pos, neg))
         P = evaluate(parse("1 + p^4*x*d + p^5*d^2"), EvalContext())
         inverse = invert(P, RingLevel.ek(1))
-        assert builds == [1] and unbuilt(inverse)  # c_beta alone
+        assert builds == [] and unbuilt(inverse)
         texts = [str(S), dumps(operator_to_json(W))]
-        assert builds == [1, len(S.terms), len(W.terms)]
+        assert builds == [len(S.terms), len(W.terms)]
     assert answers == [queries(rebuilt(R), 1) for R in (G, C, T, S, D, X)] + [
         outcome(fn, rebuilt(R), 3, 1) for fn in (norm_Fkr, sector_norms) for R in (W, pos, neg)]
     assert texts == [str(rebuilt(S)), dumps(operator_to_json(rebuilt(W)))]
@@ -711,14 +706,12 @@ def operations(S: MicroOp) -> list:
 
 @pytest.mark.parametrize("kind, S", store_rule_cases())
 def test_operations_build_no_series_and_the_first_value_read_builds_every_one(kind, S):
-    from microdiff import tower
     builds, build = [], diffop._build_terms
 
     def counted(dim, p, kept):
         builds.append(len(kept[0]))
         return build(dim, p, kept)
-    with mock.patch.object(diffop, "_build_terms", counted), \
-            mock.patch.object(tower, "_build_terms", counted):
+    with mock.patch.object(diffop, "_build_terms", counted):
         got = operations(S)
         assert builds == [] and (kind == "series") != unbuilt(S)
         twins = [evaluated_twin(S) for _ in range(5)]
@@ -738,8 +731,9 @@ def test_operations_build_no_series_and_the_first_value_read_builds_every_one(ki
 @pytest.mark.parametrize("text, level, json", [
     ("1 + p^4*x*d + p^5*d^2", RingLevel.ek(1), False), ("1 + p^4*x*d", RingLevel.ek(1), True),
     ("1 + p^3*dinv + p^4*d", RingLevel.fkr(3, 1), True)])
-def test_invert_builds_c_beta_alone(text, level, json):
-    # on an evaluated operand, on one made from series and on one read from JSON
+def test_invert_builds_no_scalar(text, level, json):
+    # on an evaluated operand, on one made from series and on one read from
+    # JSON: c_beta's inverse is summed on its row, so not even c_beta is built
     from microdiff import tower
     P = evaluate(parse(text), EvalContext())
     for S in (P, rebuilt(P), from_json(P)) if json else (P, rebuilt(P)):
@@ -749,8 +743,9 @@ def test_invert_builds_c_beta_alone(text, level, json):
             builds.append(list(kept[0]))
             return build(dim, p, kept)
         with mock.patch.object(diffop, "_build_terms", counted), \
-                mock.patch.object(tower, "_build_terms", counted):
+                mock.patch.object(diffop, "_series", side_effect=AssertionError), \
+                mock.patch.object(TateSeries, "invert_unit", side_effect=AssertionError):
             inverse = tower.invert(S, level)
-        assert builds == [[(0,)]] and unbuilt(inverse)
+        assert builds == [] and unbuilt(inverse)
         want = tower.invert(rebuilt(S), level)
         assert terms_snapshot(inverse.terms) == terms_snapshot(want.terms)

@@ -385,8 +385,8 @@ class TestInvert:
             assert e is None or e <= -6
 
 
-def parsed(text: str, dim: int = 1, cap: int = 32) -> MicroOp:
-    ctx = EvalContext(dim=dim, degree_cap=cap)
+def parsed(text: str, dim: int = 1, cap: int = 32, prime: int = 2) -> MicroOp:
+    ctx = EvalContext(prime=prime, dim=dim, degree_cap=cap)
     return _as_op(evaluate(parse(text), ctx), ctx)
 
 
@@ -511,6 +511,18 @@ def invert_cases(draw):
 @example((parsed("1 + p*x + p^5*d"), RingLevel.ek(1), 64, 20))  # refused for the cap
 @example((parsed("1 - p*d"), RingLevel.ek(2), 64, 80))  # refused for the window
 @example((parsed("1 + p^5*d"), RingLevel.ek(1), 64, 3))  # J = 0: the series is the 1
+# the inverses of tests/golden/invert_units.txt: c_beta not a constant in d = 1
+# at p = 2 and 3 and in d = 2, and with a residue read back from JSON at 20
+# digits past an exact c0 (read back whole, the loop's multiply-back cancels
+# every known digit: see the digit-mode tests below); units at beta != 0 with
+# x coefficients; the degree cap that g's own series hits
+@example((parsed("1 + p^3*x + p^4*d"), RingLevel.ek(1), 64, 12))
+@example((parsed("2 + p*x + p^3*d", prime=3), RingLevel.ek(1), 64, 6))
+@example((parsed("1 + p^3*x1 - p^4*x2^2 + p^5*x1*d2 + p^4*d1", dim=2), RingLevel.ek(1), 64, 6))
+@example((parsed("1 + p^5*x*d") + round_trip(parsed("p^3*x"), 20), RingLevel.ek(1), 64, 12))
+@example((parsed("d + p^2*x + p^3*x*d^2"), RingLevel.ek(1), 64, 12))
+@example((parsed("(1 + p^3*x)*d + p^4*x + p^3*dinv"), RingLevel.fkr(3, 1), 64, 10))
+@example((parsed("1 + p*x + p^30*d", cap=4), RingLevel.ek(1), 64, 20))
 def test_the_row_series_equals_the_operator_loop(case):
     P, level, window, target = case
     assert (invert_outcome(P, level, window, target)
@@ -535,6 +547,13 @@ def series_operands(draw):
     return MicroOp(dim, p, terms), rng.randint(0, 5), rng.choice((2, 32)), rng.choice((None, 2, 64))
 
 
+def constants(terms: dict, n: int = 64) -> MicroOp:
+    """A d = 1 operator at p = 2 whose coefficients are constants at precision
+    n: its sums are flat (an expression's are general)."""
+    return MicroOp(1, 2, {a: TateSeries.constant(PadicScalar.from_fraction(F(q), 2, n), 1, 2)
+                          for a, q in terms.items()})
+
+
 def row_sum(Q: MicroOp, J: int, cap: int, window_cap):
     """The geometric series summed on Q's integer rows, built once."""
     one, Q_rows = (diffop._as_rows(S.terms.kept, Q.prime)
@@ -550,18 +569,36 @@ def row_sum(Q: MicroOp, J: int, cap: int, window_cap):
 @example((MicroOp(1, 3, {(1,): TateSeries.constant(PadicScalar.from_fraction(1, 3, 64), 1, 3),
                          (2,): TateSeries.constant(PadicScalar.from_fraction(1, 3, 20), 1, 3)}),
           2, 32, 64))  # d^2 at precision 20 in Q, then at 64 in Q^2: the sum keeps 20
+@example((constants({(1,): 3, (-1,): -1}, 20), 3, 32, 64))  # flat Q below the 1's precision
+@example((constants({(1,): 3, (-1,): F(-1, 3)}), 3, 2, 64))  # flat Q at cap 32, the 1 at 2
+@example((constants({(0,): -1}), 1, 32, 64))  # flat powers that cancel to 0
 def test_the_row_sum_keeps_each_terms_place_precision_and_cap(case):
-    Q, J, cap, window = case
-    outcomes = []
-    for series in (row_sum, series_the_old_way):
-        try:
-            S = series(Q, J, cap, window)
-            outcomes.append([(a, f.degree_cap, f.exact, sorted(
-                (m, c.valuation, c.unit, c.precision, c.exact) for m, c in f.coeffs.items()))
-                for a, f in S.terms.items()])
-        except MicrodiffError as exc:
-            outcomes.append((type(exc), str(exc), getattr(exc, "needed", None)))
-    assert outcomes[0] == outcomes[1]
+    assert row_sum_outcome(*case) == row_sum_outcome(*case, series_the_old_way)
+
+
+def row_sum_outcome(Q: MicroOp, J: int, cap: int, window_cap, series=row_sum):
+    """Term order, caps and every scalar's fields of the sum, or the refusal."""
+    try:
+        S = series(Q, J, cap, window_cap)
+    except MicrodiffError as exc:
+        return type(exc), str(exc), getattr(exc, "needed", None)
+    return [(a, f.degree_cap, f.exact, sorted(
+        (m, c.valuation, c.unit, c.precision, c.exact) for m, c in f.coeffs.items()))
+        for a, f in S.terms.items()]
+
+
+@pytest.mark.parametrize("Q, cap, flat", [
+    (constants({(1,): 3, (-1,): F(-1, 3)}), 32, True), (constants({(0,): 2, (2,): 5}), 32, True),
+    (constants({(1,): 3, (-1,): -1}, 20), 32, False), (constants({(1,): 3}), 2, False),
+    (parsed("3*d - 1/3*dinv"), 32, False), (parsed("3*x*d - dinv"), 32, False)])
+def test_flat_powers_at_the_ones_precision_and_cap_keep_one_int_per_gamma(Q, cap, flat):
+    # flat Q at the 1's precision and cap: the flat accumulator, which adds
+    # no sum through _add_into; any other Q (below the 1's precision, at
+    # another cap, general rows) takes the general one
+    with mock.patch.object(diffop, "_add_into", wraps=diffop._add_into) as added:
+        got = row_sum_outcome(Q, 4, cap, 64)
+    assert (added.call_count == 0) == flat
+    assert got == row_sum_outcome(Q, 4, cap, 64, series_the_old_way)
 
 
 def series_products():
@@ -608,7 +645,13 @@ def from_json(text: str, dim: int = 1, digits: int | None = None) -> MicroOp:
     (parsed("1", dim=2) + from_json("p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 20),
     # c_beta = 1 + p^5*x with a residue at x: g = 1 and R are exact, P is not
     (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 5),
-    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30)])  # refused for the cap
+    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30),  # refused for the cap
+    # c_beta not a constant, read back whole at 20 digits (tests/golden/invert_units.txt)
+    (from_json("1 + p^3*x + p^5*x*d", digits=20), RingLevel.ek(1), 12),
+    (from_json("3 + p^4*x^2 + p^5*d", digits=20), RingLevel.ek(1), 12),
+    # a residue c0 in sums over p^W / E with E = 3 and 5: g holds E / unit
+    (from_json("3 + p^4*x*d") + parsed("1/3*p^5*d^2"), RingLevel.ek(1), 20),
+    (from_json("3 + p^4*x + p^5*d", digits=20) + parsed("1/5*p^6*x*d^2"), RingLevel.ek(1), 12)])
 def test_a_digit_mode_operand_answers_as_the_operator_pipeline(P, level, target):
     with series_products():
         want = invert_outcome(P, level, 64, target, invert_the_old_way)
