@@ -220,6 +220,17 @@ class MicroOp:
         from .newton import _build
         return _build(self)
 
+    @cached_property
+    def _limit_data(self) -> tuple:
+        """(top order q, its rows, the dominant beta's row, beta's ties, c_beta a unit,
+        r_min) of a finite operator, computed once for :func:`microdiff.tower.check_unit`."""
+        rows, q = self.term_table, self.max_length()
+        top = [row for row in rows if row[1] == q]
+        beta, _, _, v_beta = dominant = min(top, key=lambda row: (row[3], row[0]))
+        ties = [a for a, _, _, v in top if a != beta and v <= v_beta]
+        r_min = max([1] + [(v_beta - v) // (q - n) + 1 for _, n, _, v in rows if n < q])
+        return q, top, dominant, ties, _unit_at(self, beta), r_min
+
     def max_length(self) -> int:
         return max(map(length, self.terms.kept[0]), default=0)
 
@@ -795,7 +806,9 @@ def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP)
     """Product of two positive operators (Laurent products: microop.mul)."""
     if not (P.positive and Q.positive):
         raise ValueError("compose needs positive operators; use microop.mul")
-    return _product(P, Q, window_cap)
+    S = _product(P, Q, window_cap)
+    vars(S)["positive"] = True  # a product of positive operators is positive: no scan
+    return S
 
 
 def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None) -> tuple:
@@ -840,12 +853,18 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
             if not entry[0]:
                 del acc[gamma]
         left = _as_rows(kept, p)
-    if all(len(v) == 1 and zero in v for v, _, _ in acc.values()):  # flat, as _series_sums reads it
-        precs = {one[3]} if shared else {vp[zero] for _, vp, _ in acc.values()}
-        caps = {c for *_, c in acc.values()}
-        if len(precs) == 1 == len(caps) and min(precs) > 0:  # no residue
-            return {a: v[zero] for a, (v, _, _) in acc.items()}, base, DJ, precs.pop(), caps.pop()
-    return acc, base, DJ, one[3] if shared else None, None
+    return _flat((acc, base, DJ, one[3] if shared else None, None), zero)
+
+
+def _flat(kept: tuple, zero: Exponent) -> tuple:
+    """General sums, flat where each is one exact constant at one precision and cap."""
+    sums, W, E, n, _ = kept
+    if all(len(v) == 1 and zero in v for v, _, _ in sums.values()):
+        precs = {n} if n is not None else {vp[zero] for _, vp, _ in sums.values()}
+        caps = {c for *_, c in sums.values()}
+        if len(precs) == 1 == len(caps) and min(precs) > 0:
+            return {a: v[zero] for a, (v, _, _) in sums.items()}, W, E, precs.pop(), caps.pop()
+    return kept
 
 
 # -- level norms and orders ---------------------------------------------------
@@ -902,21 +921,22 @@ def _require_terms(P: MicroOp):
             "no stored terms: the tail alone pins nothing; increase the truncation")
 
 
-def _stored_max(P: MicroOp, weight, sup=None, scale: int = 1) -> tuple:
-    """Max of weight(fl(alpha)) - scale * v(c_alpha) over the stored terms.
+def _stored_max(P: MicroOp, k, r=None, shift: int = 0, scale: int = 1, sup=None) -> tuple:
+    """Max of w(fl(alpha) - shift) - scale * v(c_alpha) over the stored terms,
+    the integer weight w(m) being k*m, or r*m for m < 0 when r is given.
 
-    Returns the max and the term-table rows reaching it.  With ``sup``, a
-    certified sup of the exponent over the discarded terms, the stored max
-    must lie strictly above it or the query is refused.  A ``scale`` b keeps
-    a rational weight a/b in integers: ``weight`` then returns b times the
-    weight, the returned max is b times the exponent's, and ``sup`` is
-    compared with it at that scale.
+    Returns the max and the term-table rows reaching it; each row is weighed
+    inline.  With ``sup``, a certified sup of the exponent over the discarded
+    terms, the stored max must lie strictly above it or the query is
+    refused.  A ``scale`` b keeps a rational weight a/b in integers: k = a
+    gives b times the exponent's max, and ``sup`` is compared at that scale.
     """
     _require_terms(P)
     best = None
     top: list = []
     for row in P.term_table:
-        e = weight(row[2]) - scale * row[3]
+        m = row[2] - shift
+        e = (k * m if m >= 0 or r is None else r * m) - scale * row[3]
         if best is None or e > best:
             best, top = e, [row]
         elif e == best:
@@ -959,7 +979,7 @@ def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
 
 def _level_max(P: MicroOp, k, r=None) -> tuple:
     """Certified (max, rows reaching it) of the (k, r)-weighted exponents."""
-    return _stored_max(P, lambda m: _graded_weight(m, k, r), tail_sup_exponent(P, k, r))
+    return _stored_max(P, k, r, sup=tail_sup_exponent(P, k, r))
 
 
 def _level_exponent(P: MicroOp, k, r=None):
@@ -991,13 +1011,15 @@ def norm_k(P: MicroOp, k: int) -> Fraction:
 def order_Nk(P: MicroOp, k: int) -> int:
     """Largest |alpha| whose coefficient achieves the level-k norm."""
     _check_level("dkq", k)
-    return order_Nmu(P, k)
+    _require_positive(P, "order_Nmu")  # the refusal of order_Nmu(P, k)
+    return max(n for _, n, _, _ in _level_max(P, k)[1])
 
 
 def order_nk(P: MicroOp, k: int) -> int:
     """Smallest |alpha| whose coefficient achieves the level-k norm."""
     _check_level("dkq", k)
-    return order_nmu(P, k)
+    _require_positive(P, "order_nmu")
+    return min(n for _, n, _, _ in _level_max(P, k)[1])
 
 
 def _mu_max(P: MicroOp, mu: Fraction) -> tuple:
@@ -1006,7 +1028,7 @@ def _mu_max(P: MicroOp, mu: Fraction) -> tuple:
     a, b = mu.numerator, mu.denominator
     if a < 0:
         raise ValueError("weight must be >= 0")
-    return _stored_max(P, lambda m: a * m, tail_sup_exponent(P, mu), b)
+    return _stored_max(P, a, scale=b, sup=tail_sup_exponent(P, mu))
 
 
 def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:

@@ -15,9 +15,10 @@ operator is the kernel's general sums ``(sums, W, E, n, None)`` over
 a number lifts to one row, a number scales the integers, two operators
 multiply in the kernel, and ``+`` and ``-`` are the operator sum
 (:func:`microdiff.diffop._sum`); :func:`evaluate` wraps the result in one
-:class:`MicroOp`.  Every step keeps the operator arithmetic's term order
-and refusals: the degree cap per term pair, the window on each product,
-and ``e * deg f`` up front for ``f^e``.
+:class:`MicroOp`, flat where each coefficient is one constant (``_flat``).
+Every step keeps the operator arithmetic's term order and refusals: the
+degree cap per term pair, the window on each product, and ``e * deg f`` up
+front for ``f^e``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _check_ring, _kernel_sums,
-                     _scaled, _sum, _window_cap_check)
+from .diffop import (DEFAULT_WINDOW_CAP, MicroOp, _as_rows, _as_terms, _check_ring, _flat,
+                     _kernel_sums, _scaled, _sum, _window_cap_check)
 from .errors import DegreeCapOverflow, ExprSyntaxError, UnknownSymbol
 from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, check_prime
 from .tate import DEFAULT_DEGREE_CAP
@@ -278,7 +279,7 @@ def evaluate(node, ctx: EvalContext, env: dict | None = None):
     value = _fold(node, ctx, env or {})
     if isinstance(value, Fraction):
         return value
-    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, value))
+    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, _flat(value, (0,) * ctx.dim)))
 
 
 def _fold(node, ctx: EvalContext, env: dict):

@@ -140,8 +140,7 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     level-k tail cannot exceed the stored maximum (extra max-achievers only
     grow the argmax set); true dkq / ek verdicts need the tail strictly below.
     """
-    k = level.k
-    best, top = _stored_max(P, lambda m: k * m)
+    best, top = _stored_max(P, level.k)
     beta, _, fl_beta, v_beta = top[0]
     unit = False
     if level.tag == "dkq" and any(n > 0 for _, n, _, _ in top):
@@ -154,7 +153,7 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     elif level.tag != "fkr":
         unit = True
     else:
-        recentred, rtop = _stored_max(P, lambda m: level.weight(m - fl_beta))
+        recentred, rtop = _stored_max(P, level.k, level.r, fl_beta)
         if len(rtop) == 1 and rtop[0][0] == beta:
             _check_tail(P, level, recentred, True, level.r, fl_beta)
             return UnitVerdict(True, level, beta=beta)
@@ -187,35 +186,23 @@ def _limit_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
                 pass
         raise UndecidableFiniteness(
             "truncated data with no exactness or infinite-support witness")
-    rows = P.term_table
-    q = max(n for _, n, _, _ in rows)
-    top = [row for row in rows if row[1] == q]
-    if level.tag == "dinf":
-        zero = (0,) * P.dim
-        if q > 0:
-            return UnitVerdict(False, level, violated="order_positive",
-                               alpha=max(a for a, _, _, _ in top))
-        if not _unit_at(P, zero):
-            return UnitVerdict(False, level, violated="constant_not_unit",
-                               alpha=zero)
-        return UnitVerdict(True, level, beta=zero, delegate=(1, 1))
-    # dominant top coefficient: strictly maximal norm among the top order
-    beta, _, _, v_beta = min(top, key=lambda row: (row[3], row[0]))
-    ties = [a for a, _, _, v in top if a != beta and v <= v_beta]
+    q, top, (beta, _, _, v_beta), ties, unit, r_min = P._limit_data
+    if level.tag == "dinf" and q > 0:
+        return UnitVerdict(False, level, violated="order_positive",
+                           alpha=max(a for a, _, _, _ in top))
+    # dominant top coefficient: strictly maximal norm among the top order (at
+    # dinf the one order-0 row, at 0, whose r_min is 1)
     if ties:
-        return UnitVerdict(False, level, violated="top_order_not_dominated",
-                           alpha=max(ties))
-    if not _unit_at(P, beta):
-        return UnitVerdict(False, level, violated="dominant_not_unit", alpha=beta)
+        return UnitVerdict(False, level, violated="top_order_not_dominated", alpha=max(ties))
+    if not unit:
+        clause = "constant_not_unit" if level.tag == "dinf" else "dominant_not_unit"
+        return UnitVerdict(False, level, violated=clause, alpha=beta)
     # the r-weighted inequalities v(c_alpha) > v(c_beta) - r(q - |alpha|) below
     # the top hold exactly from r_min on; fkr(r, r) then realizes the inverse
-    r_min = max([1] + [(v_beta - v) // (q - n) + 1 for _, n, _, v in rows if n < q])
-    r = r_min if level.tag == "finf" else level.r
+    r = level.r or r_min  # fir weighs its own r; finf and dinf take r_min
     if r < r_min:
-        offender = next(a for a, n, _, v in sorted(rows)
-                        if n < q and v <= v_beta - r * (q - n))
-        return UnitVerdict(False, level, violated="lower_order_too_large",
-                           alpha=offender)
+        return UnitVerdict(False, level, violated="lower_order_too_large", alpha=next(
+            a for a, n, _, v in sorted(P.term_table) if n < q and v <= v_beta - r * (q - n)))
     return UnitVerdict(True, level, beta=beta, delegate=(r, r))
 
 

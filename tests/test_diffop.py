@@ -65,6 +65,19 @@ class TestCompose:
             R = rand_positive_op(rng, max_terms=3, max_exp=2, poly=True)
             assert compose(compose(P, Q), R).terms_equal(compose(P, compose(Q, R)))
 
+    def test_a_product_of_positive_operators_is_not_scanned_for_positivity(self):
+        # compose checks its operands; their product is positive, and a chain
+        # scans each factor and the identity once, never a product
+        positive, G, H = vars(MicroOp)["positive"], product_op(4), product_op(3)
+        with mock.patch.object(positive, "func", wraps=positive.func) as scans:
+            acc = MicroOp.identity()
+            for n in range(1, 21):
+                acc = compose(acc, op_1_minus_pd(n))
+            truncated = compose(G, H)
+        assert scans.call_count == 21 + 2
+        for S in (acc, truncated):
+            assert S.positive and MicroOp(S.dim, S.prime, S.terms, S.tail, S.neg_tail).positive
+
     def test_d2_leibniz(self):
         # d1 * (x1 x2) = x1 x2 d1 + x2
         x1x2 = TateSeries.coordinate(1, 2) * TateSeries.coordinate(2, 2)
@@ -121,6 +134,31 @@ class TestOrders:
     def test_zero_raises(self):
         with pytest.raises(ZeroOperator):
             order_Nk(MicroOp.zero(), 1)
+
+
+def test_integer_level_orders_answer_as_the_rational_weight_orders():
+    # order_Nk and order_nk weigh at the integer k; order_Nmu and order_nmu at
+    # mu = k give the same orders and the same refusals, type and text
+    from microdiff import gauss_op, truncated_cofactor
+
+    def outcome(query, P, k):
+        try:
+            return query(P, k)
+        except (MicrodiffError, ValueError) as exc:
+            return type(exc), str(exc)
+    ops = [rand_positive_op(random.Random(seed), poly=poly) for poly in (False, True)
+           for seed in range(40)]
+    ops += [product_op(5), gauss_op(4), truncated_cofactor(2, 7), product_op(9) + gauss_op(6),
+            MicroOp.zero(), MicroOp(1, 2, {}, TailCertificate(0, 0, 5)),
+            MicroOp.monomial((-1,), 1) + d()]
+    refused = set()
+    for P in ops:
+        for k in range(5):
+            for by_k, by_mu in ((order_Nk, order_Nmu), (order_nk, order_nmu)):
+                got = outcome(by_k, P, k)
+                assert got == outcome(by_mu, P, k) == outcome(by_mu, P, F(k))
+                refused |= {got[0]} if isinstance(got, tuple) else set()
+    assert refused == {ZeroOperator, InsufficientTruncation, ValueError}
 
 
 class TestNormMu:

@@ -360,6 +360,23 @@ def test_an_expression_builds_one_operator_and_no_operator_product_or_sum(monkey
 
 
 
+@pytest.mark.parametrize("text, ctx, coeffs", [
+    ("1 - p*d", CTX, {(0,): 1, (1,): -2}),
+    ("prod(n=1..3, 1 - p^n*d)", CTX, {(0,): 1, (1,): -14, (2,): 56, (3,): -64}),
+    ("3*d1*d2 - 1/3*p^2*d2 + 5", EvalContext(dim=2), {(1, 1): 3, (0, 1): F(-4, 3), (0, 0): 5}),
+    ("3*d - 1/3*dinv", EvalContext(prime=3, precision=20, degree_cap=8),
+     {(1,): 3, (-1,): F(-1, 3)}),
+    ("(d - dinv)^2", CTX, {(2,): 1, (0,): -2, (-2,): 1})])
+def test_a_parsed_constant_coefficient_operator_holds_its_series_twins_store(text, ctx, coeffs):
+    # every coefficient one constant: the parsed store is the one the same
+    # operator made from series holds, flat sums at its precision and cap
+    twin = MicroOp(ctx.dim, ctx.prime, {a: TateSeries.constant(
+        PadicScalar.from_fraction(c, ctx.prime, ctx.precision), ctx.dim, ctx.prime,
+        ctx.degree_cap) for a, c in coeffs.items()})
+    kept = ev(text, ctx).terms.kept
+    assert kept == twin.terms.kept and kept[4] == ctx.degree_cap
+
+
 def test_a_power_forms_each_commutation_once(monkeypatch):
     # every step of f^4 multiplies by the same f: its rows and one commutation
     # table serve the whole loop, so no (alpha, beta) list is formed twice

@@ -19,6 +19,7 @@ from microdiff import diffop, microop, tower
 from microdiff.diffop import _graded_weight, tail_sup_exponent
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
 from microdiff.jsonio import operator_from_json, operator_to_json, verdict_to_json
+from microdiff.padic import fraction_valuation
 from microdiff.tower import RingLevel, UnitVerdict
 
 from conftest import rand_laurent_op, rand_positive_op, rand_series
@@ -590,11 +591,12 @@ def row_sum_outcome(Q: MicroOp, J: int, cap: int, window_cap, series=row_sum):
 @pytest.mark.parametrize("Q, cap, flat", [
     (constants({(1,): 3, (-1,): F(-1, 3)}), 32, True), (constants({(0,): 2, (2,): 5}), 32, True),
     (constants({(1,): 3, (-1,): -1}, 20), 32, False), (constants({(1,): 3}), 2, False),
-    (parsed("3*d - 1/3*dinv"), 32, False), (parsed("3*x*d - dinv"), 32, False)])
+    (parsed("3*d - 1/3*dinv"), 32, True), (parsed("3*x*d - dinv"), 32, False)])
 def test_flat_powers_at_the_ones_precision_and_cap_keep_one_int_per_gamma(Q, cap, flat):
-    # flat Q at the 1's precision and cap: the flat accumulator, which adds
-    # no sum through _add_into; any other Q (below the 1's precision, at
-    # another cap, general rows) takes the general one
+    # flat Q at the 1's precision and cap, parsed constant coefficients
+    # included: the flat accumulator, which adds no sum through _add_into;
+    # any other Q (below the 1's precision, at another cap, general rows)
+    # takes the general one
     with mock.patch.object(diffop, "_add_into", wraps=diffop._add_into) as added:
         got = row_sum_outcome(Q, 4, cap, 64)
     assert (added.call_count == 0) == flat
@@ -661,6 +663,27 @@ def test_a_digit_mode_operand_answers_as_the_operator_pipeline(P, level, target)
         assert_relifted_residual(P, invert(P, level, residual_exponent=target), level, target)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("read, exact, target", [
+    (from_json("1 + p^3*x + p^5*x*d", digits=20), parsed("1 + p^3*x + p^5*x*d"), 12),
+    (from_json("3 + p^4*x^2 + p^5*d", digits=20), parsed("3 + p^4*x^2 + p^5*d"), 12),
+    (from_json("3 + p^4*x + p^5*d", digits=20) + parsed("1/5*p^6*x*d^2"),
+     parsed("3 + p^4*x + p^5*d + 1/5*p^6*x*d^2"), 12)])
+def test_a_residue_inverse_agrees_with_its_exact_twins_to_its_known_digits(read, exact, target):
+    # a check of the residue c0's inverse that no multiply-back makes: each
+    # scalar of the inverse of an operand read back from JSON equals the same
+    # coefficient of the inverse of its exact twin modulo p^(v + its digits),
+    # a monomial one side lacks reading 0
+    level, p = RingLevel.ek(1), read.prime
+    got, twin = ({(a, m): c for a, f in invert(P, level, residual_exponent=target).terms.items()
+                  for m, c in f.coeffs.items()} for P in (read, exact))
+    assert any(not c.exact for c in got.values())
+    for key in got.keys() | twin.keys():
+        c, x = got.get(key), twin[key].as_fraction() if key in twin else F(0)
+        assert c is not None, f"{key} of the exact twin's inverse is missing"
+        diff = F(c.unit) * F(p) ** c.valuation - x
+        assert diff == 0 or fraction_valuation(diff, p) >= c.valuation + c.precision, key
 
 
 @pytest.mark.parametrize("P, level, target", [
@@ -770,3 +793,47 @@ def test_a_series_below_the_ones_precision_keeps_each_monomials_precision():
         got = invert_outcome(P, level, 64, target)
         assert got == invert_outcome(P, level, 64, target, invert_the_old_way)
         assert {c[-2] for *_, coeffs in got for c in coeffs} == {20, 64}
+
+
+def limit_level_twins():
+    """(name, make) pairs, each call of ``make`` building a fresh operator:
+    exact d = 1 ones with constant and with x coefficients, d = 2 ones (whose
+    top order can tie), and truncated and exact catalog operators and sums."""
+    twins = [(f"{kind}{seed}", lambda seed=seed, dim=dim, poly=poly: rand_positive_op(
+        random.Random(seed), dim, poly=poly))
+        for kind, dim, poly in (("const", 1, False), ("x", 1, True), ("d2", 2, True))
+        for seed in range(60)]
+    twins += [(f"{f.__name__}({M})", lambda f=f, M=M: f(M)) for f in (product_op, gauss_op)
+              for M in (3, 6)]
+    twins += [(f"{f.__name__}({M}, exact)", lambda f=f, M=M: f(M, exact=True))
+              for f in (product_op, gauss_op) for M in (3, 6)]
+    twins += [("truncated_cofactor(2, 7)", lambda: truncated_cofactor(2, 7)),
+              ("product_op(9)+gauss_op(6)", lambda: product_op(9) + gauss_op(6))]
+    return twins
+
+
+def verdict_outcome(P: MicroOp, level: RingLevel):
+    """The verdict, or the refusal's type and text."""
+    try:
+        return check_unit(P, level)
+    except (MicrodiffError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_limit_verdicts_in_any_order_answer_as_on_a_fresh_twin():
+    # the level-free data of fir, finf and dinf is computed once per operator:
+    # asked at every limit level in a random order, twice, on one object,
+    # each answer is the one a fresh twin gives at that level alone
+    levels = [RingLevel.fir(r) for r in range(1, 5)] + [RingLevel.finf(), RingLevel.dinf()]
+    rng, clauses = random.Random(25), set()
+    for name, make in limit_level_twins():
+        P, asked = make(), []
+        for _ in range(2):
+            asked += rng.sample(levels, len(levels))
+        for level in asked:
+            got = verdict_outcome(P, level)
+            assert got == verdict_outcome(make(), level), (name, level)
+            clauses.add(got.violated if isinstance(got, UnitVerdict) else got[0])
+    assert {None, "order_positive", "constant_not_unit", "top_order_not_dominated",
+            "dominant_not_unit", "lower_order_too_large", "not_finite",
+            UndecidableFiniteness} <= clauses
