@@ -18,7 +18,7 @@ from .errors import (DegreeCapOverflow, DivisionByZero, ExprSyntaxError,
                      WindowOverflow, ZeroOperator)
 from .microop import mul, norm_Ek, norm_Fkr, order_Ek, sector_norms, sector_split, weight
 from .newton import NewtonPolygon, is_slope, polygon, slope_in_interval
-from .padic import PadicScalar, binomial
+from .padic import PadicScalar
 from .tate import TateSeries
 from .tower import (Classification, RingLevel, UnitVerdict, check_unit,
                     classify_surconvergent, invert, slope_criterion_check)
@@ -26,7 +26,7 @@ from .tower import (Classification, RingLevel, UnitVerdict, check_unit,
 __all__ = [
     "MicroOp", "TailCertificate", "PadicScalar", "TateSeries",
     "NewtonPolygon", "RingLevel", "UnitVerdict", "Classification",
-    "binomial", "compose", "mul", "weight",
+    "compose", "mul", "weight",
     "norm_k", "norm_mu", "norm_Ek", "norm_Fkr", "sector_norms", "sector_split",
     "order_Nk", "order_nk", "order_Nmu", "order_nmu", "order_Ek",
     "quasi_abelian_defect", "is_finite", "finite_order",

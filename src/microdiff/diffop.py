@@ -1011,14 +1011,14 @@ def norm_k(P: MicroOp, k: int) -> Fraction:
 def order_Nk(P: MicroOp, k: int) -> int:
     """Largest |alpha| whose coefficient achieves the level-k norm."""
     _check_level("dkq", k)
-    _require_positive(P, "order_Nmu")  # the refusal of order_Nmu(P, k)
+    _require_positive(P, "order_Nk")
     return max(n for _, n, _, _ in _level_max(P, k)[1])
 
 
 def order_nk(P: MicroOp, k: int) -> int:
     """Smallest |alpha| whose coefficient achieves the level-k norm."""
     _check_level("dkq", k)
-    _require_positive(P, "order_nmu")
+    _require_positive(P, "order_nk")
     return min(n for _, n, _, _ in _level_max(P, k)[1])
 
 

@@ -260,12 +260,17 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
 
 
 def _as_op(value, ctx: EvalContext) -> MicroOp:
-    """The operator of an evaluated value, a number one row of kernel sums in
+    """The operator of an evaluated value, a number one flat constant row in
     a ring the checked constructors accept (0 has no monomial to pass the cap)."""
     if isinstance(value, MicroOp):
         return value
     _check_ring(ctx.dim, ctx.prime, ctx.degree_cap if value else 0, ctx.precision)
-    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, _term(value, ctx)))
+    return _operator(_term(value, ctx), ctx)
+
+
+def _operator(kept: tuple, ctx: EvalContext) -> MicroOp:
+    """The operator of kernel sums, flat where each is one constant."""
+    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, _flat(kept, (0,) * ctx.dim)))
 
 
 def _as_int(value, what: str, pos: int) -> int:
@@ -277,9 +282,7 @@ def _as_int(value, what: str, pos: int) -> int:
 def evaluate(node, ctx: EvalContext, env: dict | None = None):
     """Evaluate to a MicroOp or a scalar Fraction (numbers stay numbers)."""
     value = _fold(node, ctx, env or {})
-    if isinstance(value, Fraction):
-        return value
-    return MicroOp(ctx.dim, ctx.prime, _as_terms(ctx.dim, ctx.prime, _flat(value, (0,) * ctx.dim)))
+    return value if isinstance(value, Fraction) else _operator(value, ctx)
 
 
 def _fold(node, ctx: EvalContext, env: dict):

@@ -23,8 +23,6 @@ only when the two valuations are equal and the units may carry.
 Ring-operation results are built by an unchecked internal constructor: their
 invariants (a p-unit unit, a reduced residue, a positive precision) hold by
 construction.  The public constructor and the classmethods keep every check.
-
-Norms are powers of ``p`` and are returned as exact Fractions.
 """
 
 from __future__ import annotations
@@ -168,23 +166,11 @@ class PadicScalar:
             precision -= shift
         return cls(prime, valuation + shift, residue, precision, exact=False)
 
-    @classmethod
-    def uniformizer(cls, prime: int = DEFAULT_PRIME,
-                    precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(prime, 1, Fraction(1), precision)
-
     # -- views ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return self.valuation is None
-
-    def norm(self) -> Fraction:
-        """Normalized absolute value |p| = 1/p; norm(0) = 0."""
-        if self.is_zero:
-            return Fraction(0)
-        v = self.valuation
-        return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime ** (-v))
 
     def residue(self, digits: int | None = None) -> int:
         """Unit part reduced modulo ``p**digits``."""
@@ -204,17 +190,6 @@ class PadicScalar:
         if not self.exact:
             raise PrecisionExhausted("digit-mode scalar has no exact rational value")
         return self.unit * Fraction(self.prime) ** self.valuation
-
-    def agrees_with(self, other: "PadicScalar", digits: int | None = None) -> bool:
-        """True when both values coincide modulo the joint working precision."""
-        if self.prime != other.prime:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.valuation != other.valuation:
-            return False
-        n = min(digits or self.precision, self.precision, other.precision)
-        return self.residue(n) == other.residue(n)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -254,9 +229,8 @@ class PadicScalar:
             raise PrecisionExhausted(
                 f"sum is 0 modulo p^{known}; no digit of the result is known")
         shift = int_valuation(s, p)
+        # 0 < s < p^(known - vmin), so shift < known - vmin: a digit is left
         digits = known - vmin - shift
-        if digits < 1:
-            raise PrecisionExhausted("cancellation consumed every known digit")
         return _make(p, vmin + shift, (s // p**shift) % p**digits, digits, False)
 
     def __neg__(self) -> "PadicScalar":
@@ -266,9 +240,6 @@ class PadicScalar:
             return _make(self.prime, self.valuation, -self.unit, self.precision, True)
         mod = self.prime**self.precision
         return _make(self.prime, self.valuation, (-self.unit) % mod, self.precision, False)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         self._check_compatible(other)
@@ -289,19 +260,6 @@ class PadicScalar:
         mod = self.prime**self.precision
         return _make(self.prime, -self.valuation, pow(self.unit, -1, mod),
                      self.precision, False)
-
-    def __pow__(self, n: int) -> "PadicScalar":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = _make(self.prime, 0, Fraction(1), self.precision, True)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __repr__(self):
         if self.is_zero:
@@ -329,14 +287,6 @@ def _make(prime: int, valuation: int | None, unit, precision: int,
     _set_precision(s, precision)
     _set_exact(s, exact)
     return s
-
-
-def binomial(n: int, l: int, prime: int = DEFAULT_PRIME,
-             precision: int = DEFAULT_PRECISION) -> PadicScalar:
-    """Exact integer binomial coefficient embedded into Q_p."""
-    if not 0 <= l <= n:
-        raise ValueError(f"binomial needs 0 <= l <= n, got ({n}, {l})")
-    return PadicScalar.from_int(math.comb(n, l), prime, precision)
 
 
 @lru_cache(maxsize=4096)

@@ -3,11 +3,10 @@
 Elements are sparse polynomials in ``d`` coordinates truncated in total
 degree.  The ``exact`` flag records whether the truncation discarded
 anything: an exact element is a genuine polynomial and every norm or unit
-statement about it is unconditional.  The Gauss norm is the max of the
-coefficient norms and is multiplicative on exact elements (the chart is
-integral).  The cap of a result is the smaller cap of its operands;
-``derive`` keeps its operand's cap.  The ring only flags a loss to the
-cap; operators hold exact polynomials only, unit inverses included.
+statement about it is unconditional.  The cap of a result is the smaller
+cap of its operands; ``derive`` keeps its operand's cap.  The ring only
+flags a loss to the cap; operators hold exact polynomials only, unit
+inverses included.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .padic import DEFAULT_PRECISION, DEFAULT_PRIME, PadicScalar
 
 DEFAULT_DEGREE_CAP = 32
 
-INFINITY = float("inf")
-
 Monomial = tuple[int, ...]
 
 
@@ -33,7 +30,7 @@ def _zero_exp(dim: int) -> Monomial:
 
 @dataclass(frozen=True, slots=True)
 class TateSeries:
-    """Truncated restricted power series with Gauss norm."""
+    """Truncated restricted power series over Q_p."""
 
     dim: int
     prime: int
@@ -98,14 +95,6 @@ class TateSeries:
                 and self.prime == other.prime and dict(self.coeffs) == dict(other.coeffs)
                 and self.exact == other.exact)
 
-    # -- norms -----------------------------------------------------------
-
-    def spectral_valuation(self):
-        """Integer v with |f| = p**(-v); +infinity for 0."""
-        if self.is_zero:
-            return INFINITY
-        return min(c.valuation for c in self.coeffs.values())
-
     # -- ring operations -------------------------------------------------
 
     def _like(self, coeffs: dict, exact: bool) -> "TateSeries":
@@ -131,12 +120,6 @@ class TateSeries:
                 out[m] = c
         return _make(self.dim, self.prime, out, cap,
                      self.exact and other.exact and not dropped)
-
-    def __neg__(self) -> "TateSeries":
-        return self._like({m: -c for m, c in self.coeffs.items()}, self.exact)
-
-    def __sub__(self, other: "TateSeries") -> "TateSeries":
-        return self + (-other)
 
     def __mul__(self, other: "TateSeries") -> "TateSeries":
         self._check_compatible(other)
@@ -167,8 +150,8 @@ class TateSeries:
     def derive(self, axis: int) -> "TateSeries":
         """Formal partial derivative along x_axis (1-based).
 
-        The norm never increases: differentiation multiplies coefficients by
-        integers, which have norm <= 1.
+        No valuation decreases: differentiation multiplies coefficients by
+        integers.
         """
         if not 1 <= axis <= self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
@@ -178,9 +161,7 @@ class TateSeries:
             if m[i] == 0:
                 continue
             factor = PadicScalar.from_int(m[i], self.prime, c.precision)
-            nc = c * factor
-            if nc.is_zero:
-                continue
+            nc = c * factor  # nonzero: a nonzero scalar times a nonzero integer
             nm = m[:i] + (m[i] - 1,) + m[i + 1:]
             out[nm] = out[nm] + nc if nm in out else nc
         return self._like(out, self.exact)

@@ -377,6 +377,18 @@ def test_a_parsed_constant_coefficient_operator_holds_its_series_twins_store(tex
     assert kept == twin.terms.kept and kept[4] == ctx.degree_cap
 
 
+@pytest.mark.parametrize("text, kept", [("3", ({(0,): 3}, 0, 1, 64, 32)),
+                                        ("1/3", ({(0,): 1}, 0, 3, 64, 32)),
+                                        ("0", ({}, 0, 1, 64, None))])
+def test_a_number_operand_holds_the_flat_sums_of_its_series_twin(text, kept):
+    # a number lifted to an operator (``mul d 3``, ``invert 3``) holds flat
+    # sums, as the same constant made from series does; 0 holds none
+    assert as_op(text).terms.kept == kept
+    if text != "0":
+        twin = MicroOp.constant(TateSeries.constant(PadicScalar.from_fraction(F(text), 2)))
+        assert twin.terms.kept == kept
+
+
 def test_a_power_forms_each_commutation_once(monkeypatch):
     # every step of f^4 multiplies by the same f: its rows and one commutation
     # table serve the whole loop, so no (alpha, beta) list is formed twice

@@ -22,8 +22,10 @@ def test_operator_round_trip_with_tail():
     assert back.tail == P.tail
     assert set(back.terms) == set(P.terms)
     for a in P.terms:
-        for m in P.terms[a].coeffs:
-            assert back.terms[a].coeffs[m].agrees_with(P.terms[a].coeffs[m])
+        for m, c in P.terms[a].coeffs.items():
+            b = back.terms[a].coeffs[m]
+            n = min(b.precision, c.precision)
+            assert b.valuation == c.valuation and b.residue(n) == c.residue(n)
 
 
 def test_laurent_operator_round_trip():
@@ -32,8 +34,8 @@ def test_laurent_operator_round_trip():
     assert set(back.terms) == {(-2,), (1,)}
     # valuations, hence all norms, survive the round trip exactly
     for a in S.terms:
-        assert (back.terms[a].spectral_valuation()
-                == S.terms[a].spectral_valuation())
+        assert (min(s.valuation for s in back.terms[a].coeffs.values())
+                == min(s.valuation for s in S.terms[a].coeffs.values()))
 
 
 def test_neg_tail_field():

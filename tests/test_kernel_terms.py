@@ -442,8 +442,8 @@ def test_scaled_sums_equal_the_scaled_series(q):
 
 def series_clip(S: MicroOp, window: int) -> MicroOp:
     """The clip on ``TateSeries`` terms: the terms past the window fold into
-    the tail of their sector, a fresh one at slope 0 over their largest
-    spectral valuation."""
+    the tail of their sector, a fresh one at slope 0 over the largest of
+    their least coefficient valuations."""
     terms = dict(S.terms)
     dropped = [a for a in terms if any(abs(e) > window for e in a)]
     tail, neg_tail = S.tail, S.neg_tail
@@ -453,7 +453,8 @@ def series_clip(S: MicroOp, window: int) -> MicroOp:
             continue
         cert, start = tail if positive else neg_tail, min(map(diffop.length, hit)) - 1
         if cert is None:
-            cert = TailCertificate(start, max(F(terms[a].spectral_valuation()) for a in hit), F(0))
+            t0 = max(min(s.valuation for s in terms[a].coeffs.values()) for a in hit)
+            cert = TailCertificate(start, F(t0), F(0))
         else:
             cert = TailCertificate(min(cert.start, start), cert.t0, min(cert.t1, F(0)),
                                    cert.infinite)

@@ -150,8 +150,8 @@ class TestProductPaths:
         assert clipped.tail.start == min(full.tail.start, 4)
         assert clipped.tail.t1 == min(full.tail.t1, 0)
         assert clipped.tail.infinite
-        assert clipped.tail.t0 == min([full.tail.t0] + [full.terms[a].spectral_valuation()
-                                                        for a in dropped])
+        assert clipped.tail.t0 == min([full.tail.t0] + [s.valuation for a in dropped
+                                                        for s in full.terms[a].coeffs.values()])
         assert clipped.neg_tail is None
 
     def test_window_clips_a_negative_sector_term_into_neg_tail(self):

@@ -156,7 +156,7 @@ def fraction_polygon(P: MicroOp):
     the slope out of it)."""
     minima = {}
     for a, c in P.terms.items():
-        n, v = sum(a), F(c.spectral_valuation())
+        n, v = sum(a), F(min(s.valuation for s in c.coeffs.values()))
         minima[n] = min(v, minima.get(n, v))
     points = sorted(minima.items())
     hull = []

@@ -245,7 +245,8 @@ def truncate(E: MicroOp, rng: random.Random) -> MicroOp:
     kept = {a: c for a, c in E.terms.items() if length(a) <= cut}
     certs = []
     for positive_sector in (True, False):
-        dropped = [(length(a), c.spectral_valuation()) for a, c in E.terms.items()
+        dropped = [(length(a), min(s.valuation for s in c.coeffs.values()))
+                   for a, c in E.terms.items()
                    if length(a) > cut and (floor_sum(a) >= 0) == positive_sector]
         if not dropped and ((E.positive and not positive_sector) or rng.random() < 0.5):
             certs.append(None)  # nothing was dropped: the sector is exact

@@ -418,7 +418,7 @@ def invert_the_old_way(P, level, window_cap=64, residual_exponent=20):
     c_beta = P.terms[beta]
     rest = MicroOp(P.dim, P.prime, {tuple(x - y for x, y in zip(a, beta)): c
                                     for a, c in P.terms.items() if a != beta})
-    rho = [e + c_beta.spectral_valuation() for e in
+    rho = [e + min(s.valuation for s in c_beta.coeffs.values()) for e in
            (level.norm_exponent(rest), tail_sup_exponent(P, level.k, level.r, sum(beta)))
            if e is not None]
     inv_mono = MicroOp.monomial(tuple(-b for b in beta), 1, P.dim, P.prime, cap)
