@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from microdiff import DivisionByZero, PadicScalar, PrecisionExhausted
 from microdiff.padic import (check_prime, fraction_valuation, generalized_binomial,
-                             int_valuation)
+                             int_binomial, int_valuation)
 
 
 def F(x, prime=2):
@@ -77,6 +77,45 @@ class TestMul:
         prod = F(10, prime=5) * F(15, prime=5)
         assert prod.valuation == 2 and prod.unit == 6
 
+    def test_norm_multiplicative(self, rng):
+        def norm(s):  # |s| = p**-v(s)
+            return Fraction(s.prime) ** -s.valuation
+        for _ in range(200):
+            a = F(Fraction(rng.randint(-50, 50) or 3, rng.randint(1, 7)))
+            b = F(Fraction(rng.randint(-50, 50) or 5, rng.randint(1, 7)))
+            assert norm(a * b) == norm(a) * norm(b)
+
+
+def power(c: PadicScalar, n: int) -> PadicScalar:
+    """c**n as repeated products, with c.inv() for n < 0."""
+    step = c if n >= 0 else c.inv()
+    out = PadicScalar.one(c.prime, c.precision)
+    for _ in range(abs(n)):
+        out = out * step
+    return out
+
+
+class TestPowers:
+    BASES = (F(Fraction(-12, 5)), F(Fraction(3, 8), prime=3), F(Fraction(1, 25), prime=5),
+             PadicScalar.from_residue(1, 7, precision=16),
+             PadicScalar.from_residue(-2, 11, prime=3, precision=5))
+
+    @pytest.mark.parametrize("c", BASES)
+    def test_repeated_products_have_the_power_valuation_and_value(self, c):
+        for n in range(-3, 10):
+            cn = power(c, n)
+            assert cn.valuation == n * c.valuation, n
+            if c.exact:
+                assert cn.exact and cn.as_fraction() == c.as_fraction() ** n, n
+            elif n:  # c**0 is the exact one
+                assert not cn.exact and cn.precision == c.precision, n
+            back = cn * power(c, -n)
+            assert back.valuation == 0 and back.residue() == 1, n
+
+    def test_zero(self):
+        z = PadicScalar.zero(3, 9)
+        assert all(power(z, n).is_zero and power(z, n).precision == 9 for n in range(1, 6))
+
 
 class TestInv:
     def test_uniformizer(self):
@@ -120,6 +159,24 @@ class TestGeneralizedBinomial:
 
     def test_vanishing_above_positive_upper(self):
         assert generalized_binomial(3, 5).is_zero
+
+    def test_small(self):
+        assert generalized_binomial(4, 2).as_fraction() == 6
+
+    def test_identity(self):
+        assert generalized_binomial(9, 0) == PadicScalar.one()
+
+    def test_kummer_oracle(self):
+        # oracle: carry count when adding 3 + 3 in base 2 is 2
+        b = generalized_binomial(6, 3)
+        assert b.as_fraction() == 20 and b.valuation == 2
+
+    def test_matches_math_comb(self, rng):
+        for _ in range(100):
+            n = rng.randint(0, 20)
+            l = rng.randint(0, n)
+            assert int_binomial(n, l) == math.comb(n, l)
+            assert generalized_binomial(n, l).as_fraction() == math.comb(n, l)
 
 
 def test_json_round_trip():

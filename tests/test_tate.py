@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff import DegreeCapOverflow, NotCertifiable, PadicScalar, TateSeries
+from microdiff import DegreeCapOverflow, MicroOp, NotCertifiable, PadicScalar, TateSeries
+from microdiff.diffop import norm_k
 
 from conftest import rand_series
 
@@ -45,6 +46,33 @@ class TestGaussNorm:
             f = rand_series(rng, poly=True)
             g = rand_series(rng, poly=True)
             assert gauss_norm(f * g) == gauss_norm(f) * gauss_norm(g)
+
+
+def spectral_valuation(f: TateSeries) -> int | None:
+    """v with |f| = p**-v, as the operator store reads it off its integer sums
+    (the term table of the constant operator f); None for the zero series."""
+    op = MicroOp.constant(f)
+    rows = op.term_table
+    v = rows[0][3] if rows else None
+    assert norm_k(op, 1) == (0 if v is None else Fraction(f.prime) ** -v)
+    assert v == min((c.valuation for c in f.coeffs.values()), default=None)
+    return v
+
+
+class TestSpectralValuation:
+    def test_monomial(self):
+        f = (coord() * coord() * coord()).scale(PadicScalar.from_int(4))
+        assert spectral_valuation(f) == 2
+
+    def test_unit_series(self):
+        assert spectral_valuation(const(1) + coord().scale(PadicScalar.from_int(2))) == 0
+
+    def test_direct_max(self):
+        f = const(8) + (coord() * coord()).scale(PadicScalar.from_int(8))
+        assert spectral_valuation(f) == 3
+
+    def test_zero(self):
+        assert spectral_valuation(TateSeries.zero()) is None
 
 
 class TestDerive:
