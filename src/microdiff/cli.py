@@ -206,8 +206,8 @@ def _probed_check(P, level: RingLevel, probe_k: int | None) -> UnitVerdict:
         return tower.check_unit(P, level)
     if probe_k < 0:
         raise ValueError("the probe depth --k must be >= 0")
-    cls = tower.classify_surconvergent(P)
-    if cls.kind == "finite" and cls.order is not None and cls.order > 0:
+    cls = tower.classify_surconvergent(P)  # check_unit refuses a non-positive P
+    if P.positive and cls.kind == "finite" and cls.order is not None and cls.order > 0:
         if diffop.order_Nk(P, probe_k) < cls.order:
             return UnitVerdict(False, level, violated="non-finite")
     return tower.check_unit(P, level)

@@ -811,7 +811,8 @@ def compose(P: MicroOp, Q: MicroOp, window_cap: int | None = DEFAULT_WINDOW_CAP)
     return S
 
 
-def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None) -> tuple:
+def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None,
+                   floor: tuple | None = None) -> tuple:
     """1 + Q + ... + Q^J as kernel sums, for Q's rows over ``p^V / D`` and
     the flat rows ``one`` of the 1 (its precision and cap): each power
     window-checked and added as :func:`_sum` adds it, but keeping a residue
@@ -820,7 +821,8 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     one accumulator over ``p^min(0, J*V) / D^J``: for flat Q at the 1's cap
     and at least its precision, one ``int`` per gamma; for any other Q,
     through one commutation table of Q's, with no precision per monomial
-    when Q's scalars share one no smaller than the 1's (every power then does)."""
+    when Q's scalars share one no smaller than the 1's (every power then does).
+    A ``floor`` drops :func:`_drop_below`'s monomials from each power before it is added."""
     zero, (_, V, D, n, cap) = one[0][0][0], Q
     base, DJ = min(0, J * V), D ** J
     scale = p ** -base * DJ  # the 1 over p^base / D^J
@@ -839,8 +841,10 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
     left, table, shared = one, {}, n is not None and n >= one[3]
     acc = {zero: [{zero: scale}, None if shared else {zero: one[3]}, one[4]]}
     for _ in range(J):
-        sums, W, E, n, flat_cap = kept = _kernel_sums(left, Q, len(zero), p, table)
+        sums, W, E, n, flat_cap = _kernel_sums(left, Q, len(zero), p, table)
         _window_cap_check(sums, window_cap)
+        if floor:
+            sums = _drop_below(sums, W, floor, p)
         scale = p ** (W - base) * (DJ // E)
         for gamma, s in sums.items():
             vals, precs, gcap = ({zero: s}, None, flat_cap) if flat_cap is not None else s
@@ -852,8 +856,28 @@ def _geometric_sum(Q: tuple, J: int, one: tuple, p: int, window_cap: int | None)
             _add_into(entry, vals, precs, n, scale, p)
             if not entry[0]:
                 del acc[gamma]
-        left = _as_rows(kept, p)
+        left = _as_rows((sums, W, E, n, flat_cap), p)
     return _flat((acc, base, DJ, one[3] if shared else None, None), zero)
+
+
+def _drop_below(sums: dict, W: int, floor: tuple, p: int) -> dict:
+    """Exact general sums over ``p^W`` without each N whose level exponent
+    weight(fl(gamma)) - (W + v(N)) lies below -bound, ``floor = (weight,
+    bound)``; a term that empties leaves, one that loses nothing stays as it is."""
+    weight, bound = floor
+    base, out = bound + 1 - W, {}
+    for gamma, s in sums.items():
+        if (e := weight(sum(gamma)) + base) > 0:
+            q = p ** e
+            for N in s[0].values():
+                if not N % q:
+                    break
+            else:
+                out[gamma] = s
+                continue
+            if kept := {m: N for m, N in s[0].items() if N % q}:
+                out[gamma] = [kept, s[1] and {m: s[1][m] for m in kept}, s[2]]
+    return out
 
 
 def _flat(kept: tuple, zero: Exponent) -> tuple:

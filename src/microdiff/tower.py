@@ -35,8 +35,9 @@ from fractions import Fraction
 
 from . import newton
 from .diffop import (DEFAULT_WINDOW_CAP, Exponent, MicroOp, _as_rows, _check_level, _degrees,
-                     _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms, _level_exponent,
-                     _require_positive, _scaled, _unit_at, _window_cap_check, is_finite)
+                     _drop_below, _geometric_sum, _graded_weight, _kernel_sums, _KernelTerms,
+                     _level_exponent, _require_positive, _scaled, _unit_at, _window_cap_check,
+                     is_finite)
 from .errors import (DegreeCapOverflow, InsufficientTruncation, NotInvertible,
                      UndecidableFiniteness, WindowOverflow, ZeroOperator)
 from .microop import _stored_max, tail_sup_exponent
@@ -254,6 +255,11 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     until the contraction ratio pushes the residual below the target, and the
     result is multiplied back to verify, all at P's largest cap and precision.
     Limit levels delegate to the concrete (k, r) in the verdict.
+
+    On exact general rows each power of u in g and of -R drops its monomials of level
+    exponent below -(target + 2), and S those below -(target + e + 2), p^e the norm of P's
+    stored terms: S moves by at most ||P^-1|| p^-target (||P||^-1 at dkq, ek) and is still
+    certified exactly; where the window or the target refuses it, the whole series runs.
     """
     verdict = check_unit(P, level)
     if not verdict.invertible:
@@ -290,21 +296,32 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     J_g = 0 if v_u is None else max(0, -(-residual_exponent // v_u) - 1)
     deg_g = J_g * degrees[beta]
     deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
+    floor = (level.weight, residual_exponent + 2) if flat_cap is None and all(
+        q > 0 for *_, vp, _, _ in P_rows[0] if vp for q in vp.values()) else None  # no residue
     try:
-        # g, the series of -R = g * rest, times D^-beta (the identity at beta
-        # = 0) and then g, each product window-checked as mul checks it
-        g = _unit_inverse(c_beta, v_beta - W, J_g, p)
-        S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0),
-                           ([(zero, 1)], 0, 1, precision, cap), p, window_cap)
-        if any(beta):
-            S = _kernel_sums(([(tuple(-b for b in beta), 1)], 0, 1, precision, cap),
-                             _as_rows(S, p), P.dim, p)
-            _window_cap_check(S[0], window_cap)
-        S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
-        _window_cap_check(S[0], window_cap)
-        # _as_rows has checked every residue of S: it is wrapped as it is
-        back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _KernelTerms(P.dim, p, S))
-        _verify_residual(P, S, level, residual_exponent, back)
+        for floor in (floor, None) if floor else (None,):
+            try:
+                # g, the series of -R = g * rest, times D^-beta (the identity at beta
+                # = 0) and then g, each product window-checked as mul checks it
+                g = _unit_inverse(c_beta, v_beta - W, J_g, p, floor)
+                S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0),
+                                   ([(zero, 1)], 0, 1, precision, cap), p, window_cap, floor)
+                if any(beta):
+                    S = _kernel_sums(([(tuple(-b for b in beta), 1)], 0, 1, precision, cap),
+                                     _as_rows(S, p), P.dim, p)
+                    _window_cap_check(S[0], window_cap)
+                S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
+                _window_cap_check(S[0], window_cap)
+                if floor and S[4] is None:  # S's own drop; a flat S stays whole
+                    e = floor[1] + _stored_max(P, level.k, level.r)[0]
+                    S = _drop_below(S[0], S[1], (level.weight, e), p), *S[1:]
+                # _as_rows has checked every residue of S: it is wrapped as it is
+                back, S = (P_rows, _as_rows(S, p)), MicroOp(P.dim, p, _KernelTerms(P.dim, p, S))
+                _verify_residual(P, S, level, residual_exponent, back)
+                return S
+            except (WindowOverflow, InsufficientTruncation):  # the whole series answers
+                if not floor:  # or refuses as before; a degree cap the dropped one exceeds, it does
+                    raise
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
         # deg P + J*deg R + deg g bounds every coefficient formed above
         needed = max(degrees.values()) + deg_g + J * deg_R
@@ -318,10 +335,9 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
             + 2 * deg_R)
         raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
                              f"within {needed}") from None
-    return S
 
 
-def _unit_inverse(c_beta: tuple, v: int, J: int, p: int) -> tuple:
+def _unit_inverse(c_beta: tuple, v: int, J: int, p: int, floor: tuple | None) -> tuple:
     """The rows of g = c^-1 for the unit c = c0(1 - u) of the order-zero row
     ``c_beta``, as ``TateSeries.invert_unit`` sums it: c0^-1 (1 + u + ... + u^J),
     c0 = p^(W+v) unit / E inverting to E / unit over p^-(W+v) (modulo p^digits
@@ -342,7 +358,7 @@ def _unit_inverse(c_beta: tuple, v: int, J: int, p: int) -> tuple:
         return _as_rows(inv, p)
     rest = [(zero, [t for t in vals if any(t[0])], vp, cap, deg)], W, E, n, None
     u = _kernel_sums(_as_rows(_scaled(inv, -1, p), p), rest, len(zero), p)
-    series = _geometric_sum(_as_rows(u, p), J, ([(zero, 1)], 0, 1, abs(q0), cap), p, None)
+    series = _geometric_sum(_as_rows(u, p), J, ([(zero, 1)], 0, 1, abs(q0), cap), p, None, floor)
     return _as_rows(_kernel_sums(_as_rows(inv, p), _as_rows(series, p), len(zero), p), p)
 
 

@@ -369,6 +369,21 @@ class TestBehaviour:
         assert err.getvalue() == (
             "not invertible: not a unit at fir(r=1): lower_order_too_large\n")
 
+    @pytest.mark.parametrize("level", [["--level", "finf"], ["--level", "fir", "--r", "1"]])
+    def test_a_non_positive_operator_is_refused_alike_with_and_without_a_probe(self, level):
+        # with --k the probe asked order_Nk first, whose refusal named a query
+        # the user did not call
+        said = []
+        for probe in ([], ["--k", "2"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                said.append((run(["check", *level, *probe, "d^-1 + d"]), err.getvalue()))
+        assert said[0] == said[1]
+        (code, out), message = said[0]
+        assert code == 1 and out == "" and message.count("\n") == 1
+        assert message.startswith("error: ")
+        assert message.endswith(" applies to positive operators\n")
+
     def test_a_probe_that_passes_leaves_the_verdict_to_finf(self):
         # order N_8 of 1 - p*d is already its finite order 1
         assert run(["check", "--level", "finf", "--k", "8", "1 - p*d"]) == (
