@@ -728,10 +728,10 @@ def _degrees(kept: tuple) -> dict:
 def _unit_at(P: MicroOp, alpha: Exponent) -> bool:
     """``P.terms[alpha].is_unit()``, read off the kernel sums without building:
     the constant's valuation lies strictly below every other monomial's."""
-    sums, *_, cap = P.terms.kept
-    if cap is not None:  # one constant
+    kept = P.terms.kept
+    if kept[4] is not None:  # one constant
         return True
-    v = {m: int_valuation(N, P.prime) for m, N in sums[alpha][0].items()}
+    v = {m: int_valuation(N, P.prime) for m, N in kept[0][alpha][0].items()}
     v0 = v.pop((0,) * P.dim, None)
     return v0 is not None and min(v.values(), default=v0 + 1) > v0
 
@@ -956,8 +956,7 @@ def _stored_max(P: MicroOp, k, r=None, shift: int = 0, scale: int = 1, sup=None)
     gives b times the exponent's max, and ``sup`` is compared at that scale.
     """
     _require_terms(P)
-    best = None
-    top: list = []
+    best = top = None
     for row in P.term_table:
         m = row[2] - shift
         e = (k * m if m >= 0 or r is None else r * m) - scale * row[3]
@@ -983,6 +982,8 @@ def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
     slope is <= 0 and +infinity otherwise, which raises.  None when the
     operator is exact.
     """
+    if P.tail is None and P.neg_tail is None:
+        return None
     sups = []
     for cert, positive_sector in ((P.tail, True), (P.neg_tail, False)):
         if cert is None:
@@ -998,7 +999,7 @@ def tail_sup_exponent(P: MicroOp, k, r=None, beta: int = 0) -> Fraction | None:
             raise InsufficientTruncation(
                 f"tail slope {cert.t1} does not dominate the weight slope {rise}")
         sups.append(_graded_weight(top - beta, k, r) - cert.bound_at(n))
-    return max(sups) if sups else None
+    return max(sups)
 
 
 def _level_max(P: MicroOp, k, r=None) -> tuple:
@@ -1062,8 +1063,9 @@ def norm_mu(P: MicroOp, mu: Fraction | int) -> Fraction:
     powers of p.  Coincides with the level norm at integer mu.
     """
     _require_positive(P, "norm_mu")
-    mu = Fraction(mu)
-    return Fraction(_mu_max(P, mu)[0], mu.denominator)
+    mu = mu if type(mu) in (int, Fraction) else Fraction(mu)
+    e, b = _mu_max(P, mu)[0], mu.denominator
+    return Fraction(e) if b == 1 else Fraction(e, b)  # Fraction(e) takes no gcd
 
 
 def order_Nmu(P: MicroOp, mu: Fraction | int) -> int:

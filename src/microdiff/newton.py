@@ -65,8 +65,9 @@ class NewtonPolygon:
     def has_slope_in(self, r: Fraction | int, k: Fraction | int) -> bool:
         """True iff some slope lies in [r, k]; raises when only slopes at
         or above the certified ceiling could."""
-        if any(r <= s <= k for s in self.certified_slopes()):
-            return True
+        for s in self.certified_slopes():
+            if r <= s <= k:
+                return True
         if self.certified_below is not None and k >= self.certified_below:
             raise InsufficientTruncation(
                 f"cannot rule out slopes in [{r}, {k}] beyond the certified "
@@ -105,10 +106,13 @@ def polygon(P: MicroOp) -> NewtonPolygon:
 
 def is_slope(P: MicroOp, mu: Fraction | int) -> bool:
     """Exact slope membership, certified against the tail."""
-    return polygon(P).has_slope_in(Fraction(mu), Fraction(mu))
+    mu = mu if type(mu) is int else Fraction(mu)  # as in slope_in_interval
+    return polygon(P).has_slope_in(mu, mu)
 
 
 def slope_in_interval(P: MicroOp, r: Fraction | int, k: Fraction | int) -> bool:
-    """True iff some slope of the polygon lies in [r, k]."""
-    r, k = Fraction(r), Fraction(k)
+    """True iff some slope of the polygon lies in [r, k].  An int bound is
+    compared as it is: it compares and prints as its Fraction does."""
+    r = r if type(r) is int else Fraction(r)
+    k = k if type(k) is int else Fraction(k)
     return polygon(P).has_slope_in(r, k)

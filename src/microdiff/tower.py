@@ -30,7 +30,7 @@ on the product kernel's integer rows; it makes one operator, the inverse, on sum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import newton
@@ -97,7 +97,7 @@ class RingLevel:
         return _level_exponent(P, self.k, self.r)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UnitVerdict:
     """Outcome of a unit test with its witness.
 
@@ -113,6 +113,19 @@ class UnitVerdict:
     violated: str | None = None
     alpha: Exponent | None = None
     delegate: tuple[int, int] | None = None
+
+    def __init__(self, invertible, level, beta=None, violated=None, alpha=None, delegate=None):
+        # each slot set by its member descriptor, not by object.__setattr__ as frozen's own
+        a, b, c, d, e, f = _SLOT_SETTERS
+        a(self, invertible)
+        b(self, level)
+        c(self, beta)
+        d(self, violated)
+        e(self, alpha)
+        f(self, delegate)
+
+
+_SLOT_SETTERS = tuple(UnitVerdict.__dict__[f.name].__set__ for f in fields(UnitVerdict))
 
 
 def _check_tail(P: MicroOp, level: RingLevel, bound, strict: bool, r=None, beta: int = 0):
@@ -144,7 +157,7 @@ def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
     best, top = _stored_max(P, level.k)
     beta, _, fl_beta, v_beta = top[0]
     unit = False
-    if level.tag == "dkq" and any(n > 0 for _, n, _, _ in top):
+    if level.tag == "dkq" and (len(top) > 1 or top[0][1]):  # only alpha = 0 has length 0
         clause, alpha = "order_positive", max(top, key=lambda row: row[1])[0]
     elif len(top) > 1:
         clause, alpha = "max_coefficient_not_unique", max(a for a, _, _, _ in top)

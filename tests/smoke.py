@@ -9,10 +9,13 @@ A golden's entry is keyed by its file name and holds the CLI argument lists
 whose outputs, each run in process and exiting 0, make the file, or a function
 that returns its text.  A refusal's entry holds the arguments of one
 ``python -m microdiff.cli`` run that must exit 1 with one line on stderr and
-nothing on stdout.  Adding a golden is adding one entry.
+nothing on stdout.  A value's entry holds a function that raises
+AssertionError when the values it builds do not behave as it states.  Adding a
+golden is adding one entry.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
@@ -22,13 +25,14 @@ import traceback
 from fractions import Fraction
 
 import microdiff
-from microdiff import (MicroOp, RingLevel, cli, compose, gauss_op, invert, mul, product_op,
-                       sector_split, truncated_cofactor)
+from microdiff import (MicroOp, RingLevel, UnitVerdict, check_unit, cli, compose, gauss_op,
+                       invert, mul, product_op, sector_split, truncated_cofactor)
 from microdiff.exprs import EvalContext, evaluate, parse
 from microdiff.jsonio import dumps, operator_from_json, operator_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 REFUSES = "refuses: "
+VALUE = "value: "
 
 
 def ev(text, **ctx):
@@ -128,6 +132,25 @@ def _folds():
         read_back(clipped, 20) - ev("p*x*dinv^3 + d"))
 
 
+def _verdict_twins():
+    # UnitVerdict's constructor sets its slots through the member descriptors
+    # that this Python's dataclass(slots=True) makes: a check_unit verdict must
+    # hold its fields, equal, hash and print as its twin, and refuse assignment
+    finf, ek1 = RingLevel.finf(), RingLevel.ek(1)
+    for P, fields in ((ev("1 - p*d"), (True, finf, (1,), None, None, (2, 2))),
+                      (ev("d1 + d2", dim=2),
+                       (False, ek1, None, "max_coefficient_not_unique", (1, 0), None))):
+        got, twin = check_unit(P, fields[1]), UnitVerdict(*fields)
+        if not (tuple(getattr(got, f.name) for f in dataclasses.fields(got)) == fields
+                and got == twin and hash(got) == hash(twin) and repr(got) == repr(twin)):
+            raise AssertionError(f"{got!r} is not its twin {twin!r}")
+        try:
+            got.beta = twin.alpha
+        except dataclasses.FrozenInstanceError:
+            continue
+        raise AssertionError(f"{got!r} took an assignment")
+
+
 _CHAIN_P3 = ("prod(n=1..40, 1 - p^n*d)", "1 - p^41*d")
 _CONSTANT_P3 = ("1/2 + 3*d - 9/5*dinv + 2/7*d^2", "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2")
 _LITERAL_P = "3*p^2*x^3*d^2 + 5/7*dinv^2 - 9*p*x*d + 2"
@@ -204,6 +227,8 @@ TABLE = {
         ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"],
         ["order", "--k", "1", "--r", "5", "1-p*d"], ["defect", "--k", "1", "--r", "9", "d", "x"],
         ["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"])},
+    # verdicts: values equal to, hashed as and printed as their constructor's
+    VALUE + "check_unit verdicts and their twins": _verdict_twins,
 }
 
 
@@ -235,6 +260,8 @@ def check(name):
     entry = TABLE[name]
     if name.startswith(REFUSES):
         return _refused(entry)
+    if name.startswith(VALUE):
+        return entry()
     got = entry() if callable(entry) else cli_output(entry)
     want = (GOLDEN / name).read_text()
     if got != want:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from microdiff import (InsufficientTruncation, MicroOp, TailCertificate,
                        TateSeries, ZeroOperator, gauss_op, is_slope, order_Nmu,
-                       order_nmu, polygon, product_op, slope_in_interval)
+                       order_nmu, polygon, product_op, slope_in_interval,
+                       truncated_cofactor)
 
 from conftest import rand_positive_op
 
@@ -228,3 +229,48 @@ def test_is_slope_above_the_ceiling_refuses_on_every_call():
         with pytest.raises(InsufficientTruncation):
             is_slope(P, F(5, 2))
     assert is_slope(P, 2) and not is_slope(P, F(3, 2))
+
+
+# -- slope bounds: an int is compared as it is, anything else as its Fraction -------
+
+BOUNDS = (1, F(1), 1.0, "1", "3/2", True, 10)
+
+
+def outcome(query, *args):
+    """A query's bool, or the type and text of its refusal."""
+    try:
+        return query(*args)
+    except Exception as e:  # the type and text are the outcome
+        return type(e), str(e)
+
+
+CEILING_ONE = MicroOp(1, 2, {(0,): TateSeries.constant(1)}, TailCertificate(0, 0, 1))
+
+
+@pytest.mark.parametrize("P", [product_op(4), gauss_op(5), truncated_cofactor(1, 5), CEILING_ONE,
+                               MicroOp.identity() + MicroOp.derivation(),
+                               MicroOp.identity() + MicroOp.monomial((2,), F(8))],
+                         ids=["product_op(4)", "gauss_op(5)", "cofactor(1,5)", "ceiling 1", "1+d",
+                              "1+p^3d^2"])
+def test_slope_bounds_are_read_as_their_fractions(P):
+    # every bound, and every pair, answers or refuses as on its Fractions
+    poly = polygon(P)
+    for b in BOUNDS:
+        assert outcome(is_slope, P, b) == outcome(poly.has_slope_in, F(b), F(b)), b
+        for k in BOUNDS:
+            assert outcome(slope_in_interval, P, b, k) == outcome(
+                poly.has_slope_in, F(b), F(k)), (b, k)
+
+
+def test_slope_bounds_refuse_with_the_same_text():
+    P = product_op(4)  # certified slopes 1 and 2, ceiling 5/2
+    assert outcome(is_slope, P, 10) == (
+        InsufficientTruncation, "cannot rule out slopes in [10, 10] beyond the certified "
+        "ceiling 5/2")
+    assert outcome(slope_in_interval, P, "5/2", 3.0) == (
+        InsufficientTruncation, "cannot rule out slopes in [5/2, 3] beyond the certified "
+        "ceiling 5/2")
+    assert outcome(is_slope, CEILING_ONE, True) == (
+        InsufficientTruncation, "cannot rule out slopes in [1, 1] beyond the certified "
+        "ceiling 1")
+    assert [is_slope(P, b) for b in (1, F(1), 1.0, "1", "3/2", True)] == [True] * 4 + [False, True]

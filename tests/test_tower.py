@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +19,7 @@ from microdiff import (DegreeCapOverflow, InsufficientTruncation, MicroOp, Micro
                        check_unit, classify_surconvergent, gauss_op, invert,
                        mul, norm_Ek, norm_Fkr, norm_k, product_op,
                        slope_criterion_check, truncated_cofactor)
-from microdiff import diffop, microop, tower
+from microdiff import cli, diffop, microop, tower
 from microdiff.diffop import _graded_weight, tail_sup_exponent
 from microdiff.exprs import EvalContext, _as_op, evaluate, parse
 from microdiff.jsonio import operator_from_json, operator_to_json, verdict_to_json
@@ -349,6 +353,19 @@ class TestInvert:
         with mock.patch.object(tower, "_drop_below", keep_the_constant):
             S = invert(P, level, residual_exponent=30)
         assert drops and outcome_of(S) == outcome_of(invert_the_old_way(P, level, 64, 30))
+
+    def test_a_series_one_power_short_is_refused_by_the_multiply_back(self):
+        # J - 1 powers of -R leave the inverse of an exact 1 + p^4*d at ek(1)
+        # p^-27 from 1: the multiply-back must hold it to the whole target
+        # p^-30, where one checking half the target (p^-15) lets it through
+        whole = tower._geometric_sum
+
+        def one_power_short(Q, J, *rest):
+            return whole(Q, J - 1, *rest)
+        with mock.patch.object(tower, "_geometric_sum", one_power_short):
+            with pytest.raises(InsufficientTruncation, match=re.escape(
+                    "residual p-norm p^-27 exceeds the target p^-30")):
+                invert(parsed("1 + p^4*d"), RingLevel.ek(1), residual_exponent=30)
 
     def test_a_d2_unit_the_degree_cap_refused_answers_at_the_default_cap(self):
         # the exact series reached degree 43 here and was refused at cap 32;
@@ -924,3 +941,125 @@ def test_limit_verdicts_in_any_order_answer_as_on_a_fresh_twin():
     assert {None, "order_positive", "constant_not_unit", "top_order_not_dominated",
             "dominant_not_unit", "lower_order_too_large", "not_finite",
             UndecidableFiniteness} <= clauses
+
+
+# -- verdicts are values ----------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class GeneratedVerdict:
+    """UnitVerdict's fields behind the constructor dataclass() itself writes."""
+
+    invertible: bool
+    level: RingLevel
+    beta: tuple | None = None
+    violated: str | None = None
+    alpha: tuple | None = None
+    delegate: tuple[int, int] | None = None
+
+
+def _d2_not_finite():
+    return MicroOp(2, 2, {(1, 1): TateSeries.constant(1, 2, 2)},
+                   TailCertificate(2, 0, 1, infinite=True))
+
+
+def _slope_at_one():
+    return MicroOp(1, 2, {(0,): TateSeries.constant(1), (1,): TateSeries.constant(2)},
+                   TailCertificate(1, 5, 3))
+
+
+L = RingLevel
+# (name, the verdict, its fields): every level, d = 1 and 2, units with and
+# without a delegate, non-units with and without an offending exponent, and
+# the CLI's probed verdict
+VERDICT_TWINS = [
+    ("1+p*d@dkq(0)", lambda: check_unit(parsed("1 + p*d"), L.dkq(0)),
+     (True, L.dkq(0), (0,), None, None, None)),
+    ("x1+p*d1@dkq(1)", lambda: check_unit(parsed("x1 + p*d1", dim=2), L.dkq(1)),
+     (False, L.dkq(1), None, "order_positive", (1, 0), None)),
+    ("1-p*d@ek(2)", lambda: check_unit(parsed("1 - p*d"), L.ek(2)),
+     (True, L.ek(2), (1,), None, None, None)),
+    ("d1+d2@ek(1)", lambda: check_unit(parsed("d1 + d2", dim=2), L.ek(1)),
+     (False, L.ek(1), None, "max_coefficient_not_unique", (1, 0), None)),
+    ("1+p^3dinv+p^4d@fkr(3,1)", lambda: check_unit(parsed("1 + p^3*dinv + p^4*d"), L.fkr(3, 1)),
+     (True, L.fkr(3, 1), (0,), None, None, None)),
+    ("1+p*x1*d2@fkr(2,1)", lambda: check_unit(parsed("1 + p*x1*d2", dim=2), L.fkr(2, 1)),
+     (False, L.fkr(2, 1), None, "max_coefficient_not_unit", (0, 1), None)),
+    ("1-p*d@fir(2)", lambda: check_unit(parsed("1 - p*d"), L.fir(2)),
+     (True, L.fir(2), (1,), None, None, (2, 2))),
+    ("d1^2+d2^2@fir(1)", lambda: check_unit(parsed("d1^2 + d2^2", dim=2), L.fir(1)),
+     (False, L.fir(1), None, "top_order_not_dominated", (2, 0), None)),
+    ("truncated@fir(1)", lambda: check_unit(_slope_at_one(), L.fir(1)),
+     (False, L.fir(1), None, "slope_in_interval", None, None)),
+    ("d1*d2+p*d1+1@finf", lambda: check_unit(parsed("d1*d2 + p*d1 + 1", dim=2), L.finf()),
+     (True, L.finf(), (1, 1), None, None, (1, 1))),
+    ("product_op(4)@finf", lambda: check_unit(product_op(4), L.finf()),
+     (False, L.finf(), None, "not_finite", None, None)),
+    ("d2-infinite@finf", lambda: check_unit(_d2_not_finite(), L.finf()),
+     (False, L.finf(), None, "not_finite", None, None)),
+    ("probed@finf", lambda: cli._probed_check(parsed("prod(n=1..9, 1 - p^n*d)"), L.finf(), 4),
+     (False, L.finf(), None, "non-finite", None, None)),
+    ("3+p*x@dinf", lambda: check_unit(parsed("3 + p*x"), L.dinf()),
+     (True, L.dinf(), (0,), None, None, (1, 1))),
+    ("d1+p*d2@dinf", lambda: check_unit(parsed("d1 + p*d2", dim=2), L.dinf()),
+     (False, L.dinf(), None, "order_positive", (1, 0), None)),
+]
+
+
+@pytest.mark.parametrize("verdict, values", [case[1:] for case in VERDICT_TWINS],
+                         ids=[case[0] for case in VERDICT_TWINS])
+def test_a_verdict_is_the_value_of_its_public_constructor_twin(verdict, values):
+    # the constructor sets the slots through their member descriptors; the
+    # verdict reads as its twin, and as what dataclass() generates reads
+    v, twin, generated = verdict(), UnitVerdict(*values), GeneratedVerdict(*values)
+    assert tuple(getattr(v, f.name) for f in dataclasses.fields(v)) == values
+    assert v == twin and hash(v) == hash(twin) == hash(generated)
+    assert repr(v) == repr(twin) == repr(generated).replace("GeneratedVerdict", "UnitVerdict")
+    assert not hasattr(v, "__dict__")
+    for f in dataclasses.fields(v):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, f.name, getattr(v, f.name))
+    for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v),
+                 dataclasses.replace(v)):
+        assert type(back) is UnitVerdict and back == v and hash(back) == hash(v)
+        assert repr(back) == repr(v)
+    flipped = dataclasses.replace(v, invertible=not v.invertible)
+    assert flipped != v and flipped == UnitVerdict(not v.invertible, *values[1:])
+
+
+def test_a_verdict_takes_its_fields_by_position_and_by_name():
+    by_position = UnitVerdict(False, L.ek(1), (1,), "x", (2,), (1, 1))
+    by_name = UnitVerdict(delegate=(1, 1), alpha=(2,), violated="x", beta=(1,), level=L.ek(1),
+                          invertible=False)
+    assert by_position == by_name and tuple(
+        getattr(by_name, f.name) for f in dataclasses.fields(by_name)) == (
+        False, L.ek(1), (1,), "x", (2,), (1, 1))
+    with pytest.raises(TypeError):
+        UnitVerdict(True)
+
+
+# -- the transition morphisms -----------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), prime=st.sampled_from((2, 3, 5)))
+def test_a_limit_inverse_meets_its_target_at_every_level_above_its_delegate(seed, prime):
+    # an inverse at finf or fir(r) is computed at its delegate fkr(r, r); the
+    # transition morphisms fkr(k, r) -> fkr(r, r) make it an inverse at every
+    # k >= r, so P*S - 1 stays within the target at fkr(k, r), r <= k <= r + 7
+    # (for a positive P it lies in fl <= 0, where the weight r*fl is k's too)
+    rng = random.Random(seed)
+    P = rand_positive_op(rng, prime=prime, poly=rng.random() < 0.6)
+    for level in (L.finf(), L.fir(1), L.fir(2)):
+        verdict = check_unit(P, level)
+        if not verdict.invertible:
+            continue
+        try:
+            S = invert(P, level, residual_exponent=12)
+        except (WindowOverflow, DegreeCapOverflow):  # a named refusal
+            continue
+        r = verdict.delegate[1]
+        residual = mul(P, S, window_cap=None) - MicroOp.identity(1, prime)
+        for k in range(r, r + 8):
+            e = L.fkr(k, r).norm_exponent(residual)
+            assert e is None or e <= -12, (str(P), level, k, e)
