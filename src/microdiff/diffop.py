@@ -694,8 +694,13 @@ def _sum(a: tuple, b: tuple, dim: int, p: int) -> tuple:
     A shared term's monomials take the order of ``set(a's) | set(b's)`` and
     meet precisions by :func:`_add_term`; a residue whose known digits all
     cancel is refused there, then a monomial past the smaller cap.  Flat
-    sums at one precision and cap stay flat; other pairs add as general."""
+    sums at one precision and cap stay flat; other pairs add as general.
+    Two general sums over one ``p^W / E`` at one precision whose terms are
+    disjoint join as they are, each entry copied."""
     (sa, wa, ea, na, capa), (sb, wb, eb, nb, capb) = a, b
+    if capa is None and capb is None and (wa, ea, na) == (wb, eb, nb) and sa.keys().isdisjoint(sb):
+        return ({g: [dict(v), None if na else dict(vp), c] for s in (sa, sb)
+                 for g, (v, vp, c) in s.items()}, wa, ea, na, None)
     W, E = min(wa, wb), math.lcm(ea, eb)
     ka, kb = p ** (wa - W) * (E // ea), p ** (wb - W) * (E // eb)
     n, zero, out = na if na == nb else None, (0,) * dim, {}

@@ -9,7 +9,8 @@ derivation ``dinv``, parentheses, and the comprehensions
 appear in exponents.  An evaluation error names the position of its
 operator's token (of ``prod``/``sum`` for a range bound).
 
-Evaluation folds on the operator store: a number stays a ``Fraction``, an
+Evaluation folds on the operator store: a number is an ``int``, a
+``Fraction`` only where ``/`` or a negative power makes one, and an
 operator is the kernel's general sums ``(sums, W, E, n, None)`` over
 ``p^W / E`` at the context's precision ``n`` and degree cap.  A symbol or
 a number lifts to one row, a number scales the integers, two operators
@@ -69,120 +70,108 @@ class Compr:
     pos: int = field(default=0, compare=False)  # of the kind's token
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\.\.)|([()+\-*/^=,]))")
-_KINDS = (None, "num", "name", "dots", "op")  # token kind by index of the matched group
+_TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(\.\.)|([()+\-*/^=,])|(\S)")
+_KINDS = (None, "num", "name", "dots")  # by group; an operator is its own kind, group 5 bad
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("end", "", len(text)), in one pass."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        g = m.lastindex
-        tokens.append((_KINDS[g], m.group(g), m.start(g)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        g, value = m.lastindex, m[m.lastindex]
+        if g == 5:
+            raise ExprSyntaxError(f"unexpected character {value!r}", m.start())
+        tokens.append((_KINDS[g] if g < 4 else value, value, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
+    def expect(self, kind: str):
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ExprSyntaxError(f"expected {kind!r}, found {found}", tok[2])
         self.i += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            raise ExprSyntaxError(f"expected {want!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def parse(self):
         node = self.additive()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] != "end":
             raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
     def additive(self):
-        node = self.multiplicative()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op, pos = self.next()
-            node = Bin(op, node, self.multiplicative(), pos)
+        node, tokens = self.multiplicative(), self.tokens
+        while (tok := tokens[self.i])[0] in ("+", "-"):
+            self.i += 1
+            node = Bin(tok[0], node, self.multiplicative(), tok[2])
         return node
 
     def multiplicative(self):
-        node = self.unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            _, op, pos = self.next()
-            node = Bin(op, node, self.unary(), pos)
+        node, tokens = self.unary(), self.tokens
+        while (tok := tokens[self.i])[0] in ("*", "/"):
+            self.i += 1
+            node = Bin(tok[0], node, self.unary(), tok[2])
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "-":
-            self.next()
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
             return Neg(self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            pos = self.next()[2]
-            # right-associative; unary minus binds below ^, so -2 needs parens
-            exponent = self.power_operand()
-            return Bin("^", base, exponent, pos)
-        return base
+        tok = self.tokens[self.i]
+        if tok[0] != "^":
+            return base
+        self.i += 1
+        # right-associative; unary minus binds below ^, so -2 needs parens
+        return Bin("^", base, self.power_operand(), tok[2])
 
     def power_operand(self):
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "(":
+        kind = self.tokens[self.i][0]
+        if kind == "(":
             return self.atom()
-        if tok[0] == "op" and tok[1] == "-":
-            self.next()
+        if kind == "-":
+            self.i += 1
             return Neg(self.power_operand())
         return self.power()
 
     def atom(self):
-        tok = self.next()
-        kind, value, pos = tok
+        tok = self.tokens[self.i]
+        self.i += 1
+        kind, value = tok[0], tok[1]
         if kind == "num":
             return Num(int(value))
-        if kind == "op" and value == "(":
-            node = self.additive()
-            self.expect("op", ")")
-            return node
         if kind == "name":
-            nxt = self.peek()
-            if value in ("prod", "sum") and nxt[0] == "op" and nxt[1] == "(":
-                return self.comprehension(value, pos)
+            if value in ("prod", "sum") and self.tokens[self.i][0] == "(":
+                return self.comprehension(value, tok[2])
             return Sym(value)
-        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        if kind == "(":
+            node = self.additive()
+            self.expect(")")
+            return node
+        raise ExprSyntaxError("unexpected end of input" if kind == "end"
+                              else f"unexpected token {value!r}", tok[2])
 
     def comprehension(self, kind: str, pos: int):
-        self.expect("op", "(")
-        var_tok = self.expect("name")
-        self.expect("op", "=")
+        self.expect("(")
+        var = self.expect("name")[1]
+        self.expect("=")
         lo = self.additive()
         self.expect("dots")
         hi = self.additive()
-        self.expect("op", ",")
+        self.expect(",")
         body = self.additive()
-        self.expect("op", ")")
-        return Compr(kind, var_tok[1], lo, hi, body, pos)
+        self.expect(")")
+        return Compr(kind, var, lo, hi, body, pos)
 
 
 def parse(text: str):
@@ -232,14 +221,13 @@ class EvalContext:
 
 
 _AXIS_RE = re.compile(r"^([xd])([0-9]+)$")
-_ONE = Fraction(1)
 
 
 def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
     if name in env:
         return env[name]
     if name == "p":
-        return Fraction(ctx.prime)
+        return ctx.prime
     if name in ("x", "d"):
         if ctx.dim != 1:
             raise UnknownSymbol(f"plain '{name}' needs dim 1; use {name}1..{name}d")
@@ -247,7 +235,7 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
     zero = (0,) * ctx.dim
     if name == "dinv":
         _check_ring(ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision)
-        return _term(_ONE, ctx, (-1,) + zero[1:])
+        return _term(1, ctx, (-1,) + zero[1:])
     m = _AXIS_RE.match(name)
     if m:
         letter, axis = m[1], int(m[2])
@@ -255,7 +243,7 @@ def _resolve_symbol(name: str, ctx: EvalContext, env: dict):
             raise UnknownSymbol(f"axis {axis} out of range for dim {ctx.dim}")
         e = zero[:axis - 1] + (1,) + zero[axis:]
         _check_ring(ctx.dim, ctx.prime, ctx.degree_cap, ctx.precision, axis * (letter == "x"))
-        return _term(_ONE, ctx, m=e) if letter == "x" else _term(_ONE, ctx, e)
+        return _term(1, ctx, m=e) if letter == "x" else _term(1, ctx, e)
     raise UnknownSymbol(f"unknown symbol {name!r}")
 
 
@@ -274,7 +262,7 @@ def _operator(kept: tuple, ctx: EvalContext) -> MicroOp:
 
 
 def _as_int(value, what: str, pos: int) -> int:
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if not isinstance(value, tuple) and value.denominator == 1:
         return int(value)
     raise ExprSyntaxError(f"{what} must evaluate to an integer", pos)
 
@@ -282,11 +270,11 @@ def _as_int(value, what: str, pos: int) -> int:
 def evaluate(node, ctx: EvalContext, env: dict | None = None):
     """Evaluate to a MicroOp or a scalar Fraction (numbers stay numbers)."""
     value = _fold(node, ctx, env or {})
-    return value if isinstance(value, Fraction) else _operator(value, ctx)
+    return _operator(value, ctx) if isinstance(value, tuple) else Fraction(value)
 
 
 def _fold(node, ctx: EvalContext, env: dict):
-    """A Fraction or an operator's kernel sums (see the module docstring)."""
+    """A number or an operator's kernel sums (see the module docstring)."""
     if isinstance(node, Bin):
         lhs = _fold(node.lhs, ctx, env)
         rhs = _fold(node.rhs, ctx, env)
@@ -297,56 +285,57 @@ def _fold(node, ctx: EvalContext, env: dict):
         if node.op == "*":
             return _mul(lhs, rhs, ctx)
         if node.op == "/":
-            if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-                if rhs == 0:
-                    raise ExprSyntaxError("division by zero", node.pos)
-                return lhs / rhs
-            raise ExprSyntaxError("'/' is for rational literals only", node.pos)
+            if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+                raise ExprSyntaxError("'/' is for rational literals only", node.pos)
+            if rhs == 0:
+                raise ExprSyntaxError("division by zero", node.pos)
+            q = Fraction(lhs, rhs)
+            return q.numerator if q.denominator == 1 else q
         return _power(lhs, _as_int(rhs, "exponent", node.pos), ctx, node.pos)
     if isinstance(node, Sym):
         return _resolve_symbol(node.name, ctx, env)
     if isinstance(node, Num):
-        return Fraction(node.value)
+        return node.value
     if isinstance(node, Neg):
         return _neg(_fold(node.operand, ctx, env), ctx)
     if isinstance(node, Compr):
         lo = _as_int(_fold(node.lo, ctx, env), "range bound", node.pos)
         hi = _as_int(_fold(node.hi, ctx, env), "range bound", node.pos)
-        acc = Fraction(node.kind == "prod")
+        acc = int(node.kind == "prod")
         for i in range(lo, hi + 1):
-            item = _fold(node.body, ctx, {**env, node.var: Fraction(i)})
+            item = _fold(node.body, ctx, {**env, node.var: i})
             acc = item if i == lo else (_mul if node.kind == "prod" else _add)(acc, item, ctx)
         return acc
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _term(q: Fraction, ctx: EvalContext, alpha=None, m=None) -> tuple:
+def _term(q: int | Fraction, ctx: EvalContext, alpha=None, m=None) -> tuple:
     """q x^m D^alpha (m and alpha 0 by default) as one row of kernel sums."""
     zero = (0,) * ctx.dim
-    row = {alpha or zero: [{m or zero: 1}, None, ctx.degree_cap]}
-    return _scaled((row, 0, 1, ctx.precision, None), q, ctx.prime)
+    kept = {alpha or zero: [{m or zero: 1}, None, ctx.degree_cap]}, 0, 1, ctx.precision, None
+    return kept if q == 1 else _scaled(kept, q, ctx.prime)
 
 
 def _neg(value, ctx: EvalContext):
-    return -value if isinstance(value, Fraction) else _scaled(value, -1, ctx.prime)
+    return _scaled(value, -1, ctx.prime) if isinstance(value, tuple) else -value
 
 
 def _add(a, b, ctx: EvalContext):
     """a + b; operators add by the operator sum, :func:`microdiff.diffop._sum`."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if not (isinstance(a, tuple) or isinstance(b, tuple)):
         return a + b
-    return _sum(*(_term(v, ctx) if isinstance(v, Fraction) else v for v in (a, b)),
+    return _sum(*(v if isinstance(v, tuple) else _term(v, ctx) for v in (a, b)),
                 ctx.dim, ctx.prime)
 
 
 def _mul(a, b, ctx: EvalContext):
     """a*b: a number scales an operator, two operators multiply in the
     product kernel, and each product meets the window cap."""
-    if isinstance(a, Fraction):
-        if isinstance(b, Fraction):
+    if not isinstance(a, tuple):
+        if not isinstance(b, tuple):
             return a * b
         out = _scaled(b, a, ctx.prime)
-    elif isinstance(b, Fraction):
+    elif not isinstance(b, tuple):
         out = _scaled(a, b, ctx.prime)
     else:
         out = _kernel_sums(_as_rows(a, ctx.prime), _as_rows(b, ctx.prime), ctx.dim, ctx.prime)
@@ -355,21 +344,24 @@ def _mul(a, b, ctx: EvalContext):
 
 
 def _power(base, e: int, ctx: EvalContext, pos: int):
-    if isinstance(base, Fraction):
-        if base == 0 and e < 0:
+    if not isinstance(base, tuple):
+        if e >= 0:
+            return base**e
+        if base == 0:
             raise ExprSyntaxError("division by zero", pos)
-        return base**e
+        return Fraction(base)**e
     sums, W, E = base[:3]
     monomial = len(sums) == 1 and len(next(iter(sums.values()))[0]) == 1
     if monomial:
         (alpha, (f, _, _)), = sums.items()
         (m, N), = f.items()
-        c = Fraction(N, E) * Fraction(ctx.prime) ** W
+        c = N * ctx.prime**W if W >= 0 else Fraction(N, ctx.prime**-W)
+        c = c if E == 1 else Fraction(c, E)
     if e < 0:
         if not monomial or any(m):
             raise ExprSyntaxError("negative powers need a monomial base", pos)
         # D^-alpha * c^-1 is a product of its own, refused by the window first
-        alpha, c, e = tuple(-a for a in alpha), 1 / c, -e
+        alpha, c, e = tuple(-a for a in alpha), Fraction(1, c), -e
         _window_cap_check({alpha: None}, ctx.window_cap)
     # commutation only lowers x-degrees, so f^e has degree exactly e * deg f
     needed = e * max([sum(k) for f, _, _ in sums.values() for k in f], default=0)
@@ -382,7 +374,7 @@ def _power(base, e: int, ctx: EvalContext, pos: int):
         _window_cap_check(out[0], ctx.window_cap)
         return out
     # the base's rows and one commutation table serve every step
-    out, rows, table = _term(_ONE, ctx), _as_rows(base, ctx.prime), {}
+    out, rows, table = _term(1, ctx), _as_rows(base, ctx.prime), {}
     for _ in range(e):
         out = _kernel_sums(_as_rows(out, ctx.prime), rows, ctx.dim, ctx.prime, table)
         _window_cap_check(out[0], ctx.window_cap)

@@ -217,8 +217,10 @@ TABLE = {
     "sums.txt": _sums,
     "folds.txt": _folds,
     # a bad weight, window or probe depth, an unwritable output, a level
-    # field the level does not take, --r where no level is read and --mu
-    # beside level flags, each refused by `python -m microdiff.cli` in one line
+    # field the level does not take, --r where no level is read, --mu beside
+    # level flags, and an expression with a bad character, none at all, an
+    # unclosed parenthesis or a rational exponent, each refused by
+    # `python -m microdiff.cli` in one line
     **{REFUSES + " ".join(argv): argv for argv in (
         ["norm", "--mu", "1/0", "d"], ["order", "--mu", "1/0", "d"], ["order", "--k", "-1", "d"],
         ["norm", "--k", "1", "--out", "no-such-dir/norm.txt", "d"],
@@ -226,7 +228,9 @@ TABLE = {
         ["check", "--level", "finf", "--k", "-1", "1+p*d"],
         ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"],
         ["order", "--k", "1", "--r", "5", "1-p*d"], ["defect", "--k", "1", "--r", "9", "d", "x"],
-        ["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"])},
+        ["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"],
+        ["norm", "--k", "1", "1 + $"], ["norm", "--k", "1", ""], ["norm", "--k", "1", "(1 + d"],
+        ["norm", "--k", "1", "p^(1/2)*d"])},
     # verdicts: values equal to, hashed as and printed as their constructor's
     VALUE + "check_unit verdicts and their twins": _verdict_twins,
 }

@@ -883,6 +883,31 @@ def test_a_sum_refuses_as_the_series_arithmetic():
     assert refusal.value.needed == 3
 
 
+@pytest.mark.parametrize("texts, dim, from_json_at_20", [
+    (("1 + p*x*d", "x^2*d^2 + p*dinv"), 1, False),
+    (("x1*d2 + 3", "p*x2*d1^2 - 5*x1*x2*d1"), 2, False),
+    (("1 + p*x*d", "x*d^2 + p*dinv"), 1, True)])
+def test_a_sum_of_disjoint_general_sums_joins_copies_of_their_entries(texts, dim,
+                                                                       from_json_at_20):
+    # one p^W / E and precision and no shared term: the sums join as they
+    # are, without adding a monomial, and no entry, dict or list is shared
+    from microdiff.exprs import EvalContext, evaluate, parse
+    P, Q = (json_at_20(t, dim) if from_json_at_20 else evaluate(parse(t), EvalContext(dim=dim))
+            for t in texts)
+    (sa, *rest), (sb, *rest_b) = P.terms.kept, Q.terms.kept
+    assert rest == rest_b and rest[3] is None and not sa.keys() & sb.keys()
+    with mock.patch.object(diffop, "_add_into", side_effect=AssertionError):
+        S = P + Q
+    kept = S.terms.kept
+    assert kept == ({**sa, **sb}, *rest)
+    for g, entry in kept[0].items():
+        source = (sa if g in sa else sb)[g]
+        assert entry is not source and entry[0] is not source[0]
+        assert (entry[1] is None) == (source[1] is None) and (
+            entry[1] is None or entry[1] is not source[1])
+    assert sum_snapshot(lambda A, B: A + B, P, Q) == sum_snapshot(series_sum, P, Q)
+
+
 P64 = 3 ** 64  # residues below are modulo p^precision at p = 3
 # (x^2*d + 3*dinv + 5) read back from JSON, times (x*d^2 + 9*x^3): per term,
 # (monomial, valuation, residue, precision, exact); d^0's x^0 coefficient is -p

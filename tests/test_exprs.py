@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -58,8 +59,28 @@ class TestParse:
             parse("(1 + p")
 
     def test_bad_character(self):
-        with pytest.raises(ExprSyntaxError):
+        # the character itself, not the whitespace before it
+        with pytest.raises(ExprSyntaxError) as err:
             parse("1 # 2")
+        assert str(err.value) == "unexpected character '#' (at position 2)"
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text, char, pos", [
+        ("1 + $", "$", 4), ("1+$", "$", 2), ("1 +\t $", "$", 5), ("prod(n=1...3, n)", ".", 10)])
+    def test_a_bad_character_is_named_at_its_position(self, text, char, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {char!r} (at position {pos})"
+        assert err.value.position == pos
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("1 +", "unexpected end of input", 3), ("1 + ", "unexpected end of input", 4),
+        ("", "unexpected end of input", 0), ("(1 + 2", "expected ')', found end of input", 6),
+        ("prod(n=1..3", "expected ',', found end of input", 11)])
+    def test_the_end_of_input_is_named(self, text, message, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {pos})" and err.value.position == pos
 
 
 class TestPrintRoundTrip:
@@ -101,6 +122,14 @@ class TestEvaluate:
 
     def test_rational_literal(self):
         assert ev("3/4") == F(3, 4)
+
+    @pytest.mark.parametrize("text, value", [
+        ("2/2", 1), ("p^2", 4), ("0^0", 1), ("p^(-1)", F(1, 2)), ("sum(n=1..3, n)", 6),
+        ("prod(n=1..0, d)", 1), ("(1/2)*2", 1), ("3", 3)])
+    def test_a_number_evaluates_to_a_fraction(self, text, value):
+        # the fold keeps integers as int; evaluate hands out a Fraction
+        got = ev(text)
+        assert type(got) is Fraction and got == value
 
     def test_rational_on_operators_rejected(self):
         with pytest.raises(ExprSyntaxError):
@@ -436,3 +465,187 @@ def test_printed_text_parses_back_to_an_equal_value(node):
     back = parse(to_text(node))
     assert back == node
     assert value(back) == value(node)
+
+
+# -- the tokenizer and parser against the ones they replaced --------------------
+#
+# The reference below is the regex-per-token tokenizer and the peek/next
+# parser that came before the one-pass tokenizer.  Both must give the same
+# AST, every position included, or the same refusal at the same position.
+# Two refusals are worded anew: a bad character is named itself, at its own
+# position, where the reference named the whitespace before it, and the end
+# of input is named where the reference printed ''.
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\.\.)|([()+\-*/^=,]))")
+_REF_KINDS = (None, "num", "name", "dots", "op")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        g = m.lastindex
+        tokens.append((_REF_KINDS[g], m.group(g), m.start(g)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            raise ExprSyntaxError(f"expected {want!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        node = self.additive()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+        return node
+
+    def additive(self):
+        node = self.multiplicative()
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            _, op, pos = self.next()
+            node = Bin(op, node, self.multiplicative(), pos)
+        return node
+
+    def multiplicative(self):
+        node = self.unary()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            _, op, pos = self.next()
+            node = Bin(op, node, self.unary(), pos)
+        return node
+
+    def unary(self):
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "-":
+            self.next()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "op" and self.peek()[1] == "^":
+            pos = self.next()[2]
+            return Bin("^", base, self.power_operand(), pos)
+        return base
+
+    def power_operand(self):
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "(":
+            return self.atom()
+        if tok[0] == "op" and tok[1] == "-":
+            self.next()
+            return Neg(self.power_operand())
+        return self.power()
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if kind == "num":
+            return Num(int(value))
+        if kind == "op" and value == "(":
+            node = self.additive()
+            self.expect("op", ")")
+            return node
+        if kind == "name":
+            nxt = self.peek()
+            if value in ("prod", "sum") and nxt[0] == "op" and nxt[1] == "(":
+                return self.comprehension(value, pos)
+            return Sym(value)
+        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+
+    def comprehension(self, kind, pos):
+        self.expect("op", "(")
+        var_tok = self.expect("name")
+        self.expect("op", "=")
+        lo = self.additive()
+        self.expect("dots")
+        hi = self.additive()
+        self.expect("op", ",")
+        body = self.additive()
+        self.expect("op", ")")
+        return Compr(kind, var_tok[1], lo, hi, body, pos)
+
+
+def _with_positions(node):
+    """The AST as nested tuples holding every field, ``pos`` included."""
+    if not isinstance(node, (Bin, Compr, Neg)):  # Num, Sym or a field that is no node
+        return node
+    return (type(node).__name__,) + tuple(
+        _with_positions(getattr(node, f.name)) for f in dataclasses.fields(node))
+
+
+def parsed(parser, text):
+    """The AST with its positions, or the refusal's type, text and position."""
+    try:
+        return "ast", _with_positions(parser(text))
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def reworded(text, ref):
+    """The reference's outcome with the two refusals worded anew."""
+    if ref[0] == "ast":
+        return ref
+    kind, message, pos = ref
+    if message.startswith("unexpected character"):  # at the first non-space from pos
+        pos = len(text) - len(text[pos:].lstrip())
+        return kind, f"unexpected character {text[pos]!r} (at position {pos})", pos
+    return kind, message.replace("token ''", "end of input").replace(
+        "found ''", "found end of input"), pos
+
+
+_EDIT_CHARS = "0123456789pxdn()+-*/^=,. \t\n$#_"
+
+
+@st.composite
+def edited_texts(draw):
+    """A literal expression with its whitespace varied, then up to three
+    single-character insertions, deletions or replacements."""
+    rng = draw(st.randoms(use_true_random=False))
+    pieces = random_literal_text(rng, rng.choice((1, 2))).split(" ")
+    text = "".join(piece + rng.choice(("", "", " ", "  ", "\t", "\n "))
+                   for piece in pieces)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        i = rng.randint(0, len(text))
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert" or i == len(text):
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        else:
+            text = text[:i] + (rng.choice(_EDIT_CHARS) if edit == "replace" else "") + text[i + 1:]
+    return text
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(edited_texts())
+@example("1 + $")
+@example("1 +")
+@example("(1 + 2")
+@example("")
+@example(" \t ")
+@example("prod(n=1..3 1)")
+@example("p^-(-2)^3 - x*  d .. 2")
+def test_the_parser_matches_the_one_it_replaced(text):
+    want = reworded(text, parsed(lambda t: _RefParser(t).parse(), text))
+    assert parsed(parse, text) == want
