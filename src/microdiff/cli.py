@@ -266,14 +266,14 @@ def _cmd_defect(args, ctx) -> int:
 
 
 def _cmd_catalog(args, ctx) -> int:
-    if args.name == "product_op":
-        P = catalog.product_op(args.M, args.prime, exact=args.exact)
-    elif args.name == "gauss_op":
-        P = catalog.gauss_op(args.M, args.prime, exact=args.exact)
-    else:
-        if args.k is None:
-            raise UsageError("truncated_cofactor needs --k")
+    if args.name == "truncated_cofactor":
+        if args.k is None or args.exact:
+            raise UsageError(f"truncated_cofactor {'takes no --exact' if args.exact else 'needs --k'}")
         P = catalog.truncated_cofactor(args.k, args.M, args.prime)
+    elif args.k is not None:
+        raise UsageError(f"{args.name} takes no --k")
+    else:
+        P = getattr(catalog, args.name)(args.M, args.prime, exact=args.exact)
     _emit(args, _operator_report(args, P))
     return 0
 

@@ -22,7 +22,7 @@ weighted inequalities the coefficients must satisfy:
 
 Verdicts carry machine-checkable witnesses: the dominant exponent for a
 unit, or the violated clause and offending exponent for a non-unit.
-Inversion recentres around the dominant monomial, sums the geometric series
+Inversion recentres at c_beta's constant, sums the geometric series
 to the certified residual target and multiplies back, the whole certificate,
 on the product kernel's integer rows; it makes one operator, the inverse, on sums.
 """
@@ -130,16 +130,18 @@ _SLOT_SETTERS = tuple(UnitVerdict.__dict__[f.name].__set__ for f in fields(UnitV
 
 def _check_tail(P: MicroOp, level: RingLevel, bound, strict: bool, r=None, beta: int = 0):
     """Refuse the verdict unless the (k, r) tail sup recentred at beta stays
-    below ``bound``: strictly, or at most reaching it when not ``strict``."""
+    below ``bound``, the stored or (with r) recentred maximum: strictly, or
+    at most reaching it when not ``strict``; a refusal names the bound."""
     try:
         sup = tail_sup_exponent(P, level.k, r, beta)
+    except InsufficientTruncation as e:
+        reason = e
+    else:
         if sup is None or (sup < bound if strict else sup <= bound):
             return
-    except InsufficientTruncation:
-        pass
-    raise InsufficientTruncation(
-        f"tail mass can reach the stored maximum; the {level} verdict "
-        "needs a larger truncation")
+        reason = (f"tail sup p^{sup} {'reaches' if strict else 'exceeds'} the "
+                  f"{'stored' if r is None else 'recentred'} maximum p^{bound}")
+    raise InsufficientTruncation(f"{reason}; the {level} verdict needs a larger truncation")
 
 
 def _finite_level_verdict(P: MicroOp, level: RingLevel) -> UnitVerdict:
@@ -262,15 +264,16 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
            residual_exponent: int = 20) -> MicroOp:
     """Explicit inverse with certified residual ||P * S - 1|| <= p**-target.
 
-    Writes P = c_beta (1 + R) D^beta around the dominant monomial, with g the
-    exact polynomial inverse of c_beta to within the target and R = g * (P -
-    c_beta D^beta) D^-beta; the geometric series for (1 + R)^{-1} is summed
-    until the contraction ratio pushes the residual below the target, and the
-    result is multiplied back to verify, all at P's largest cap and precision.
-    Limit levels delegate to the concrete (k, r) in the verdict.
+    Writes P = c0 (1 + R) D^beta, c0 the constant of the dominant coefficient
+    c_beta, with -R = c0^-1 * rest, rest the other recentred monomials negated
+    (c_beta's own among them unless their valuation sits the target above
+    c0's); the geometric series for (1 + R)^{-1} is summed until the contraction
+    ratio pushes the residual below the target, and S = D^-beta (1 - R + ... +
+    (-R)^J) c0^-1 is multiplied back to verify, all at P's largest cap and
+    precision.  Limit levels delegate to the concrete (k, r) in the verdict.
 
-    On exact general rows each power of u in g and of -R drops its monomials of level
-    exponent below -(target + 2), and S those below -(target + e + 2), p^e the norm of P's
+    On exact general rows each power of -R drops its monomials of level exponent
+    below -(target + 2), and S those below -(target + e + 2), p^e the norm of P's
     stored terms: S moves by at most ||P^-1|| p^-target (||P||^-1 at dkq, ek) and is still
     certified exactly; where the window or the target refuses it, the whole series runs.
     """
@@ -285,38 +288,39 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
     P_rows, degrees = _as_rows(kept, p), _degrees(kept)
     cap = flat_cap if flat_cap is not None else max(c for *_, c in sums.values())
     precision = n or max(abs(q) for _, _, vp, _, _ in P_rows[0] for q in vp.values())
-    # c_beta D^beta - P recentred, so that -R = g * rest
-    rest = _as_rows(_scaled(({tuple(x - y for x, y in zip(a, beta)): s for a, s in sums.items()
-                              if a != beta}, W, E, n, flat_cap), -1, p), p)
-    # the contraction ratio: the level norm of R, whose exponents are
-    # weight(fl(alpha) - fl(beta)) - v(c_alpha) + v(c_beta), and of the recentred tail
     _, _, fl_beta, v_beta = next(row for row in P.term_table if row[0] == beta)
-    rho = [e + v_beta for e in (
+    # c0 D^beta - P recentred, so that -R = c0^-1 * rest; u maps c_beta's monomials
+    # past c0 to their valuation relative to c0's, less than the target: the
+    # others cannot reach the residual and stay out of rest
+    rest = {tuple(x - y for x, y in zip(a, beta)): s for a, s in sums.items() if a != beta}
+    u = {} if flat_cap is not None else {
+        m: e for m, N in sums[beta][0].items() if any(m)
+        and (e := W + int_valuation(N, p) - v_beta) < residual_exponent}
+    if u:
+        vals, vp, c = sums[beta]
+        rest[zero] = [{m: vals[m] for m in u}, vp and {m: vp[m] for m in u}, c]
+    deg_R = max(_degrees((rest, W, E, n, flat_cap)).values(), default=0)
+    rest = _as_rows(_scaled((rest, W, E, n, flat_cap), -1, p), p)
+    # the contraction ratio: the level norm of R, whose exponents are
+    # weight(fl(alpha) - fl(beta)) - v(c_alpha) + v(c0) and minus u's relative
+    # valuations, and of the recentred tail
+    rho = [-e for e in u.values()] + [e + v_beta for e in (
         max((level.weight(fl - fl_beta) - v for a, _, fl, v in P.term_table if a != beta),
             default=None), tail_sup_exponent(P, level.k, level.r, fl_beta)) if e is not None]
     if rho and max(rho) >= 0:
         raise NotInvertible("recentred series does not contract")
     # smallest J with (J + 1) * (-rho) >= target, so the dropped tail of the
     # geometric series already sits below the residual target; a monomial
-    # has no series, and S = g D^-beta is checked like any inverse
+    # has no series, and S = c0^-1 D^-beta is checked like any inverse
     J = math.ceil(Fraction(residual_exponent) / -max(rho)) - 1 if rho else 0
-    # c_beta = c0 (1 - u) as one order-zero row, its unit constant at the
-    # valuation v_beta; g = c_beta^-1 is summed to the least J_g with
-    # (J_g + 1) v(u) >= target, and the degrees of g and R bound the hints
-    c_beta = ([(zero, *next(row for row in P_rows[0] if row[0] == beta)[1:])], W, E, n, flat_cap)
-    vals = c_beta[0][0][1] if flat_cap is None else ()
-    v_u = min((int_valuation(N, p) + W - v_beta for m, N in vals if any(m)), default=None)
-    J_g = 0 if v_u is None else max(0, -(-residual_exponent // v_u) - 1)
-    deg_g = J_g * degrees[beta]
-    deg_R = max((d for a, d in degrees.items() if a != beta), default=0) + deg_g
     floor = (level.weight, residual_exponent + 2) if flat_cap is None and all(
         q > 0 for *_, vp, _, _ in P_rows[0] if vp for q in vp.values()) else None  # no residue
+    g = _unit_inverse(P_rows, beta, p)
     try:
         for floor in (floor, None) if floor else (None,):
             try:
-                # g, the series of -R = g * rest, times D^-beta (the identity at beta
-                # = 0) and then g, each product window-checked as mul checks it
-                g = _unit_inverse(c_beta, v_beta - W, J_g, p, floor)
+                # the series of -R = c0^-1 * rest, times D^-beta (the identity at beta
+                # = 0), window-checked as mul checks it, and then c0^-1, which moves none
                 S = _geometric_sum(_as_rows(_kernel_sums(g, rest, P.dim, p), p), max(J, 0),
                                    ([(zero, 1)], 0, 1, precision, cap), p, window_cap, floor)
                 if any(beta):
@@ -324,7 +328,6 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
                                      _as_rows(S, p), P.dim, p)
                     _window_cap_check(S[0], window_cap)
                 S = _kernel_sums(_as_rows(S, p), g, P.dim, p)
-                _window_cap_check(S[0], window_cap)
                 if floor and S[4] is None:  # S's own drop; a flat S stays whole
                     e = floor[1] + _stored_max(P, level.k, level.r)[0]
                     S = _drop_below(S[0], S[1], (level.weight, e), p), *S[1:]
@@ -336,43 +339,39 @@ def invert(P: MicroOp, level: RingLevel, window_cap: int = DEFAULT_WINDOW_CAP,
                 if not floor:  # or refuses as before; a degree cap the dropped one exceeds, it does
                     raise
     except DegreeCapOverflow:  # commutation only lowers x-degrees, so
-        # deg P + J*deg R + deg g bounds every coefficient formed above
-        needed = max(degrees.values()) + deg_g + J * deg_R
+        # deg P + J*deg R bounds every coefficient formed above
+        needed = max(degrees.values()) + J * deg_R
         raise DegreeCapOverflow(needed, cap, f"the inverse and its multiply-back reach "
                                 f"coefficient degree at most {needed}, past the degree cap") from None
     except WindowOverflow as e:  # a product lowers a D-exponent by at most its
-        # right factor's coefficient degree: J*deg R over the powers of -R,
-        # J*deg R more past D^-beta and deg g past g
-        needed = max(map(abs, beta)) + deg_g + J * (
+        # right factor's coefficient degree: J*deg R over the powers of -R
+        # and J*deg R more past D^-beta
+        needed = max(map(abs, beta)) + J * (
             max((abs(x - y) for a in sums if a != beta for x, y in zip(a, beta)), default=0)
             + 2 * deg_R)
         raise WindowOverflow(e.reason, needed, "every exponent the inverse forms stays "
                              f"within {needed}") from None
 
 
-def _unit_inverse(c_beta: tuple, v: int, J: int, p: int, floor: tuple | None) -> tuple:
-    """The rows of g = c^-1 for the unit c = c0(1 - u) of the order-zero row
-    ``c_beta``, as ``TateSeries.invert_unit`` sums it: c0^-1 (1 + u + ... + u^J),
-    c0 = p^(W+v) unit / E inverting to E / unit over p^-(W+v) (modulo p^digits
-    for a residue) and a power past c's cap refused by its product."""
-    (row,), W, E, n, cap = c_beta
-    zero = row[0]
-    vals, vp, cap, deg = ([row], None, cap, 0) if cap is not None else row[1:]
-    q0 = n if vp is None else vp[zero]  # c0's precision, or minus its digits
-    unit = dict(vals)[zero] // p ** v
+def _unit_inverse(rows: tuple, beta: Exponent, p: int) -> tuple:
+    """The rows of c0^-1 for the constant c0 = p^(W+v) unit / E of c_beta in
+    P's ``rows`` over ``p^W / E``: E / unit over p^-(W+v), exactly at c0's
+    precision, or modulo p^digits for a residue."""
+    P_rows, W, E, n, cap = rows
+    zero, row = (0,) * len(beta), next(row for row in P_rows if row[0] == beta)
+    N0, q0 = row[1], n
+    if cap is None:
+        _, vals, vp, cap, _ = row
+        N0, q0 = dict(vals)[zero], n if vp is None else vp[zero]
+    v = int_valuation(N0, p)
+    unit = N0 // p ** v
     if q0 > 0:
         d = math.gcd(E, unit)
-        inv = {zero: E // d if unit > 0 else -E // d}, -W - v, abs(unit) // d, q0, cap
-    else:  # balanced, as _series_sums reads a residue
-        mod = p ** -q0
-        N = pow(unit, -1, mod) * E % mod
-        inv = {zero: [{zero: N - mod if 2 * N > mod else N}, {zero: q0}, cap]}, -W - v, 1, None, None
-    if not J:
-        return _as_rows(inv, p)
-    rest = [(zero, [t for t in vals if any(t[0])], vp, cap, deg)], W, E, n, None
-    u = _kernel_sums(_as_rows(_scaled(inv, -1, p), p), rest, len(zero), p)
-    series = _geometric_sum(_as_rows(u, p), J, ([(zero, 1)], 0, 1, abs(q0), cap), p, None, floor)
-    return _as_rows(_kernel_sums(_as_rows(inv, p), _as_rows(series, p), len(zero), p), p)
+        return [(zero, E // d if unit > 0 else -E // d)], -W - v, abs(unit) // d, q0, cap
+    mod = p ** -q0  # balanced, as _series_sums reads a residue
+    N = pow(unit, -1, mod) * E % mod
+    N = N - mod if 2 * N > mod else N
+    return [(zero, [(zero, N)], {zero: q0}, cap, 0)], -W - v, 1, None, None
 
 
 def _verify_residual(P: MicroOp, S: MicroOp, level: RingLevel, residual_exponent: int,

@@ -83,7 +83,7 @@ def _invert_units():
     # not a constant in d = 1 at p = 2 and 3, in d = 2 and read back from
     # JSON at 20 digits, and units at beta != 0 with x coefficients (c_beta
     # constant at ek(1), not at fkr(3, 1)); then the degree-cap refusal that
-    # c_beta's own inverse series hits
+    # c_beta's x hits in the series
     ek1 = RingLevel.ek(1)
     inverses = [invert(P, level, residual_exponent=target) for P, level, target in (
         (ev("1 + p^3*x + p^4*d"), ek1, 12), (ev("2 + p*x + p^3*d", prime=3), ek1, 6),
@@ -218,9 +218,9 @@ TABLE = {
     "folds.txt": _folds,
     # a bad weight, window or probe depth, an unwritable output, a level
     # field the level does not take, --r where no level is read, --mu beside
-    # level flags, and an expression with a bad character, none at all, an
-    # unclosed parenthesis or a rational exponent, each refused by
-    # `python -m microdiff.cli` in one line
+    # level flags, a catalog flag the generator does not read, and an
+    # expression with a bad character, none at all, an unclosed parenthesis
+    # or a rational exponent, each refused by `python -m microdiff.cli` in one line
     **{REFUSES + " ".join(argv): argv for argv in (
         ["norm", "--mu", "1/0", "d"], ["order", "--mu", "1/0", "d"], ["order", "--k", "-1", "d"],
         ["norm", "--k", "1", "--out", "no-such-dir/norm.txt", "d"],
@@ -229,6 +229,9 @@ TABLE = {
         ["check", "--level", "ek", "--k", "1", "--r", "1", "1-p*d"],
         ["order", "--k", "1", "--r", "5", "1-p*d"], ["defect", "--k", "1", "--r", "9", "d", "x"],
         ["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"],
+        ["catalog", "truncated_cofactor", "--k", "1", "--M", "3", "--exact"],
+        ["catalog", "product_op", "--M", "2", "--k", "5"],
+        ["catalog", "gauss_op", "--M", "2", "--k", "5"],
         ["norm", "--k", "1", "1 + $"], ["norm", "--k", "1", ""], ["norm", "--k", "1", "(1 + d"],
         ["norm", "--k", "1", "p^(1/2)*d"])},
     # verdicts: values equal to, hashed as and printed as their constructor's

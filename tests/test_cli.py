@@ -222,7 +222,12 @@ class TestExitCodes:
         (["norm", "--mu", "1", "--level", "ek", "--k", "2", "--r", "1", "1-p*d"],
          "--mu takes no --level, --k or --r\n"),
         (["norm", "--mu", "1/2", "--k", "2", "1-p*d"], "--mu takes no --level, --k or --r\n"),
-        (["order", "--mu", "1", "--k", "2", "1-p*d"], "--mu takes no --k\n")])
+        (["order", "--mu", "1", "--k", "2", "1-p*d"], "--mu takes no --k\n"),
+        # each answered, exit 0: the truncation, tail included, and the stored terms
+        (["catalog", "truncated_cofactor", "--k", "1", "--M", "3", "--exact"],
+         "truncated_cofactor takes no --exact\n"),
+        (["catalog", "product_op", "--M", "2", "--k", "5"], "product_op takes no --k\n"),
+        (["catalog", "gauss_op", "--M", "2", "--k", "5"], "gauss_op takes no --k\n")])
     def test_a_level_flag_the_command_would_not_read_is_a_usage_error(self, args, message):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -303,10 +308,10 @@ class TestWorkingRing:
         args = ["invert", "--level", "ek", "--k", "1", "--residual", "20"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code, out = run(args + ["1 + p*x + p^5*d"])
+            code, out = run(args + ["1 + p*x^2 + p^5*d"])
         assert code == 2 and out == ""
-        assert err.getvalue().strip().endswith("rerun with --deg-cap 96 or larger")
-        assert run(args + ["--deg-cap", "96", "1 + p*x + p^5*d"])[0] == 0
+        assert err.getvalue().strip().endswith("rerun with --deg-cap 40 or larger")
+        assert run(args + ["--deg-cap", "40", "1 + p*x^2 + p^5*d"])[0] == 0
 
     @pytest.mark.parametrize("args", [["mul", "d", "3"], ["norm", "--k", "1", "5"],
                                       ["invert", "--level", "ek", "--k", "1", "3"]])

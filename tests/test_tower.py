@@ -161,6 +161,23 @@ class TestCheckUnitGeneral:
         with pytest.raises(InsufficientTruncation):
             check_unit(P, RingLevel.ek(2))
 
+    @pytest.mark.parametrize("make, level, message", [
+        # the certificate's own refusal, with the level
+        (lambda: product_op(2), RingLevel.ek(2),
+         "tail slope 3/2 does not dominate the weight slope 2"),
+        # a unit: the tail reaches the stored maximum, or at fkr the recentred one
+        (lambda: with_tail("1 + p^4*d", TailCertificate(1, F(0), F(1))), RingLevel.ek(1),
+         "tail sup p^0 reaches the stored maximum p^0"),
+        (lambda: with_tail("1 + p^4*d", TailCertificate(1, F(0), F(2))), RingLevel.fkr(2, 1),
+         "tail sup p^0 reaches the recentred maximum p^0"),
+        # a non-unit (x at the maximum): the tail exceeds the stored maximum
+        (lambda: with_tail("1 + x*d", TailCertificate(1, F(-2), F(1))), RingLevel.ek(1),
+         "tail sup p^2 exceeds the stored maximum p^1")])
+    def test_a_tail_refusal_names_the_bound_that_binds(self, make, level, message):
+        with pytest.raises(InsufficientTruncation) as refusal:
+            check_unit(make(), level)
+        assert str(refusal.value) == f"{message}; the {level} verdict needs a larger truncation"
+
     def test_laurent_unit_in_fkr(self):
         S = MicroOp.monomial((-1,), 1) + MicroOp.monomial((1,), F(128))
         v = check_unit(S, RingLevel.fkr(3, 1))
@@ -329,17 +346,28 @@ class TestInvert:
             TateSeries.constant(1, degree_cap=120))) <= -60
 
     def test_a_degree_cap_refusal_names_a_cap_that_suffices(self):
-        # deg P + J*deg R + deg g = 1 + 4*19 + 19: g = (1 + p*x)^-1 to p^-20
-        # has degree 19, R = p^5*g*d as well, and J = 4 reaches p^-20; the
-        # dropped series meets the cap, as the whole series does, with the
-        # same hint, and the rerun at the hint forms nothing past it
+        # deg P + J*deg R = 2 + 19*2: R holds p*x^2, c_beta's own monomial
+        # past its constant, and p^5*d, and J = 19 reaches p^-20; the dropped
+        # series meets the cap, as the whole series does, with the same hint,
+        # and the rerun at the hint forms nothing past it
         with pytest.raises(DegreeCapOverflow) as refusal:
-            invert(parsed("1 + p*x + p^5*d"), RingLevel.ek(1), residual_exponent=20)
-        assert refusal.value.needed == 96
-        P, level = parsed("1 + p*x + p^5*d", cap=96), RingLevel.ek(1)
+            invert(parsed("1 + p*x^2 + p^5*d"), RingLevel.ek(1), residual_exponent=20)
+        assert refusal.value.needed == 40
+        P, level = parsed("1 + p*x^2 + p^5*d", cap=40), RingLevel.ek(1)
         S = invert(P, level, residual_exponent=20)
-        assert max(c.degree() for c in S.terms.values()) <= 96
+        assert max(c.degree() for c in S.terms.values()) <= 40
         assert_within_the_target(P, level, 20, S)
+
+    def test_a_high_target_inverse_asks_for_the_cap_it_needs_and_answers_there(self):
+        # c_beta = 3 + p^2*x: J = 59 powers of R, each of degree 1, past deg P
+        # = 1; inverting c_beta apart asked for --deg-cap 1800
+        with pytest.raises(DegreeCapOverflow) as refusal:
+            invert(parsed("3 + p^2*x + p^5*x*d"), RingLevel.ek(1), residual_exponent=120)
+        assert refusal.value.needed == 60
+        P, level = parsed("3 + p^2*x + p^5*x*d", cap=60), RingLevel.ek(1)
+        S = invert(P, level, residual_exponent=120)
+        assert max(c.degree() for c in S.terms.values()) <= 60
+        assert_within_the_target(P, level, 120, S)
 
     def test_a_dropped_inverse_the_multiply_back_refuses_gives_way_to_the_whole_series(self):
         # S's own drop made to keep only its D^0 term: the exact multiply-back
@@ -374,6 +402,14 @@ class TestInvert:
         S = invert(P, level, residual_exponent=13)
         assert max(c.degree_cap for c in S.terms.values()) == 32
         assert_within_the_target(P, level, 13, S)
+
+    def test_a_non_constant_dominant_coefficient_answers_at_the_default_cap(self):
+        # c_beta = 1 + p*x: its x joins the one series, of degree 19, where
+        # inverting c_beta apart asked for --deg-cap 96
+        P, level = parsed("1 + p*x + p^5*d"), RingLevel.ek(1)
+        S = invert(P, level, residual_exponent=20)
+        assert max(c.degree() for c in S.terms.values()) == 19
+        assert_within_the_target(P, level, 20, S)
 
     @pytest.mark.parametrize("text, target", [("3 + p^2*x + p^5*x*d", 60),
                                               ("1 + p^3*x*d + p^4*x^2*dinv", 120)])
@@ -437,6 +473,11 @@ class TestInvert:
 def parsed(text: str, dim: int = 1, cap: int = 32, prime: int = 2) -> MicroOp:
     ctx = EvalContext(prime=prime, dim=dim, degree_cap=cap)
     return _as_op(evaluate(parse(text), ctx), ctx)
+
+
+def with_tail(text: str, tail: TailCertificate) -> MicroOp:
+    """The stored terms of ``text`` under a tail certificate."""
+    return MicroOp(1, 2, dict(parsed(text).terms), tail)
 
 
 def series_the_old_way(Q: MicroOp, J: int, cap: int, window_cap):
@@ -529,6 +570,15 @@ def assert_within_the_target(P: MicroOp, level: RingLevel, target: int, S: Micro
     assert d is None or d <= (e(S) if level.tag == "fkr" else -e(P)) - target
 
 
+def constant_dominant(P: MicroOp, level: RingLevel) -> bool:
+    """P is no unit at the level, or its dominant coefficient c_beta is a constant."""
+    try:
+        verdict = check_unit(P, level)
+    except MicrodiffError:
+        return True
+    return not verdict.invertible or set(P.terms[verdict.beta].coeffs) <= {(0,) * P.dim}
+
+
 def outcome_of(S):
     """Term order, caps and every scalar's fields of the inverse ``S``, or
     the refusal of :func:`inverse_or_refusal` as it is."""
@@ -580,14 +630,16 @@ def invert_cases(draw):
 @example((parsed("1 + p^4*x*d"), RingLevel.ek(1), 64, 30))
 @example((parsed("1 + p^3*dinv + p^4*d"), RingLevel.fkr(3, 1), 64, 20))
 @example((parsed("1 + p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 64, 20))
-@example((parsed("1 + p*x + p^5*d"), RingLevel.ek(1), 64, 20))  # refused for the cap
+@example((parsed("1 + p*x + p^5*d"), RingLevel.ek(1), 64, 20))  # the loop refused for the cap
+@example((parsed("1 + p*x^2 + p^5*d"), RingLevel.ek(1), 64, 20))  # refused for the cap
+@example((parsed("1 + p^2*x^2*d"), RingLevel.ek(1), 64, 20))  # both refuse for the cap
 @example((parsed("1 - p*d"), RingLevel.ek(2), 64, 80))  # refused for the window
 @example((parsed("1 + p^5*d"), RingLevel.ek(1), 64, 3))  # J = 0: the series is the 1
 # the inverses of tests/golden/invert_units.txt: c_beta not a constant in d = 1
 # at p = 2 and 3 and in d = 2, and with a residue read back from JSON at 20
 # digits past an exact c0 (read back whole, the loop's multiply-back cancels
 # every known digit: see the digit-mode tests below); units at beta != 0 with
-# x coefficients; the degree cap that g's own series hits
+# x coefficients; the degree cap that c_beta's x hits (in the loop, g's own series)
 @example((parsed("1 + p^3*x + p^4*d"), RingLevel.ek(1), 64, 12))
 @example((parsed("2 + p*x + p^3*d", prime=3), RingLevel.ek(1), 64, 6))
 @example((parsed("1 + p^3*x1 - p^4*x2^2 + p^5*x1*d2 + p^4*d1", dim=2), RingLevel.ek(1), 64, 6))
@@ -599,8 +651,8 @@ def invert_cases(draw):
 @example((parsed("1 + p^4*x*d"), RingLevel.ek(1), 64, 60))
 @example((parsed("1 + p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 64, 20))
 @example((parsed("2 + 9*x*d + 3*dinv", prime=3), RingLevel.ek(1), 64, 30))
-# the dropped series passes the window (asking for 120) before the whole
-# series passes the degree cap: the refusal is the whole series', the cap's (64)
+# the loop's dropped series passed the window (asking for 120) before its
+# whole series passed the degree cap (64); the rows refuse for the window (50)
 @example((parsed("(1/3 + 10*x^2)*dinv + (7*2^11 + 2^12*x^2)*d^2 + (-5/7*2^8 - 3*2^10*x^2)*d"),
           RingLevel.fkr(3, 1), 6, 8))
 def test_the_row_series_agrees_with_the_operator_loop_to_the_target(case):
@@ -611,15 +663,27 @@ def test_the_row_series_agrees_with_the_operator_loop_to_the_target(case):
     # at most ||P^-1|| p^-target, and where the loop refused the rows may
     # answer.  Where the rows refuse, the whole series has refused, as the
     # loop does, with the same text unless P is one term: the loop then
-    # inverts c_beta outside its hints
+    # inverts c_beta outside its hints.  All of this where c_beta is a
+    # constant; where it is not, the loop, the reference for this property,
+    # inverts c_beta apart, where the rows put its monomials past its
+    # constant into the one series: for such a c_beta both answers meet the
+    # target (a residue operand's on relifts), and where the rows refuse,
+    # the loop has refused as well
     P, level, window, target = case
     old, new = (inverse_or_refusal(P, level, window, target, inverse)
                 for inverse in (invert_the_old_way, invert))
-    if P.terms.kept[4] is not None or not all(c.exact for f in P.terms.values()
-                                              for c in f.coeffs.values()):
+    whole = P.terms.kept[4] is not None or not all(c.exact for f in P.terms.values()
+                                                   for c in f.coeffs.values())
+    constant = constant_dominant(P, level)
+    if whole and constant:
         assert outcome_of(new) == outcome_of(old)
     elif isinstance(new, tuple):  # the whole series' refusal
-        assert new == old if len(P.terms) > 1 else isinstance(old, tuple)
+        if not constant:
+            assert isinstance(old, tuple)
+        else:
+            assert new == old if len(P.terms) > 1 else isinstance(old, tuple)
+    elif whole:
+        assert_relifted_residual(P, new, level, target)
     else:
         if not isinstance(old, tuple):
             assert_within_the_target(P, level, target, old)
@@ -743,7 +807,8 @@ def from_json(text: str, dim: int = 1, digits: int | None = None) -> MicroOp:
     (parsed("1", dim=2) + from_json("p^2*x1*d2 - p^3*d1", dim=2), RingLevel.ek(1), 20),
     # c_beta = 1 + p^5*x with a residue at x: g = 1 and R are exact, P is not
     (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 5),
-    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30),  # refused for the cap
+    # at 30 the loop's g = c_beta^-1 passes the cap, where x joins the rows' series
+    (parsed("1 + p^4*d") + from_json("p^5*x"), RingLevel.ek(1), 30),
     # c_beta not a constant, read back whole at 20 digits (tests/golden/invert_units.txt)
     (from_json("1 + p^3*x + p^5*x*d", digits=20), RingLevel.ek(1), 12),
     (from_json("3 + p^4*x^2 + p^5*d", digits=20), RingLevel.ek(1), 12),
@@ -754,7 +819,8 @@ def test_a_digit_mode_operand_answers_as_the_operator_pipeline(P, level, target)
     with series_products():
         want = outcome_of(inverse_or_refusal(P, level, 64, target, invert_the_old_way))
     got = outcome_of(inverse_or_refusal(P, level, 64, target))
-    if isinstance(want, tuple) and want[0] is PrecisionExhausted:
+    if isinstance(want, tuple) and (want[0] is PrecisionExhausted or want[0] is DegreeCapOverflow
+                                    and not constant_dominant(P, level)):
         assert isinstance(got, list)
         assert_relifted_residual(P, invert(P, level, residual_exponent=target), level, target)
     else:
