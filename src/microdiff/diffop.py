@@ -410,12 +410,24 @@ _ANY_DIM_OPS = (lambda a, b: tuple(map(add, a, b)), lambda a, b: tuple(map(sub, 
 
 def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
                   table: dict, minus) -> list:
-    """(beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for each j
-    of the commutation law D^a g = sum_j C(a, j) D^j(g) D^(a-j), valid axis
-    by axis for any integer power a (it stops at j = a for a >= 0 and once
-    D^j(g) vanishes), in the order of j; ``table`` keeps g's derivatives
-    under beta, the precisions are None when ``gp`` is, and ``minus`` subtracts exponents."""
+    """(alpha + beta - j, D^j(g), its precisions, its degree, C(alpha, j)) for
+    each j of the commutation law D^a g = sum_j C(a, j) D^j(g) D^(a-j), valid
+    axis by axis for any integer power a (it stops at j = a for a >= 0 and
+    once D^j(g) vanishes), in the order of j: the first field is the target
+    exponent of the entry's products.  ``table`` keeps g's derivatives under
+    beta, the precisions are None when ``gp`` is, and ``minus`` subtracts
+    exponents.  For d = 1, j is one integer and D^j(g) keeps g's top monomial."""
     out, cache = [], table.setdefault(beta, {})
+    if len(alpha) == 1:
+        (a,), t, ab = alpha, max(m for (m,), _ in g), alpha[0] + beta[0]
+        for j in range(t + 1 if a < 0 else min(a, t) + 1):
+            if j not in cache:
+                cache[j] = ([((m - j,), N * math.perm(m, j)) for (m,), N in g if m >= j],
+                            None if gp is None else {(m - j,): gp[(m,)] for (m,), _ in g if m >= j})
+            h, hp = cache[j]
+            out.append(((ab - j,), h, hp, t - j, int_binomial(a, j)))
+        return out
+    ab = tuple(map(add, alpha, beta))
     for j in itertools.product(*[range(t + 1 if a < 0 else min(a, t) + 1)
                                  for a, t in zip(alpha, map(max, zip(*[m for m, _ in g])))]):
         if j not in cache:
@@ -425,7 +437,7 @@ def _commutations(alpha: Exponent, beta: Exponent, g: list, gp: dict | None,
             cache[j] = h, hp, max([sum(m) for m, _ in h], default=-1)
         h, hp, degree = cache[j]
         if degree >= 0:
-            out.append((minus(beta, j), h, hp, degree, math.prod(map(int_binomial, alpha, j))))
+            out.append((minus(ab, j), h, hp, degree, math.prod(map(int_binomial, alpha, j))))
     return out
 
 
@@ -452,13 +464,12 @@ def _general_product(lrows: list, rrows: list, n: int | None, p: int, table: dic
         for beta, gv, gp, gcap, gdeg in rrows:
             cap = fcap if fcap < gcap else gcap
             if not (gdeg and any(alpha)):
-                terms = ((beta, gv, gp, gdeg, 1),)
+                terms = ((plus(alpha, beta), gv, gp, gdeg, 1),)
             elif (terms := table.get((alpha, beta))) is None:
                 terms = table[alpha, beta] = _commutations(alpha, beta, gv, gp, table, minus)
-            for bj, hv, hp, hdeg, b in terms:
+            for gamma, hv, hp, hdeg, b in terms:
                 if fdeg + hdeg > cap:
                     raise DegreeCapOverflow(fdeg + hdeg, cap)
-                gamma = plus(alpha, bj)
                 acc = out.get(gamma)
                 direct = len(fv) == 1 or len(hv) == 1  # no two of its products meet
                 if not direct:  # the pair's product, as TateSeries.__mul__ forms it

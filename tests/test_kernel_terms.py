@@ -287,6 +287,91 @@ def test_a_right_factor_forms_each_commutation_once():
     assert store_snapshot(twin) == store_snapshot(A * B)
 
 
+def test_a_commutation_entry_holds_its_target_exponent():
+    # D^2 * 3x^2 D^-1 = 3x^2 D + 2 * 6x + 1 * 6 D^-1: each entry's first field
+    # is alpha + beta - j, so the pair loop adds no exponents of its own
+    minus = diffop._EXPONENT_OPS[1][1]
+    got = diffop._commutations((2,), (-1,), [((2,), 3)], None, {}, minus)
+    assert got == [((1,), [((2,), 3)], None, 2, 1), ((0,), [((1,), 6)], None, 1, 2),
+                   ((-1,), [((0,), 6)], None, 0, 1)]
+    # d = 2 keeps the any-dimension loop: D1 D2 * x1 x2 D2^2, j in {0, 1}^2
+    minus = diffop._EXPONENT_OPS[2][1]
+    got = diffop._commutations((1, 1), (0, 2), [((1, 1), 1)], {(1, 1): 5}, {}, minus)
+    assert [(gamma, h, hp) for gamma, h, hp, *_ in got] == [
+        ((1, 3), [((1, 1), 1)], {(1, 1): 5}), ((1, 2), [((1, 0), 1)], {(1, 0): 5}),
+        ((0, 3), [((0, 1), 1)], {(0, 1): 5}), ((0, 2), [((0, 0), 1)], {(0, 0): 5})]
+
+
+def embedded(kept: tuple) -> tuple:
+    """d = 1 kernel sums on a d = 2 store with a zero second axis: x -> x1, d -> d1."""
+    sums, W, E, n, cap = kept
+    if cap is not None:
+        return {(a, 0): N for (a,), N in sums.items()}, W, E, n, cap
+    return {(a, 0): [{(m, 0): N for (m,), N in v.items()},
+                     vp and {(m, 0): q for (m,), q in vp.items()}, c]
+            for (a,), (v, vp, c) in sums.items()}, W, E, n, cap
+
+
+def projected(kept: tuple) -> tuple:
+    """d = 2 kernel sums of an embedded product back on d = 1, in their order."""
+    sums, W, E, n, cap = kept
+    assert all(b == 0 for _, b in sums)
+    if cap is not None:
+        return {(a,): N for (a, _), N in sums.items()}, W, E, n, cap
+    assert all(y == 0 for v, vp, _ in sums.values() for _, y in (*v, *(vp or ())))
+    return {(a,): [{(m,): N for (m, _), N in v.items()},
+                   vp and {(m,): q for (m, _), q in vp.items()}, c]
+            for (a, _), (v, vp, c) in sums.items()}, W, E, n, cap
+
+
+def kernel_snapshot(kept: tuple) -> tuple:
+    """d = 1 kernel sums as lists: values, precisions, caps, term and monomial order."""
+    sums, W, E, n, cap = kept
+    if cap is not None:
+        return list(sums.items()), W, E, n, cap
+    return [(a, list(v.items()), vp and list(vp.items()), c)
+            for a, (v, vp, c) in sums.items()], W, E, n, cap
+
+
+@st.composite
+def d1_kernel_operands(draw):
+    """(p, Q, lefts): d = 1 operators on D-exponents -3..3 with x-degree up
+    to 5, exact (some mixing precisions 20 and 64) or read back from JSON
+    (residues, some known to 12 digits), so that some rows carry
+    per-monomial precisions; one right factor Q."""
+    rng = draw(st.randoms(use_true_random=True))
+    p = rng.choice((2, 3, 5))
+
+    def operand():
+        terms, precisions = {}, rng.choice(((64,), (64,), (20, 64)))
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {(m,): PadicScalar.from_fraction(
+                F(rng.choice((1, -1, 3, -5)), rng.choice((1, 7))) * F(p) ** rng.randint(-1, 2),
+                p, rng.choice(precisions)) for m in rng.sample(range(6), rng.randint(1, 3))}
+            terms[(rng.randint(-3, 3),)] = TateSeries(1, p, coeffs, rng.choice((9, 32, 32)))
+        S = MicroOp(1, p, terms)
+        return from_json(S, rng.choice((None, 12))) if rng.random() < 0.4 else S
+    return p, operand(), [operand() for _ in range(rng.randint(2, 4))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(d1_kernel_operands())
+def test_d1_kernel_sums_equal_the_d2_loop_on_a_zero_second_axis(case):
+    # one table per right factor and dimension, over the lefts twice, so the
+    # second pass reads the entries the first formed
+    p, Q, lefts = case
+    right = [diffop._as_rows(Q.terms.kept, p), diffop._as_rows(embedded(Q.terms.kept), p)]
+    tables = [{}, {}]
+    for P in lefts * 2:
+        left = [diffop._as_rows(P.terms.kept, p), diffop._as_rows(embedded(P.terms.kept), p)]
+        one, two = [outcome(diffop._kernel_sums, left[i], right[i], i + 1, p, tables[i])
+                    for i in (0, 1)]
+        if isinstance(one[0], type) or isinstance(two[0], type):  # a refusal, as the loop's
+            assert one == two
+        else:
+            assert kernel_snapshot(one) == kernel_snapshot(projected(two))
+
+
 SHARED_MODES = MODES + ("digit", "mixed")
 
 
