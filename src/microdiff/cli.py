@@ -11,6 +11,9 @@ sets a congruence probe depth: the check then classifies with the structure
 visible at levels <= k only, so an operator whose level order is still
 growing at the probe depth reports ``non-finite`` even if its expression is
 a finite product.  Omit ``--k`` for the honest verdict on the exact data.
+
+An argv whose first word is a subcommand is parsed by that subcommand's
+parser alone, once; any other argv goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def rational(text: str) -> Fraction:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``--prime`` defaults per call in
     :func:`run`, so ``MICRODIFF_PRIME`` is read at each run."""
-    top = _Parser(prog="microdiff", description=__doc__,
+    # the help text leaves out the docstring's last paragraph, on parsing
+    top = _Parser(prog="microdiff", description=__doc__.rsplit("\n\n", 1)[0],
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
     common.add_argument("--prime", type=int, default=None)
@@ -107,7 +111,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("mul", help="product of two operators")
     p.add_argument("exprP")
     p.add_argument("exprQ")
+    top.commands = sub.choices  # name -> subcommand parser, for _parse
     return top
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """A subcommand's parser alone parses ``argv[1:]``, as the top-level one would."""
+    top = _build_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _context(args) -> exprs.EvalContext:
@@ -298,9 +312,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.window < 0:  # it would refuse every product
             raise UsageError(f"--window must be >= 0, got {args.window}")
         if args.format == "svg" and args.command != "polygon":  # only a polygon renders

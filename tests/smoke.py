@@ -151,6 +151,41 @@ def _verdict_twins():
         raise AssertionError(f"{got!r} took an assignment")
 
 
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: its namespace's fields, its usage error's
+    text, or its exit code with what it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return vars(parse(list(argv)))
+    except cli.UsageError as e:
+        return f"usage error: {e}"
+    except SystemExit as e:
+        return e.code, out.getvalue()
+
+
+def _dispatch():
+    # run hands an argv that starts with a subcommand to that subcommand's
+    # parser alone; every case gives what the top-level parser gives, on
+    # this Python's argparse: no command or an unknown one, an option before
+    # the command, help, a missing, extra or misspelt argument, "--", values
+    # that start with "-", abbreviated options and bad option values
+    for argv in ([], ["frob"], ["--prime", "3", "norm", "--k", "1", "d"],
+                 ["-h"], ["norm", "-h"], ["norm"],
+                 ["norm", "--k", "1", "d", "extra"], ["norm", "--kk", "1", "d"],
+                 ["norm", "--k=1", "d"],
+                 ["norm", "--k", "1", "--", "-d"], ["norm", "--k", "1", "-d"],
+                 ["norm", "--k", "1", "-1"], ["mul", "--", "-d", "x"],
+                 ["invert", "--level", "ek", "--k", "1", "--res", "5", "1-p*d"],
+                 ["catalog", "product_op", "--M", "3", "--ex"],
+                 ["norm", "--k", "1", "--format", "xml", "d"],
+                 ["norm", "--k", "1", "--mu", "1/0", "d"]):
+        got = parse_outcome(cli._parse, argv)
+        want = parse_outcome(cli._build_parser().parse_args, argv)
+        if got != want:
+            raise AssertionError(f"{argv}: dispatched {got!r}, top-level {want!r}")
+
+
 _CHAIN_P3 = ("prod(n=1..40, 1 - p^n*d)", "1 - p^41*d")
 _CONSTANT_P3 = ("1/2 + 3*d - 9/5*dinv + 2/7*d^2", "5/4 - 3/2*dinv + 27*d - 1/3*dinv^2")
 _LITERAL_P = "3*p^2*x^3*d^2 + 5/7*dinv^2 - 9*p*x*d + 2"
@@ -236,6 +271,8 @@ TABLE = {
         ["norm", "--k", "1", "p^(1/2)*d"])},
     # verdicts: values equal to, hashed as and printed as their constructor's
     VALUE + "check_unit verdicts and their twins": _verdict_twins,
+    # argv parsed by the subcommand's parser alone, as by the top-level one
+    VALUE + "subcommand dispatch": _dispatch,
 }
 
 

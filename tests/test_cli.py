@@ -5,6 +5,8 @@ from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoke
 from microdiff import RingLevel, check_unit, cli, diffop
@@ -274,6 +276,63 @@ class TestExitCodes:
         assert (code, out, err.getvalue()) == (1, "", "error: 4 is not a prime\n")
         code, out = run(["check", "--prime", "2", "--level", "ek", "--k", "1", "1 + 2*x"])
         assert code == 0 and out.startswith("invertible: true")
+
+
+# The exit-code contract's parts: each subcommand with flags that it takes
+# and its number of operands; more flags, with good and bad values; operands
+# good and bad; and words that lead the command
+_TAKES = {
+    "norm": (1, ["--k", "1"], ["--level", "ek", "--k", "2"],
+             ["--level", "fkr", "--k", "2", "--r", "1"], ["--mu", "1/2"]),
+    "order": (1, ["--k", "2"], ["--mu", "3"]),
+    "polygon": (1, []),
+    "check": (1, ["--level", "dkq", "--k", "1"], ["--level", "ek", "--k", "1"],
+              ["--level", "fkr", "--k", "3", "--r", "1"], ["--level", "fir", "--r", "1"],
+              ["--level", "finf"], ["--level", "dinf"]),
+    "invert": (1, ["--level", "ek", "--k", "1", "--residual", "4"],
+               ["--level", "fkr", "--k", "3", "--r", "1", "--residual", "6"]),
+    "defect": (2, ["--k", "1"], ["--k", "2"]),
+    "catalog": (1, ["--M", "3"], ["--M", "2", "--exact"], ["--k", "1", "--M", "3"]),
+    "mul": (2, []),
+}
+_FLAGS = {
+    "--prime": ("2", "3", "4"), "--dim": ("1", "2", "0"), "--prec": ("8", "30"),
+    "--deg-cap": ("6", "-1"), "--window": ("4", "-1"), "--format": ("text", "json", "svg"),
+    "--out": ("no-such-dir/out.txt",), "--level": ("dkq", "ek", "fkr", "fir", "finf", "dinf"),
+    "--k": ("0", "1", "2", "-1"), "--r": ("1", "2"), "--mu": ("1/2", "3", "3/0"),
+    "--residual": ("4", "-1"), "--M": ("2", "3", "-1"), "--exact": (None,)}
+_OPERANDS = ("1 - p*d", "1 + p^2*x*d", "d", "p*x^2 + d^2", "3 + p^-1*dinv", "x1*d2 + p*d1",
+             "prod(n=1..4, 1 - p^n*d)", "(1 + p*d)^2", "1 + (", "q*d", "x^70*d", "")
+_NAMES = ("product_op", "gauss_op", "truncated_cofactor")
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_TAKES)))
+    arity, *flag_sets = _TAKES[command]
+    words = _NAMES if command == "catalog" else _OPERANDS
+    n = draw(st.sampled_from((arity, arity, arity, arity - 1, arity + 1)))
+    chunks = [[draw(st.sampled_from(words))] for _ in range(n)]
+    chunks.append(draw(st.sampled_from(flag_sets)))
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=2)):
+        value = draw(st.sampled_from(_FLAGS[flag]))
+        chunks.append([flag] if value is None else [flag, value])
+    lead = draw(st.sampled_from(([],) * 8 + (["--prime", "3"], ["frob"])))
+    return [*lead, command, *(w for chunk in draw(st.permutations(chunks)) for w in chunk)]
+
+
+@settings(max_examples=800, derandomize=True, deadline=None, database=None)
+@given(_argvs())
+def test_every_exit_keeps_the_contract(argv):
+    # exit 0 to 3 and no exception; a failure says one line on stderr and
+    # nothing on stdout; the subcommand's parser alone parses as the top level
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or (out == "" and err.getvalue().count("\n") == 1), (code, err.getvalue())
+    assert smoke.parse_outcome(cli._parse, argv) == smoke.parse_outcome(
+        cli._build_parser().parse_args, argv)
 
 
 class TestWorkingRing:
