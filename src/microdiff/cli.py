@@ -12,8 +12,10 @@ visible at levels <= k only, so an operator whose level order is still
 growing at the probe depth reports ``non-finite`` even if its expression is
 a finite product.  Omit ``--k`` for the honest verdict on the exact data.
 
-An argv whose first word is a subcommand is parsed by that subcommand's
-parser alone, once; any other argv goes through the top-level parser.
+An argv whose first word is a subcommand is read in one pass over a table of
+that subcommand's argparse actions; an argv it does not take in full (help,
+``--``, an abbreviated option, a missing operand, a bad value) and any other
+argv go to the top-level parser.
 """
 
 from __future__ import annotations
@@ -111,17 +113,53 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("mul", help="product of two operators")
     p.add_argument("exprP")
     p.add_argument("exprQ")
-    top.commands = sub.choices  # name -> subcommand parser, for _parse
+    top.tables = {name: _table(p) for name, p in sub.choices.items()}  # for _parse
     return top
 
 
+def _table(parser: argparse.ArgumentParser) -> tuple:
+    """Options, operands, typed defaults and required actions; help stores nothing."""
+    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
+    return ({s: a for a in actions for s in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+             for a in actions}, {a for a in actions if a.required})
+
+
+def _is_value(word: str) -> bool:
+    """Whether every argparse reads ``word`` as a value, never as an option."""
+    return (not word.startswith("-") or word == "-"
+            or word[1:2].isdecimal() and (word[1:].isdecimal() or " " in word))
+
+
+def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """``argv``'s namespace from one pass over its subcommand's table, or None."""
+    options, operands, defaults, required = table
+    values, seen, words, operands = dict(defaults), set(), iter(argv[1:]), iter(operands)
+    for word in words:
+        action = options.get(word)
+        if action is None:  # the next operand
+            action = next(operands, None)
+        elif action.nargs != 0:  # an option, whose value is the next word
+            word = next(words, "--")  # none left: "--" is no value
+        if action is None or action.nargs != 0 and not _is_value(word):
+            return None
+        try:
+            value = action.const if action.nargs == 0 else action.type(word) if action.type else word
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(command=argv[0], **values) if required <= seen else None
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """A subcommand's parser alone parses ``argv[1:]``, as the top-level one would."""
+    """``argv``'s namespace: :func:`_read`'s, else the top-level parser's."""
     top = _build_parser()
-    command = top.commands.get(argv[0]) if argv else None
-    if command is None:
-        return top.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = _read(top.tables[argv[0]], argv) if argv and argv[0] in top.tables else None
+    return top.parse_args(argv) if args is None else args
 
 
 def _context(args) -> exprs.EvalContext:
@@ -322,6 +360,8 @@ def run(argv: list[str]) -> int:
             args.prime = int(os.environ.get("MICRODIFF_PRIME", padic.DEFAULT_PRIME))
         ctx = _context(args)  # refuses a --prime that is not a prime
         return _COMMANDS[args.command](args, ctx)
+    except SystemExit as exc:  # argparse printed a help text
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -165,25 +165,38 @@ def parse_outcome(parse, argv):
 
 
 def _dispatch():
-    # run hands an argv that starts with a subcommand to that subcommand's
-    # parser alone; every case gives what the top-level parser gives, on
-    # this Python's argparse: no command or an unknown one, an option before
-    # the command, help, a missing, extra or misspelt argument, "--", values
-    # that start with "-", abbreviated options and bad option values
+    # run reads an argv that starts with a subcommand in one pass over that
+    # subcommand's table, and leaves the rest to the top-level parser; every
+    # case gives what the top-level parser gives, on this Python's argparse:
+    # no command or an unknown one, an option before the command, help, a
+    # missing, extra or misspelt argument, "--", values that start with "-"
+    # (negative numbers, which argparse releases read differently, and "-h"
+    # with more after it), "=" after an option, abbreviated, repeated and
+    # missing options, bad option values, operands among options or naming
+    # a command
     for argv in ([], ["frob"], ["--prime", "3", "norm", "--k", "1", "d"],
                  ["-h"], ["norm", "-h"], ["norm"],
                  ["norm", "--k", "1", "d", "extra"], ["norm", "--kk", "1", "d"],
-                 ["norm", "--k=1", "d"],
+                 ["norm", "--k=1", "d"], ["norm", "--k=1 + d"],
                  ["norm", "--k", "1", "--", "-d"], ["norm", "--k", "1", "-d"],
                  ["norm", "--k", "1", "-1"], ["mul", "--", "-d", "x"],
+                 ["norm", "--k", "1", "-h + d"], ["norm", "--k", "1", "-1 + d"],
+                 ["norm", "--k", "-1", "d"], ["norm", "--k", "1", "-1.5"],
+                 ["norm", "--k", "1", "-1x"], ["norm", "--mu", "-1/2", "d"],
+                 ["norm", "--k", "1", "--k", "2", "d"],
+                 ["norm", "--k", "1", "-"], ["norm", "--k", "1", ""],
                  ["invert", "--level", "ek", "--k", "1", "--res", "5", "1-p*d"],
                  ["catalog", "product_op", "--M", "3", "--ex"],
+                 ["catalog", "product_op", "--exact"],
+                 ["catalog", "product_op", "--M", "3", "--exact", "--exact"],
+                 ["defect", "d", "--k", "1", "x"], ["mul", "d", "norm"],
+                 ["polygon", "--format", "svg", "--out", "-", "d"],
                  ["norm", "--k", "1", "--format", "xml", "d"],
                  ["norm", "--k", "1", "--mu", "1/0", "d"]):
         got = parse_outcome(cli._parse, argv)
         want = parse_outcome(cli._build_parser().parse_args, argv)
         if got != want:
-            raise AssertionError(f"{argv}: dispatched {got!r}, top-level {want!r}")
+            raise AssertionError(f"{argv}: read {got!r}, top-level {want!r}")
 
 
 _CHAIN_P3 = ("prod(n=1..40, 1 - p^n*d)", "1 - p^41*d")
@@ -271,7 +284,7 @@ TABLE = {
         ["norm", "--k", "1", "p^(1/2)*d"])},
     # verdicts: values equal to, hashed as and printed as their constructor's
     VALUE + "check_unit verdicts and their twins": _verdict_twins,
-    # argv parsed by the subcommand's parser alone, as by the top-level one
+    # argv read by the one-pass table or the top-level parser, as by the latter
     VALUE + "subcommand dispatch": _dispatch,
 }
 

@@ -299,10 +299,11 @@ _FLAGS = {
     "--prime": ("2", "3", "4"), "--dim": ("1", "2", "0"), "--prec": ("8", "30"),
     "--deg-cap": ("6", "-1"), "--window": ("4", "-1"), "--format": ("text", "json", "svg"),
     "--out": ("no-such-dir/out.txt",), "--level": ("dkq", "ek", "fkr", "fir", "finf", "dinf"),
-    "--k": ("0", "1", "2", "-1"), "--r": ("1", "2"), "--mu": ("1/2", "3", "3/0"),
+    "--k": ("0", "1", "2", "-1"), "--r": ("1", "2"), "--mu": ("1/2", "3", "3/0", "-1/2"),
     "--residual": ("4", "-1"), "--M": ("2", "3", "-1"), "--exact": (None,)}
 _OPERANDS = ("1 - p*d", "1 + p^2*x*d", "d", "p*x^2 + d^2", "3 + p^-1*dinv", "x1*d2 + p*d1",
-             "prod(n=1..4, 1 - p^n*d)", "(1 + p*d)^2", "1 + (", "q*d", "x^70*d", "")
+             "prod(n=1..4, 1 - p^n*d)", "(1 + p*d)^2", "1 + (", "q*d", "x^70*d", "",
+             "-1 + p*d", "-3*p^2*d + x", "-p*d", "-h + d", "--k=1 + d")
 _NAMES = ("product_op", "gauss_op", "truncated_cofactor")
 
 
@@ -325,7 +326,7 @@ def _argvs(draw):
 @given(_argvs())
 def test_every_exit_keeps_the_contract(argv):
     # exit 0 to 3 and no exception; a failure says one line on stderr and
-    # nothing on stdout; the subcommand's parser alone parses as the top level
+    # nothing on stdout; the one-pass read gives what the top-level parser gives
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = run(argv)
@@ -333,6 +334,18 @@ def test_every_exit_keeps_the_contract(argv):
     assert code == 0 or (out == "" and err.getvalue().count("\n") == 1), (code, err.getvalue())
     assert smoke.parse_outcome(cli._parse, argv) == smoke.parse_outcome(
         cli._build_parser().parse_args, argv)
+
+
+def test_a_well_formed_argv_never_reaches_argparse():
+    # every golden's argv is read in one pass over its subcommand's table,
+    # into the namespace the top-level parser gives
+    argvs = [argv for name, entry in smoke.TABLE.items() if isinstance(entry, list)
+             and not name.startswith((smoke.REFUSES, smoke.VALUE)) for argv in entry]
+    assert argvs
+    want = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
+    with mock.patch("argparse.ArgumentParser.parse_known_args",
+                    side_effect=AssertionError("argparse parsed")):
+        assert [vars(cli._parse(argv)) for argv in argvs] == want
 
 
 class TestWorkingRing:

@@ -1,4 +1,5 @@
-"""Products and unit verdicts checked against the benchmark's oracle.
+"""Products, norms, orders, polygons and unit verdicts checked against the
+benchmark's oracle.
 
 ``perfbench/oracle.py`` writes the Weyl-Laurent product and every level's
 verdict rule out on ``Fraction`` dictionaries ``{alpha: {m: c}}`` and imports
@@ -15,7 +16,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff import MicroOp, PadicScalar, RingLevel, TateSeries, check_unit, mul
+from microdiff import (MicroOp, PadicScalar, RingLevel, TateSeries, check_unit, mul, norm_k,
+                       order_Nk, order_nk, polygon)
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", _PATH)
@@ -99,3 +101,40 @@ def test_unit_verdicts_agree_with_the_oracle(drawn):
     invertible, beta = oracle.verdict(oracle.Data.of(P, p), level.tag, level.k, level.r)
     assert verdict.invertible == invertible, (P, level, verdict)
     assert (tuple(verdict.beta) if invertible else None) == beta, (P, level, verdict)
+
+
+@st.composite
+def drawn_operators(draw, laurent):
+    """A prime, a dimension and an exact operator, Laurent when ``laurent`` draws True."""
+    p, dim = draw(primes), draw(dims)
+    return p, dim, draw(operators(p, dim, draw(laurent)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(drawn_operators(st.just(False)))
+def test_level_norms_and_orders_agree_with_the_oracle(drawn):
+    p, dim, P = drawn
+    S, data = to_op(P, dim, p), oracle.Data.of(P, p)
+    for k in range(4):
+        assert norm_k(S, k) == Fraction(p) ** oracle.norm_exponent(data, k), (P, k)
+        assert (order_Nk(S, k), order_nk(S, k)) == oracle.orders(data, k), (P, k)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(drawn_operators(st.booleans()))
+def test_ek_and_fkr_norms_agree_with_the_oracle(drawn):
+    p, dim, P = drawn
+    S, data = to_op(P, dim, p), oracle.Data.of(P, p)
+    for k in range(1, 4):
+        assert RingLevel.ek(k).norm_exponent(S) == oracle.ek_exponent(data, k), (P, k)
+        for r in range(1, k + 1):
+            want = oracle.fkr_exponent(data, k, r)
+            assert RingLevel.fkr(k, r).norm_exponent(S) == want, (P, k, r)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(drawn_operators(st.just(False)))
+def test_newton_polygons_agree_with_the_oracle(drawn):
+    p, dim, P = drawn
+    poly = polygon(to_op(P, dim, p))
+    assert (list(poly.vertices), list(poly.slopes)) == oracle.polygon(oracle.Data.of(P, p)), P
